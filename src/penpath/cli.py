@@ -130,6 +130,15 @@ def _report_text(spec, solution, rows):
     return "\n".join(lines) + "\n"
 
 
+def _checked_path(spec, options):
+    """run_path on the spec's problem, reporting validation errors as spec errors."""
+    try:
+        return run_path(spec.model, spec.constraints, options)
+    except ValueError as exc:
+        # entry-point validation (direction prerequisites, dimensions)
+        raise SpecError(str(exc)) from exc
+
+
 def _run_solve(args):
     spec = parse_problem_spec(args.spec)
     overrides = {}
@@ -148,11 +157,7 @@ def _run_solve(args):
     log.info("solving %s: %s loss, dim %d, %d eq + %d ineq rows",
              args.spec, spec.loss_kind, spec.dimension,
              spec.constraints.n_eq, spec.constraints.n_ineq)
-    try:
-        solution = run_path(spec.model, spec.constraints, options)
-    except ValueError as exc:
-        # entry-point validation (direction prerequisites, dimensions)
-        raise SpecError(str(exc)) from exc
+    solution = _checked_path(spec, options)
     log.info("path %s after %d kinks", solution.status, len(solution.kinks))
 
     rows = _sample_table(spec, solution)
@@ -181,7 +186,7 @@ def _run_crossval(args):
     if not 2 <= k <= n:
         raise SpecError(f"folds must be between 2 and {n}, got {k}")
 
-    full = run_path(spec.model, spec.constraints, spec.options)
+    full = _checked_path(spec, spec.options)
     grid = full.rho_grid(spec.samples_per_segment)
     if full.direction == "backward":
         grid = grid[::-1]

@@ -101,6 +101,8 @@ class GlmLoss(LossModel):
         self.scale = float(scale)
         sv = np.linalg.svd(self.design, compute_uv=False)
         self.strictly_convex = bool(sv.size and sv[-1] > 1e-10 * sv[0])
+        # psi'' is constant only for the built-in normal family
+        self.constant_hessian = self.family is FAMILIES["normal"]
 
     @property
     def dim(self):

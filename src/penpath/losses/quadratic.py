@@ -7,6 +7,8 @@ from .base import LossModel
 
 
 class QuadraticLoss(LossModel):
+    constant_hessian = True
+
     def __init__(self, a_mat, b, c=0.0):
         self.a_mat = check_symmetric(a_mat, name="quadratic form")
         self.b = np.asarray(b, dtype=float).ravel()

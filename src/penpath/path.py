@@ -14,11 +14,22 @@ rows).  Forward runs start at rho = 0 from the unconstrained minimum and
 stop when no row pulls on the solution any more, at which point beta
 solves the constrained program min f subject to V beta = d, W beta <= e.
 
-Three interchangeable segment formulations are provided: "direct" solves
-the bordered KKT blocks at every evaluation, "nullspace" works in the
-active rows' null space (usable when the Hessian is singular), and
-"tableau" carries the KKT blocks themselves as extra ODE state, updating
-them by sweeps at kinks so no factorization is repeated inside a segment.
+Two segment engines share the event and kink logic, chosen by the loss's
+constant_hessian attribute.  For a constant Hessian (quadratic losses, the
+normal GLM) the right-hand side dbeta/drho = -P u is constant between
+kinks, so beta is linear in rho and the active coefficients are affine in
+1/rho: the exact engine evaluates the derivative once per segment and
+finds every event as the root of a closed-form function, with no
+integration step.  Every other loss follows the ODE engine, which
+integrates the segment with adaptive Runge-Kutta steps and locates events
+on the dense output.
+
+Three interchangeable segment formulations serve both engines: "direct"
+solves the bordered KKT blocks (at every evaluation in the ODE engine, once
+per segment in the exact one), "nullspace" works in the active rows' null
+space (usable when the Hessian is singular), and "tableau" keeps the KKT
+blocks in a sweep tableau updated by sweeps at kinks (carried as extra ODE
+state in the ODE engine, constant along an exact segment).
 """
 
 import math
@@ -31,6 +42,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     NoConvergence,
+    NonFiniteDerivative,
     NotStrictlyConvex,
     PathDivergence,
     PenPathError,
@@ -38,7 +50,7 @@ from .errors import (
     SimultaneousEventWarning,
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
-from .odeint import EventSpec, integrate
+from .odeint import DEAD_BAND, EventSpec, integrate
 from .sweeplin import SweepTableau, kkt_blocks, null_basis
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
@@ -222,15 +234,38 @@ class ActiveCoefficients:
         return bool(ok_s and ok_t)
 
 
+def _factor_hessian(mat, singular_error, message):
+    """Cholesky factor of a Hessian or its null-space restriction.
+
+    Non-finite entries raise NonFiniteDerivative (a loss evaluated where
+    its derivatives overflow), a failed factorization `singular_error`.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
+    try:
+        return cho_factor(mat)
+    except np.linalg.LinAlgError:
+        raise singular_error(message) from None
+
+
 def _hessian_inverse(model, beta):
     h = model.hessian(beta)
-    try:
-        factor = cho_factor(h)
-    except np.linalg.LinAlgError:
-        raise NotStrictlyConvex(
-            "Hessian is not positive definite at the current point"
-        ) from None
+    factor = _factor_hessian(
+        h, NotStrictlyConvex, "Hessian is not positive definite at the current point"
+    )
     return cho_solve(factor, np.eye(h.shape[0]))
+
+
+def _reduced_direction(hessian, y_b, u):
+    """-Y (Y^T H Y)^-1 Y^T u: the path derivative in the null space basis Y."""
+    reduced = y_b.T @ hessian @ y_b
+    reduced = 0.5 * (reduced + reduced.T)
+    factor = _factor_hessian(
+        reduced,
+        ReducedHessianSingular,
+        "Hessian restricted to the active null space is singular",
+    )
+    return -(y_b @ cho_solve(factor, y_b.T @ u))
 
 
 def segment_rhs_direct(model, cs, config, beta):
@@ -253,16 +288,7 @@ def segment_rhs_nullspace(model, cs, config, beta, basis=None):
     y_b = basis.basis
     if y_b.shape[1] == 0:
         return np.zeros(cs.dim)
-    reduced = y_b.T @ model.hessian(beta) @ y_b
-    reduced = 0.5 * (reduced + reduced.T)
-    try:
-        factor = cho_factor(reduced)
-    except np.linalg.LinAlgError:
-        raise ReducedHessianSingular(
-            "Hessian restricted to the active null space is singular"
-        ) from None
-    u = config.inactive_subgradient(cs)
-    return -(y_b @ cho_solve(factor, y_b.T @ u))
+    return _reduced_direction(model.hessian(beta), y_b, config.inactive_subgradient(cs))
 
 
 def active_coefficients(model, cs, config, beta, rho):
@@ -287,25 +313,6 @@ def active_coefficients(model, cs, config, beta, rho):
     return ActiveCoefficients(
         r_z[:n_act_eq], r_z[n_act_eq:], config.zero_eq, config.zero_ineq
     )
-
-
-def tableau_derivative(tableau, model, config, cs, beta):
-    """Derivative of the swept tableau along the path, plus dbeta/drho.
-
-    The entire tableau satisfies dS/drho = -C dH C^T with C the first p
-    columns of S: the swept blocks reproduce the derivatives of the KKT
-    blocks P, Q, R, and the border columns for inactive rows (which hold
-    P u_j) differentiate consistently because dH acts through C on both
-    sides.  Returns (dS, dbeta) as arrays.
-    """
-    p = tableau.p
-    rbar = config.subgradient_signs(cs.n_eq, cs.n_ineq)
-    inact = np.flatnonzero(~tableau.swept)
-    cols = tableau.matrix[:p, p + inact]
-    beta_dot = -(cols @ rbar[inact])
-    g_dot = model.dhessian(beta, beta_dot)
-    c_mat = tableau.matrix[:, :p]
-    return -(c_mat @ g_dot @ c_mat.T), beta_dot
 
 
 def stationarity_residual(model, cs, config, beta, rho):
@@ -401,6 +408,40 @@ class _SegmentTrace:
         raise ValueError(f"t={t} outside the segment trace")
 
 
+class _LinearSegment:
+    """Closed form of one segment of a constant-Hessian path.
+
+    beta(rho) = beta0 + (rho - rho0) d, and the active coefficients (eq
+    rows first) are r_Z(rho) = a + c / rho, or their rho -> 0 limit a
+    below RHO_FLOOR.  Stands in for the ODE engine's dense trace
+    (interpolate) and coefficient evaluator (coefficients).
+    """
+
+    empty = False
+
+    def __init__(self, rho0, beta0, d, a, c, t_sign, n_act_eq):
+        self.rho0 = rho0
+        self.beta0 = beta0
+        self.d = d
+        self.a = a
+        self.c = c
+        self.t_sign = t_sign
+        self.n_act_eq = n_act_eq
+
+    def beta(self, rho):
+        return self.beta0 + (rho - self.rho0) * self.d
+
+    def r_z(self, rho):
+        return self.a if rho < RHO_FLOOR else self.a + self.c / rho
+
+    def interpolate(self, t):
+        return self.beta(self.t_sign * t)
+
+    def coefficients(self, t, y):
+        r_z = self.r_z(self.t_sign * t)
+        return r_z[: self.n_act_eq], r_z[self.n_act_eq :]
+
+
 @dataclass
 class PathSegment:
     """One smooth piece of the path between consecutive kinks.
@@ -419,7 +460,7 @@ class PathSegment:
     termination: str
     _dim: int = 0
     _t_sign: float = 1.0
-    _trace: Optional[_SegmentTrace] = None
+    _trace: object = None  # _SegmentTrace (ODE engine) or _LinearSegment (exact)
     _coef_eval: Optional[Callable] = None
     _model: object = None
     _cs: object = None
@@ -442,7 +483,7 @@ class PathSegment:
         return self._trace.interpolate(min(max(self._t_sign * rho, lo), hi))
 
     def beta_at(self, rho):
-        """Solution on this segment, by dense-output interpolation."""
+        """Solution on this segment: the exact line or the ODE dense output."""
         return self.state_at(rho)[: self._dim]
 
     def coefficients_at(self, rho):
@@ -534,7 +575,7 @@ class PathSolution:
 
 
 # ---------------------------------------------------------------------------
-# Segment contexts: one per ODE formulation.
+# Segment contexts: one per segment formulation, shared by both engines.
 
 @dataclass(frozen=True)
 class _EventInfo:
@@ -594,16 +635,32 @@ class _SegmentContext:
 
 
 class _DirectContext(_SegmentContext):
+    def __init__(self, runner, config, beta0):
+        super().__init__(runner, config, beta0)
+        # A constant Hessian's inverse comes from the runner, and the KKT
+        # blocks built from it serve every evaluation on the segment.
+        self.h_inv = runner.h_inv
+        self._blocks = None
+
+    def _kkt(self, beta):
+        if self.h_inv is None:
+            return kkt_blocks(_hessian_inverse(self.model, beta), self.active)
+        if self._blocks is None:
+            self._blocks = kkt_blocks(self.h_inv, self.active)
+        return self._blocks
+
     def rhs(self, t, y):
-        h_inv = _hessian_inverse(self.model, y)
-        p_blk, _, _ = kkt_blocks(h_inv, self.active)
+        p_blk, _, _ = self._kkt(y)
         return self.t_sign * -(p_blk @ self.u)
+
+    def coefficient_map(self, y, vec):
+        """r_Z for vec = grad f / rho + u (or for each column of vec)."""
+        _, q_blk, _ = self._kkt(y[: self.p])
+        return -(q_blk.T @ vec)
 
     def _coefficients(self, t, y):
         beta = y[: self.p]
-        h_inv = _hessian_inverse(self.model, beta)
-        _, q_blk, _ = kkt_blocks(h_inv, self.active)
-        return self._split(-(q_blk.T @ self._gradient_vector(t, beta)))
+        return self._split(self.coefficient_map(beta, self._gradient_vector(t, beta)))
 
 
 class _NullspaceContext(_SegmentContext):
@@ -615,23 +672,16 @@ class _NullspaceContext(_SegmentContext):
         y_b = self.basis
         if y_b.shape[1] == 0:
             return np.zeros(self.p)
-        reduced = y_b.T @ self.model.hessian(y) @ y_b
-        reduced = 0.5 * (reduced + reduced.T)
-        try:
-            factor = cho_factor(reduced)
-        except np.linalg.LinAlgError:
-            raise ReducedHessianSingular(
-                "Hessian restricted to the active null space is singular"
-            ) from None
-        return self.t_sign * -(y_b @ cho_solve(factor, y_b.T @ self.u))
+        return self.t_sign * _reduced_direction(self.model.hessian(y), y_b, self.u)
+
+    def coefficient_map(self, y, vec):
+        return np.linalg.lstsq(self.active.T, -vec, rcond=None)[0]
 
     def _coefficients(self, t, y):
         if self.active.shape[0] == 0:
             return np.zeros(0), np.zeros(0)
         beta = y[: self.p]
-        vec = self._gradient_vector(t, beta)
-        r_z = np.linalg.lstsq(self.active.T, -vec, rcond=None)[0]
-        return self._split(r_z)
+        return self._split(self.coefficient_map(y, self._gradient_vector(t, beta)))
 
 
 class _TableauContext(_SegmentContext):
@@ -669,6 +719,12 @@ class _TableauContext(_SegmentContext):
             r_z = r_z - s_mat[self.act_pos, : self.p] @ (self.model.gradient(beta) / rho)
         return self._split(r_z)
 
+    def coefficient_map(self, y, vec):
+        # The border column of an inactive row j stays S[:, :p] @ w_j under
+        # sweeps on constraint positions, so S[act, inact] rbar = S[act, :p] u.
+        _, s_mat = self._unpack(y)
+        return -(s_mat[self.act_pos, : self.p] @ vec)
+
     def final_tableau(self, state):
         _, s_mat = self._unpack(state)
         return self._template.with_matrix(s_mat)
@@ -696,6 +752,12 @@ class _PathRunner:
             if opts.residual_tol is not None
             else 1e-8 * (1.0 + offsets_scale)
         )
+        # Constant-Hessian losses follow the exact engine; their Hessian
+        # (and, for the direct and tableau modes, its inverse) is computed
+        # once per path.
+        self.exact = model.constant_hessian
+        self.hessian = None
+        self.h_inv = None
         self.tableau = None
         self.segments = []
         self.kinks = []
@@ -711,6 +773,8 @@ class _PathRunner:
             self.rho = 0.0
         else:
             self.beta, self.rho = self._backward_start()
+        if self.exact:
+            self.hessian = self.model.hessian(self.beta)
         self.cfg = classify(
             self.cs.eq_residuals(self.beta),
             self.cs.ineq_residuals(self.beta),
@@ -772,6 +836,12 @@ class _PathRunner:
         )
 
     def _advance(self):
+        if self.exact:
+            self._advance_exact()
+        else:
+            self._advance_ode()
+
+    def _advance_ode(self):
         try:
             ctx = self._context()
             events, infos = self._events(ctx)
@@ -780,9 +850,7 @@ class _PathRunner:
             self._switch_to_nullspace()
             return
         if crossed is not None:
-            self._record_point_segment(ctx, crossed.describe())
-            self._count_squeeze(0.0)
-            self._apply_kink(crossed, self.rho)
+            self._kink_in_place(ctx, crossed)
             return
         try:
             trace, result = self._integrate_chunked(ctx, events)
@@ -791,13 +859,42 @@ class _PathRunner:
             return
         self._absorb(ctx, trace, result, infos)
 
+    def _advance_exact(self):
+        try:
+            ctx = self._context()
+            line = self._line(ctx)
+        except NotStrictlyConvex:
+            self._switch_to_nullspace()
+            return
+        start, times, codes, rows, t_guard = self._exact_events(ctx, line)
+        beyond = np.flatnonzero(start < -self.opts.event_tol)
+        infos = (_exact_info(codes[j], rows[j]) for j in beyond)
+        crossed = [info for info in infos if not self._undoes_last_kink(info)]
+        if crossed:
+            self._kink_in_place(ctx, self._first(crossed, self.rho))
+            return
+        t_max = self._t_max()
+        t_event = times.min(initial=np.inf)
+        if t_guard < t_event and t_guard <= t_max:
+            self._diverged(self.t_sign * t_guard)
+        info = None
+        if t_event <= t_max:
+            cluster = np.flatnonzero(times - t_event <= EVENT_CLUSTER_TOL)
+            rho_b = float(self.t_sign * t_event)
+            info = self._first([_exact_info(codes[j], rows[j]) for j in cluster], rho_b)
+        else:
+            rho_b = float(self.t_sign * t_max)
+        self._close(ctx, line, line.coefficients, rho_b, line.beta(rho_b), info)
+
     def _context(self):
+        if self.exact and self.mode != "nullspace" and self.h_inv is None:
+            self.h_inv = _hessian_inverse(self.model, self.beta)
         if self.mode == "direct":
             return _DirectContext(self, self.cfg, self.beta)
         if self.mode == "nullspace":
             return _NullspaceContext(self, self.cfg, self.beta)
         if self.tableau is None:
-            h_inv = _hessian_inverse(self.model, self.beta)
+            h_inv = self.h_inv if self.exact else _hessian_inverse(self.model, self.beta)
             rows, _ = self.cs.stacked()
             tab = SweepTableau(h_inv, rows)
             for g in self.cfg.active_global(self.cs.n_eq):
@@ -887,9 +984,7 @@ class _PathRunner:
                 hit.append(info)
         if not hit:
             return None
-        if len(hit) > 1:
-            self._note_cluster(self.rho, len(hit))
-        return min(hit, key=lambda info: info.key)
+        return self._first(hit, self.rho)
 
     def _undoes_last_kink(self, info):
         # Event location error can leave a freshly moved row a few 1e-9
@@ -912,6 +1007,110 @@ class _PathRunner:
 
     # -- integration ----------------------------------------------------------
 
+    def _line(self, ctx):
+        """Closed form of the exact-engine segment starting at the current point.
+
+        One rhs evaluation gives the constant dbeta/drho = d.  Along the
+        segment grad f = g_lin + rho H d, so the coefficient map, applied
+        once to the two columns [H d + u, g_lin], gives r_Z = a + c / rho.
+        """
+        rho0 = self.rho
+        d = self.t_sign * ctx.rhs(self.t_sign * rho0, ctx.state0)[: self.p]
+        a = c = np.zeros(0)
+        if ctx.active.shape[0]:
+            h_d = self.hessian @ d
+            # At a forward start grad f vanishes up to Newton's rounding;
+            # dropping it keeps that noise out of c / rho at tiny rho.
+            g_lin = np.zeros(self.p)
+            if rho0 >= RHO_FLOOR:
+                g_lin = self.model.gradient(self.beta) - rho0 * h_d
+            a, c = ctx.coefficient_map(ctx.state0, np.column_stack([h_d + ctx.u, g_lin])).T
+        return _LinearSegment(rho0, self.beta.copy(), d, a, c, self.t_sign, ctx.n_act_eq)
+
+    def _exact_events(self, ctx, line):
+        """Every event of a linear segment in closed form.
+
+        Returns each event's value at the segment start and its firing
+        time t (inf if it never fires), the type codes and row indices
+        that _exact_info turns into event records, and the time at which
+        |beta| reaches beta_bound.  The firing rules are those of
+        odeint.integrate: an event starting within event_tol of zero is
+        armed only in its crossing direction and fires at -event_tol, no
+        earlier than the dead band; one starting beyond its boundary never
+        fires, because every event function here is monotone in rho.
+        Raises PathDivergence when the start is already outside beta_bound.
+        """
+        cs, cfg, tol = self.cs, ctx.config, self.opts.event_tol
+        rho0, t_sign = line.rho0, self.t_sign
+        t0 = t_sign * rho0
+        t_max = self._t_max()
+        bound = self.opts.beta_bound
+        if bound - np.abs(line.beta0).max() < 0.0:
+            raise PathDivergence(
+                f"|beta| exceeds beta_bound={bound:g} at rho={self.rho:g}"
+            )
+
+        # Residual events g = sign * (row beta - offset), linear in rho.
+        starts, slopes, codes, rows = [], [], [], []
+        ends = np.column_stack([line.beta0, line.d])
+        for code, (mat, offsets, neg, pos) in enumerate((
+            (cs.v_mat, cs.d, cfg.neg_eq, cfg.pos_eq),
+            (cs.w_mat, cs.e, cfg.neg_ineq, cfg.pos_ineq),
+        )):
+            idx = np.array(neg + pos, dtype=int)
+            sign = np.repeat([-1.0, 1.0], [len(neg), len(pos)])
+            values = mat[idx] @ ends
+            starts.append(sign * (values[:, 0] - offsets[idx]))
+            slopes.append(sign * values[:, 1])
+            codes.append(np.full(idx.size, code))
+            rows.append(idx)
+        slope = np.concatenate(slopes)
+        n_res = slope.size
+
+        # Coefficient events g = sign * (r_Z - boundary) = alpha + beta / rho,
+        # with sign -1 at an upper boundary and +1 at a lower one.
+        r_start = line.r_z(rho0)
+        alphas, betas = [], []
+        for code in range(2, len(_EXACT_EVENT_TYPES)):
+            _, row_kind, boundary, to_set = _EXACT_EVENT_TYPES[code]
+            sign = -1.0 if to_set.startswith("pos") else 1.0
+            eq = row_kind == "eq"
+            part = slice(0, ctx.n_act_eq) if eq else slice(ctx.n_act_eq, None)
+            alphas.append(sign * (line.a[part] - boundary))
+            betas.append(sign * line.c[part])
+            starts.append(sign * (r_start[part] - boundary))
+            idx = np.array(cfg.zero_eq if eq else cfg.zero_ineq, dtype=int)
+            codes.append(np.full(idx.size, code))
+            rows.append(idx)
+        alpha, beta_c = np.concatenate(alphas), np.concatenate(betas)
+
+        start = np.concatenate(starts)
+        g_res = start[:n_res]
+
+        def falls_to(level):
+            # A residual event falls in t where t_sign * slope < 0, and
+            # alpha + beta / rho where t_sign * beta > 0.
+            level_res, level_coef = level[:n_res], level[n_res:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_res = t0 + t_sign * (level_res - g_res) / slope
+                t_res[t_sign * slope >= 0.0] = np.inf
+                rho_c = beta_c / (level_coef - alpha)
+                t_coef = np.maximum(t_sign * rho_c, t0)
+                t_coef[~((t_sign * beta_c > 0.0) & (rho_c > 0.0))] = np.inf
+            return np.concatenate([t_res, t_coef])
+
+        times = _firing_times(start, falls_to, tol, t0, t_max)
+        dt = t_sign * line.d
+        moving = dt != 0.0
+        t_guard = np.inf
+        if moving.any():
+            reach = (np.sign(dt[moving]) * bound - line.beta0[moving]) / dt[moving]
+            t_guard = t0 + reach.min()
+        return start, times, np.concatenate(codes), np.concatenate(rows), t_guard
+
+    def _t_max(self):
+        return self.t_sign * (self.opts.rho_max if self.forward else self.opts.rho_min)
+
     def _chunk_end(self, t, t_max):
         # Geometric chunks keep the integrator's default step cap
         # proportional to the current rho, which is the natural curvature
@@ -922,7 +1121,7 @@ class _PathRunner:
     def _integrate_chunked(self, ctx, events):
         opts = self.opts
         t = self.t_sign * self.rho
-        t_max = self.t_sign * (opts.rho_max if self.forward else opts.rho_min)
+        t_max = self._t_max()
         y = ctx.state0
         trace = _SegmentTrace()
         while True:
@@ -944,41 +1143,57 @@ class _PathRunner:
             t, y = result.t_end, result.y_end
 
     def _absorb(self, ctx, trace, result, infos):
-        rho_a = self.rho
         if result.status == "reached_t_max":
             rho_b = self.t_sign * result.t_end
-            state_b = result.y_end
-            termination = "rho_max" if self.forward else "rho_min"
-            self._record_segment(ctx, trace, rho_a, rho_b, state_b, termination)
-            self._finish_state(ctx, rho_b, state_b)
-            self._count_squeeze(abs(rho_b - rho_a))
+            self._close(ctx, trace, ctx.coefficients, rho_b, result.y_end, None)
             return
-        info = infos[result.event_index]
-        if info.kind == "guard":
-            raise PathDivergence(
-                f"|beta| exceeded beta_bound={self.opts.beta_bound:g} "
-                f"at rho={self.t_sign * result.t_event:g}; the penalized objective "
-                "may lose coercivity"
-            )
+        if infos[result.event_index].kind == "guard":
+            self._diverged(self.t_sign * result.t_event)
         cluster = [
-            j
+            infos[j]
             for j, t_j in result.step_events
             if abs(t_j - result.t_event) <= EVENT_CLUSTER_TOL and infos[j].kind != "guard"
         ]
-        if len(cluster) > 1:
-            self._note_cluster(self.t_sign * result.t_event, len(cluster))
-            info = min((infos[j] for j in cluster), key=lambda i: i.key)
         rho_b = self.t_sign * result.t_event
-        state_b = result.y_event
-        self._record_segment(ctx, trace, rho_a, rho_b, state_b, info.describe())
+        info = self._first(cluster, rho_b)
+        self._close(ctx, trace, ctx.coefficients, rho_b, result.y_event, info)
+
+    def _diverged(self, rho):
+        raise PathDivergence(
+            f"|beta| exceeded beta_bound={self.opts.beta_bound:g} "
+            f"at rho={rho:g}; the penalized objective may lose coercivity"
+        )
+
+    def _close(self, ctx, trace, coef_eval, rho_b, state_b, info):
+        """Record the segment ending at rho_b, then apply its kink (if any)."""
+        rho_a = self.rho
+        if info is None:
+            termination = "rho_max" if self.forward else "rho_min"
+        else:
+            termination = info.describe()
+        self._record_segment(ctx, trace, coef_eval, rho_a, rho_b, state_b, termination)
         self._finish_state(ctx, rho_b, state_b)
         self._count_squeeze(abs(rho_b - rho_a))
-        self._apply_kink(info, rho_b)
+        if info is not None:
+            self._apply_kink(info, rho_b)
+
+    def _kink_in_place(self, ctx, info):
+        """Move a row that starts beyond its boundary via a zero-length segment."""
+        self._record_point_segment(ctx, info.describe())
+        self._count_squeeze(0.0)
+        self._apply_kink(info, self.rho)
+
+    def _first(self, infos, rho):
+        """The event of a simultaneous cluster that is processed first."""
+        if len(infos) > 1:
+            self._note_cluster(rho, len(infos))
+        return min(infos, key=lambda info: info.key)
 
     def _finish_state(self, ctx, rho, state):
         self.rho = rho
         self.beta = np.asarray(state[: self.p], dtype=float).copy()
-        if self.mode == "tableau":
+        # An exact segment leaves the tableau unchanged (dS/drho = 0).
+        if self.mode == "tableau" and not self.exact:
             self.tableau = ctx.final_tableau(np.asarray(state, dtype=float))
 
     def _count_squeeze(self, span):
@@ -993,7 +1208,7 @@ class _PathRunner:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _record_segment(self, ctx, trace, rho_a, rho_b, state_b, termination):
+    def _record_segment(self, ctx, trace, coef_eval, rho_a, rho_b, state_b, termination):
         self.segments.append(
             PathSegment(
                 rho_start=rho_a,
@@ -1005,7 +1220,7 @@ class _PathRunner:
                 _dim=self.p,
                 _t_sign=self.t_sign,
                 _trace=trace,
-                _coef_eval=ctx.coefficients,
+                _coef_eval=coef_eval,
                 _model=self.model,
                 _cs=self.cs,
             )
@@ -1057,6 +1272,41 @@ class _PathRunner:
         )
         self.warnings.append(msg)
         _pywarnings.warn(msg, SimultaneousEventWarning)
+
+
+def _firing_times(start, falls_to, tol, t0, t_max):
+    """Firing times of monotone event functions under odeint.integrate's rules.
+
+    `start` holds the functions' values at t0, and falls_to(level) the
+    times after t0 at which each one falls to its entry of `level` (inf if
+    it never does).  A function above tol fires where it reaches zero.  One
+    within tol of zero is disarmed: it fires where it passes -tol, no
+    earlier than the dead band after t0.  One below -tol never fires,
+    because it would have to rise back through zero first.
+    """
+    armed = np.abs(start) > tol
+    level = np.where(armed, 0.0, -tol)
+    times = falls_to(level)
+    times[start < level] = np.inf
+    dead_band_end = min(t0 + DEAD_BAND * (1.0 + abs(t0)), t_max)
+    times[~armed] = np.maximum(times[~armed], dead_band_end)
+    return times
+
+
+# Event types of the exact engine, by code: (kind, row_kind, boundary, to_set).
+_EXACT_EVENT_TYPES = (
+    ("residual", "eq", None, "zero_eq"),
+    ("residual", "ineq", None, "zero_ineq"),
+    ("coefficient", "eq", 1.0, "pos_eq"),
+    ("coefficient", "eq", -1.0, "neg_eq"),
+    ("coefficient", "ineq", 1.0, "pos_ineq"),
+    ("coefficient", "ineq", 0.0, "neg_ineq"),
+)
+
+
+def _exact_info(code, index):
+    kind, row_kind, boundary, to_set = _EXACT_EVENT_TYPES[code]
+    return _EventInfo(kind, row_kind, int(index), boundary, to_set)
 
 
 def _constrained_minimum(model, v_mat, d):

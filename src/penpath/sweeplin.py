@@ -224,8 +224,3 @@ class SweepTableau:
         swept = self.swept.copy()
         swept[k] = activate
         return self._raw_clone(0.5 * (matrix + matrix.T), swept)
-
-
-def tableau_sweep_update(tableau, constraint, activate):
-    """Move one constraint in or out of the active set of a SweepTableau."""
-    return tableau.sweep_constraint(constraint, activate)

@@ -131,6 +131,26 @@ def test_solve_solver_failure_exits_2_with_no_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_non_finite_hessian_exits_2_with_no_outputs(tmp_path, capsys):
+    # this concave-density fit reaches a point where the loss's Hessian
+    # overflows: a solver failure, not a malformed spec
+    draws = np.random.default_rng(0).gumbel(0.0, 1.0, size=50)
+    support = np.unique(draws)
+    spec = write_spec(
+        tmp_path,
+        {
+            "dimension": int(support.size),
+            "loss": {"kind": "logconcave", "samples": draws.tolist()},
+            "constraints": [{"builder": "shape", "kind": "concave", "grid": support.tolist()}],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["solve", spec, "--out", str(out)]) == 2
+    assert "solver error: Hessian has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_option_flags_override_spec(tmp_path):
     spec = lasso_toy(tmp_path)
     out = tmp_path / "out"
@@ -234,6 +254,19 @@ def test_crossval_deterministic_under_seed(tmp_path):
     assert main(["crossval", spec, "--folds", "4", "--seed", "9",
                  "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "cv.csv").read_bytes() == (tmp_path / "b" / "cv.csv").read_bytes()
+
+
+def test_crossval_reports_invalid_options_as_spec_error(tmp_path, capsys):
+    # the automatic backward start needs an equality-only system
+    spec = regression_spec(tmp_path, n=12, seed=2)
+    body = json.loads((tmp_path / "spec.json").read_text())
+    body["constraints"] = [{"builder": "isotone"}]
+    body["options"] = {"direction": "backward"}
+    spec = write_spec(tmp_path, body)
+    out = tmp_path / "cv"
+    assert main(["crossval", spec, "--folds", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: automatic backward start")
+    assert not out.exists()
 
 
 def test_crossval_rejects_losses_without_rows(tmp_path):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso
-from penpath.errors import PathDivergence
-from penpath.losses import QuadraticLoss
+from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso, shape
+from penpath.errors import NonFiniteDerivative, PathDivergence
+from penpath.losses import LogConcaveLoss, QuadraticLoss
 from penpath.path import (
     ActiveCoefficients,
     PathOptions,
@@ -348,6 +348,18 @@ def test_divergence_guard_fires():
     model = soft_path_model()
     with pytest.raises(PathDivergence):
         run_path(model, lasso(2), beta_bound=1.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["direct", "nullspace"])
+def test_non_finite_hessian_raises_typed_error(mode):
+    # A concave-density fit whose iterate reaches a point where the loss's
+    # Hessian overflows to NaN: the error must be a PenPathError.
+    draws = np.random.default_rng(0).gumbel(0.0, 1.0, size=50)
+    model = LogConcaveLoss.from_samples(draws)
+    cs = shape(model.dim, kind="concave", grid=model.support)
+    with pytest.raises(NonFiniteDerivative, match="non-finite"):
+        run_path(model, cs, mode=mode)
 
 
 def test_options_validation():

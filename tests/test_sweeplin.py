@@ -11,7 +11,6 @@ from penpath.sweeplin import (
     kkt_blocks,
     null_basis,
     sweep,
-    tableau_sweep_update,
 )
 
 
@@ -155,8 +154,8 @@ def test_tableau_matches_kkt_blocks():
     h_inv = np.linalg.inv(h)
 
     tab = SweepTableau(h_inv, rows)
-    tab = tableau_sweep_update(tab, 0, True)
-    tab = tableau_sweep_update(tab, 2, True)
+    tab = tab.sweep_constraint(0, True)
+    tab = tab.sweep_constraint(2, True)
 
     active = rows[[0, 2]]
     p_ref, q_ref, r_ref = kkt_blocks(h_inv, active)
