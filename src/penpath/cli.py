@@ -60,10 +60,6 @@ def _setup_logging():
     log.setLevel(level)
 
 
-def _g17(x):
-    return format(float(x), ".17g")
-
-
 def _g12(x):
     return format(float(x), ".12g")
 
@@ -83,12 +79,17 @@ def _sample_table(spec, solution):
     return rows
 
 
+def _csv_text(header, kinds, rows):
+    """CSV text of a header and rows, each row formatted by one %-template
+    with a column per letter of kinds: "g" a float as %.17g, "d" an integer."""
+    template = ",".join("%.17g" if kind == "g" else "%d" for kind in kinds)
+    return "\n".join([header, *(template % tuple(row) for row in rows), ""])
+
+
 def _path_csv(rows, p):
-    lines = ["rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic"]
-    for rho, beta, df, value, aic, bic in rows:
-        cells = [_g17(rho), *(_g17(b) for b in beta), str(df), _g17(value), _g17(aic), _g17(bic)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic"
+    cells = ((rho, *beta.tolist(), df, value, aic, bic) for rho, beta, df, value, aic, bic in rows)
+    return _csv_text(header, "g" * (p + 1) + "dggg", cells)
 
 
 def _kinks_jsonl(solution):
@@ -209,10 +210,11 @@ def _run_crossval(args):
         curves = list(pool.map(fold_curve, folds))
     mean_curve = np.mean(curves, axis=0)
 
-    lines = ["rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean"]
-    for i, rho in enumerate(grid):
-        cells = [_g17(rho), *(_g17(c[i]) for c in curves), _g17(mean_curve[i])]
-        lines.append(",".join(cells))
+    cv_csv = _csv_text(
+        "rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean",
+        "g" * (k + 2),
+        np.column_stack([grid, *curves, mean_curve]).tolist(),
+    )
     best = int(np.argmin(mean_curve))
     report = "\n".join(
         [
@@ -226,7 +228,7 @@ def _run_crossval(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cv.csv").write_text("\n".join(lines) + "\n")
+    (out / "cv.csv").write_text(cv_csv)
     (out / "cv_report.txt").write_text(report)
     return 0
 

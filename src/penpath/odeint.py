@@ -7,6 +7,7 @@ direction (a constraint that just left the active set must not immediately
 re-trigger).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -76,10 +77,14 @@ class IntegrationResult:
         lo, hi = self.steps[0].t_start, self.steps[-1].t_end
         if not (min(lo, hi) - 1e-9 <= t <= max(lo, hi) + 1e-9):
             raise ValueError(f"t={t} outside integrated range [{lo}, {hi}]")
-        for step in self.steps:
-            if (t <= step.t_end) if hi >= lo else (t >= step.t_end):
-                return np.asarray(step.interpolant(t), dtype=float)
-        return np.asarray(self.steps[-1].interpolant(t), dtype=float)
+        # The first step that does not end before t in the direction of
+        # integration, or the last step.
+        if hi >= lo:
+            i = bisect_left(self.steps, t, key=lambda step: step.t_end)
+        else:
+            i = bisect_left(self.steps, -t, key=lambda step: -step.t_end)
+        step = self.steps[min(i, len(self.steps) - 1)]
+        return np.asarray(step.interpolant(t), dtype=float)
 
 
 def _crossed(g_old, g_new, direction):

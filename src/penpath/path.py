@@ -34,6 +34,7 @@ state in the ODE engine, constant along an exact segment).
 
 import math
 import warnings as _pywarnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -268,29 +269,6 @@ def _reduced_direction(hessian, y_b, u):
     return -(y_b @ cho_solve(factor, y_b.T @ u))
 
 
-def segment_rhs_direct(model, cs, config, beta):
-    """Path derivative dbeta/drho = -P u from the bordered KKT blocks."""
-    u = config.inactive_subgradient(cs)
-    h_inv = _hessian_inverse(model, beta)
-    p_blk, _, _ = kkt_blocks(h_inv, config.active_rows(cs))
-    return -(p_blk @ u)
-
-
-def segment_rhs_nullspace(model, cs, config, beta, basis=None):
-    """Path derivative computed in the active rows' null space.
-
-    Equals segment_rhs_direct wherever both are defined, but only needs
-    the Hessian restricted to the null space to be positive definite.
-    """
-    active = config.active_rows(cs)
-    if basis is None:
-        basis = null_basis(active, cs.dim)
-    y_b = basis.basis
-    if y_b.shape[1] == 0:
-        return np.zeros(cs.dim)
-    return _reduced_direction(model.hessian(beta), y_b, config.inactive_subgradient(cs))
-
-
 def active_coefficients(model, cs, config, beta, rho):
     """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first).
 
@@ -401,7 +379,11 @@ class _SegmentTrace:
         return not self.results
 
     def interpolate(self, t):
-        for result in self.results:
+        # Chunks run forward in t one after another, so the first whose
+        # padded range holds t is the first that does not end before it.
+        i = bisect_left(self.results, t, key=lambda r: r.steps[-1].t_end + 1e-9)
+        if i < len(self.results):
+            result = self.results[i]
             lo, hi = sorted((result.steps[0].t_start, result.steps[-1].t_end))
             if lo - 1e-9 <= t <= hi + 1e-9:
                 return result.interpolate(t)
@@ -526,9 +508,18 @@ class PathSolution:
         return self.segments[-1].beta_end.copy()
 
     def _segment_for(self, rho):
-        for seg in self.segments:
-            if seg.contains(rho):
-                return seg
+        # The first segment whose padded range holds rho.  rho_end is monotone
+        # in traversal order, so that is the first segment whose padded end is
+        # not short of rho (forward) or not above it (backward), and bisection
+        # finds it; the keys repeat contains()'s arithmetic.
+        pad = 1e-9 * (1.0 + abs(rho))
+        segments = self.segments
+        if self.direction == "forward":
+            i = bisect_left(segments, rho, key=lambda seg: seg.rho_end + pad)
+        else:
+            i = bisect_left(segments, -rho, key=lambda seg: -(seg.rho_end - pad))
+        if i < len(segments) and segments[i].contains(rho):
+            return segments[i]
         # Past the far end the solution is a fixed point of the dynamics
         # whenever the boundary configuration is terminal.
         last = self.segments[-1]

@@ -7,6 +7,9 @@ from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso, s
 from penpath.errors import NonFiniteDerivative, PathDivergence
 from penpath.losses import LogConcaveLoss, QuadraticLoss
 from penpath.path import (
+    _DirectContext,
+    _NullspaceContext,
+    _PathRunner,
     ActiveCoefficients,
     PathOptions,
     SetConfiguration,
@@ -15,8 +18,6 @@ from penpath.path import (
     degrees_of_freedom,
     information_criteria,
     run_path,
-    segment_rhs_direct,
-    segment_rhs_nullspace,
     stationarity_residual,
 )
 
@@ -110,6 +111,16 @@ def test_information_criteria_values():
 
 # -- segment formulas --------------------------------------------------------
 
+def segment_rhs(model, cs, cfg, beta):
+    """dbeta/drho at beta from the direct and the nullspace segment contexts."""
+    runner = _PathRunner(model, cs, PathOptions())
+    beta = np.asarray(beta, dtype=float)
+    return [
+        context(runner, cfg, beta).rhs(0.5, beta)
+        for context in (_DirectContext, _NullspaceContext)
+    ]
+
+
 def test_direct_and_nullspace_rhs_agree():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -125,8 +136,7 @@ def test_direct_and_nullspace_rhs_agree():
             neg_eq=tuple(rest[:half]), pos_eq=tuple(rest[half:]), zero_eq=active
         )
         beta = rng.standard_normal(p)
-        d1 = segment_rhs_direct(model, cs, cfg, beta)
-        d2 = segment_rhs_nullspace(model, cs, cfg, beta)
+        d1, d2 = segment_rhs(model, cs, cfg, beta)
         assert np.abs(d1 - d2).max() < 1e-9
 
 
@@ -134,8 +144,8 @@ def test_fully_active_rhs_is_zero():
     model = QuadraticLoss.from_target([1.0, 2.0])
     cs = lasso(2)
     cfg = SetConfiguration(zero_eq=(0, 1))
-    assert np.allclose(segment_rhs_direct(model, cs, cfg, [0.0, 0.0]), 0.0)
-    assert np.allclose(segment_rhs_nullspace(model, cs, cfg, [0.0, 0.0]), 0.0)
+    for d in segment_rhs(model, cs, cfg, [0.0, 0.0]):
+        assert np.allclose(d, 0.0)
 
 
 def test_active_coefficients_match_stationarity():
