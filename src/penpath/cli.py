@@ -2,8 +2,8 @@
 
 Three subcommands:
 
-    penpath solve <spec.json> --out <dir> [--mode M] [--direction D]
-                  [--rho-max R] [--rel-tol T]
+    penpath solve <spec.json> --out <dir> [--mode {direct,nullspace}]
+                  [--direction D] [--rho-max R] [--rel-tol T]
     penpath crossval <spec.json> --folds k [--seed s] --out <dir>
     penpath oracle <name> <args...>
 
@@ -16,9 +16,10 @@ loss on a shared rho grid that contains every kink of the full-data path.
 `oracle` exposes the slow reference solvers for regenerating expected
 values by hand.
 
-Exit codes: 0 success, 1 malformed or inconsistent problem input, 2 solver
-failure.  Nothing is written unless the run succeeds, so a nonzero exit
-never leaves partial outputs behind.  The EPSODE_LOG environment variable
+Exit codes: 0 success, 1 malformed or inconsistent problem input (a
+command-line usage error included), 2 solver failure.  Nothing is written
+unless the run succeeds, so a nonzero exit never leaves partial outputs
+behind.  The EPSODE_LOG environment variable
 (error, info, debug) controls diagnostics on standard error.
 """
 
@@ -262,8 +263,16 @@ def _run_oracle(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code reserved for solver
+    # failures; a bad command line is malformed input (exit 1) instead.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="penpath",
         description="Exact regularization paths by segment-wise ODE integration.",
     )
@@ -294,8 +303,8 @@ def _build_parser():
 
 def main(argv=None):
     _setup_logging()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

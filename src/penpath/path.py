@@ -24,12 +24,11 @@ integration step.  Every other loss follows the ODE engine, which
 integrates the segment with adaptive Runge-Kutta steps and locates events
 on the dense output.
 
-Three interchangeable segment formulations serve both engines: "direct"
+Two interchangeable segment formulations serve both engines: "direct"
 solves the bordered KKT blocks (at every evaluation in the ODE engine, once
-per segment in the exact one), "nullspace" works in the active rows' null
-space (usable when the Hessian is singular), and "tableau" keeps the KKT
-blocks in a sweep tableau updated by sweeps at kinks (carried as extra ODE
-state in the ODE engine, constant along an exact segment).
+per segment in the exact one), and "nullspace" works in the active rows'
+null space (usable when the Hessian is singular).  Either way the ODE state
+is beta itself.
 """
 
 import math
@@ -52,7 +51,7 @@ from .errors import (
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
 from .odeint import DEAD_BAND, EventSpec, integrate
-from .sweeplin import SweepTableau, kkt_blocks, null_basis
+from .sweeplin import kkt_blocks, null_basis
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
 RHO_FLOOR = 1e-12
@@ -60,7 +59,7 @@ RHO_FLOOR = 1e-12
 EVENT_CLUSTER_TOL = 1e-10
 DEFAULT_RHO_MAX = 1e6
 DEFAULT_BETA_BOUND = 1e8
-MODES = ("direct", "nullspace", "tableau")
+MODES = ("direct", "nullspace")
 
 _SET_FIELDS = ("neg_eq", "zero_eq", "pos_eq", "neg_ineq", "zero_ineq", "pos_ineq")
 
@@ -129,10 +128,6 @@ class SetConfiguration:
             return np.zeros((0, cs.dim))
         return np.vstack(parts)
 
-    def active_global(self, n_eq):
-        """Active row positions in the stacked [V; W] ordering."""
-        return [int(i) for i in self.zero_eq] + [n_eq + int(j) for j in self.zero_ineq]
-
     def inactive_subgradient(self, cs):
         """Fixed direction u = sum of signed inactive rows."""
         u = np.zeros(cs.dim)
@@ -143,14 +138,6 @@ class SetConfiguration:
         for j in self.pos_ineq:
             u += cs.w_mat[j]
         return u
-
-    def subgradient_signs(self, n_eq, n_ineq):
-        """Signs over all stacked rows; active and satisfied rows get 0."""
-        r = np.zeros(n_eq + n_ineq)
-        r[list(self.neg_eq)] = -1.0
-        r[list(self.pos_eq)] = 1.0
-        r[[n_eq + j for j in self.pos_ineq]] = 1.0
-        return r
 
     def locate(self, row_kind, index):
         """Name of the set currently holding the given row."""
@@ -419,7 +406,7 @@ class _LinearSegment:
     def interpolate(self, t):
         return self.beta(self.t_sign * t)
 
-    def coefficients(self, t, y):
+    def coefficients(self, t, beta):
         r_z = self.r_z(self.t_sign * t)
         return r_z[: self.n_act_eq], r_z[self.n_act_eq :]
 
@@ -440,7 +427,6 @@ class PathSegment:
     beta_start: np.ndarray
     beta_end: np.ndarray
     termination: str
-    _dim: int = 0
     _t_sign: float = 1.0
     _trace: object = None  # _SegmentTrace (ODE engine) or _LinearSegment (exact)
     _coef_eval: Optional[Callable] = None
@@ -456,7 +442,8 @@ class PathSegment:
         pad = slack * (1.0 + abs(rho))
         return lo - pad <= rho <= hi + pad
 
-    def state_at(self, rho):
+    def beta_at(self, rho):
+        """Solution on this segment: the exact line or the ODE dense output."""
         if not self.contains(rho):
             raise ValueError(f"rho={rho} outside segment [{self.rho_start}, {self.rho_end}]")
         if self._trace is None or self._trace.empty:
@@ -464,14 +451,10 @@ class PathSegment:
         lo, hi = sorted((self._t_sign * self.rho_start, self._t_sign * self.rho_end))
         return self._trace.interpolate(min(max(self._t_sign * rho, lo), hi))
 
-    def beta_at(self, rho):
-        """Solution on this segment: the exact line or the ODE dense output."""
-        return self.state_at(rho)[: self._dim]
-
     def coefficients_at(self, rho):
         """Active subgradient coefficients at a point of this segment."""
         if self._coef_eval is not None and self._trace is not None and not self._trace.empty:
-            s, t = self._coef_eval(self._t_sign * rho, self.state_at(rho))
+            s, t = self._coef_eval(self._t_sign * rho, self.beta_at(rho))
             return ActiveCoefficients(
                 np.asarray(s, dtype=float).copy(),
                 np.asarray(t, dtype=float).copy(),
@@ -599,19 +582,19 @@ class _SegmentContext:
         self.u = config.inactive_subgradient(runner.cs)
         self.active = config.active_rows(runner.cs)
         self.n_act_eq = len(config.zero_eq)
-        self.state0 = np.asarray(beta0, dtype=float).copy()
+        self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
 
     def rho_of(self, t):
         return t * self.t_sign
 
-    def coefficients(self, t, y):
-        # All event evaluations at one t share the same dense-output state,
+    def coefficients(self, t, beta):
+        # All event evaluations at one t share the same dense-output beta,
         # so float t is a safe cache key within a segment.
         key = float(t)
         got = self._cache.get(key)
         if got is None:
-            got = self._coefficients(t, np.asarray(y, dtype=float))
+            got = self._coefficients(t, np.asarray(beta, dtype=float))
             self._cache[key] = got
         return got
 
@@ -640,17 +623,16 @@ class _DirectContext(_SegmentContext):
             self._blocks = kkt_blocks(self.h_inv, self.active)
         return self._blocks
 
-    def rhs(self, t, y):
-        p_blk, _, _ = self._kkt(y)
+    def rhs(self, t, beta):
+        p_blk, _, _ = self._kkt(beta)
         return self.t_sign * -(p_blk @ self.u)
 
-    def coefficient_map(self, y, vec):
+    def coefficient_map(self, beta, vec):
         """r_Z for vec = grad f / rho + u (or for each column of vec)."""
-        _, q_blk, _ = self._kkt(y[: self.p])
+        _, q_blk, _ = self._kkt(beta)
         return -(q_blk.T @ vec)
 
-    def _coefficients(self, t, y):
-        beta = y[: self.p]
+    def _coefficients(self, t, beta):
         return self._split(self.coefficient_map(beta, self._gradient_vector(t, beta)))
 
 
@@ -659,66 +641,19 @@ class _NullspaceContext(_SegmentContext):
         super().__init__(runner, config, beta0)
         self.basis = null_basis(self.active, self.p).basis
 
-    def rhs(self, t, y):
+    def rhs(self, t, beta):
         y_b = self.basis
         if y_b.shape[1] == 0:
             return np.zeros(self.p)
-        return self.t_sign * _reduced_direction(self.model.hessian(y), y_b, self.u)
+        return self.t_sign * _reduced_direction(self.model.hessian(beta), y_b, self.u)
 
-    def coefficient_map(self, y, vec):
+    def coefficient_map(self, beta, vec):
         return np.linalg.lstsq(self.active.T, -vec, rcond=None)[0]
 
-    def _coefficients(self, t, y):
+    def _coefficients(self, t, beta):
         if self.active.shape[0] == 0:
             return np.zeros(0), np.zeros(0)
-        beta = y[: self.p]
-        return self._split(self.coefficient_map(y, self._gradient_vector(t, beta)))
-
-
-class _TableauContext(_SegmentContext):
-    def __init__(self, runner, config, beta0):
-        super().__init__(runner, config, beta0)
-        tab = runner.tableau
-        self.dim_full = tab.matrix.shape[0]
-        self.act_pos = self.p + tab.active_indices
-        self.inact_pos = self.p + np.flatnonzero(~tab.swept)
-        rbar_full = config.subgradient_signs(runner.cs.n_eq, runner.cs.n_ineq)
-        self.rbar = rbar_full[np.flatnonzero(~tab.swept)]
-        self.state0 = np.concatenate([self.state0, tab.matrix.ravel()])
-        self._template = tab
-
-    def _unpack(self, y):
-        beta = y[: self.p]
-        s_mat = y[self.p :].reshape(self.dim_full, self.dim_full)
-        return beta, 0.5 * (s_mat + s_mat.T)
-
-    def rhs(self, t, y):
-        beta, s_mat = self._unpack(np.asarray(y, dtype=float))
-        cols = s_mat[: self.p, self.inact_pos]
-        beta_dot = -(cols @ self.rbar)
-        g_dot = self.model.dhessian(beta, beta_dot)
-        c_mat = s_mat[:, : self.p]
-        ds = -(c_mat @ g_dot @ c_mat.T)
-        return self.t_sign * np.concatenate([beta_dot, ds.ravel()])
-
-    def _coefficients(self, t, y):
-        beta, s_mat = self._unpack(y)
-        u_part = s_mat[np.ix_(self.act_pos, self.inact_pos)] @ self.rbar
-        rho = self.rho_of(t)
-        r_z = -u_part
-        if rho >= RHO_FLOOR:
-            r_z = r_z - s_mat[self.act_pos, : self.p] @ (self.model.gradient(beta) / rho)
-        return self._split(r_z)
-
-    def coefficient_map(self, y, vec):
-        # The border column of an inactive row j stays S[:, :p] @ w_j under
-        # sweeps on constraint positions, so S[act, inact] rbar = S[act, :p] u.
-        _, s_mat = self._unpack(y)
-        return -(s_mat[self.act_pos, : self.p] @ vec)
-
-    def final_tableau(self, state):
-        _, s_mat = self._unpack(state)
-        return self._template.with_matrix(s_mat)
+        return self._split(self.coefficient_map(beta, self._gradient_vector(t, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +679,10 @@ class _PathRunner:
             else 1e-8 * (1.0 + offsets_scale)
         )
         # Constant-Hessian losses follow the exact engine; their Hessian
-        # (and, for the direct and tableau modes, its inverse) is computed
-        # once per path.
+        # (and, for the direct mode, its inverse) is computed once per path.
         self.exact = model.constant_hessian
         self.hessian = None
         self.h_inv = None
-        self.tableau = None
         self.segments = []
         self.kinks = []
         self.warnings = []
@@ -878,20 +811,11 @@ class _PathRunner:
         self._close(ctx, line, line.coefficients, rho_b, line.beta(rho_b), info)
 
     def _context(self):
-        if self.exact and self.mode != "nullspace" and self.h_inv is None:
-            self.h_inv = _hessian_inverse(self.model, self.beta)
-        if self.mode == "direct":
-            return _DirectContext(self, self.cfg, self.beta)
         if self.mode == "nullspace":
             return _NullspaceContext(self, self.cfg, self.beta)
-        if self.tableau is None:
-            h_inv = self.h_inv if self.exact else _hessian_inverse(self.model, self.beta)
-            rows, _ = self.cs.stacked()
-            tab = SweepTableau(h_inv, rows)
-            for g in self.cfg.active_global(self.cs.n_eq):
-                tab = tab.sweep_constraint(g, True)
-            self.tableau = tab
-        return _TableauContext(self, self.cfg, self.beta)
+        if self.exact and self.h_inv is None:
+            self.h_inv = _hessian_inverse(self.model, self.beta)
+        return _DirectContext(self, self.cfg, self.beta)
 
     def _switch_to_nullspace(self):
         if self.mode == "nullspace":
@@ -903,14 +827,12 @@ class _PathRunner:
             "continuing in nullspace mode"
         )
         self.mode = "nullspace"
-        self.tableau = None
         self.warnings.append(msg)
         _pywarnings.warn(msg)
 
     # -- events -------------------------------------------------------------
 
     def _events(self, ctx):
-        p = self.p
         cs = self.cs
         cfg = ctx.config
         events, infos = [], []
@@ -921,7 +843,7 @@ class _PathRunner:
 
         def residual(mat, offs, index, sign):
             row, off = mat[index], offs[index]
-            return lambda t, y, row=row, off=off, sign=sign: sign * (row @ y[:p] - off)
+            return lambda t, beta, row=row, off=off, sign=sign: sign * (row @ beta - off)
 
         for i in cfg.neg_eq:
             add(residual(cs.v_mat, cs.d, i, -1.0), _EventInfo("residual", "eq", i, None, "zero_eq"))
@@ -933,25 +855,25 @@ class _PathRunner:
             add(residual(cs.w_mat, cs.e, j, 1.0), _EventInfo("residual", "ineq", j, None, "zero_ineq"))
         for pos, i in enumerate(cfg.zero_eq):
             add(
-                lambda t, y, k=pos: 1.0 - ctx.coefficients(t, y)[0][k],
+                lambda t, beta, k=pos: 1.0 - ctx.coefficients(t, beta)[0][k],
                 _EventInfo("coefficient", "eq", i, 1.0, "pos_eq"),
             )
             add(
-                lambda t, y, k=pos: 1.0 + ctx.coefficients(t, y)[0][k],
+                lambda t, beta, k=pos: 1.0 + ctx.coefficients(t, beta)[0][k],
                 _EventInfo("coefficient", "eq", i, -1.0, "neg_eq"),
             )
         for pos, j in enumerate(cfg.zero_ineq):
             add(
-                lambda t, y, k=pos: 1.0 - ctx.coefficients(t, y)[1][k],
+                lambda t, beta, k=pos: 1.0 - ctx.coefficients(t, beta)[1][k],
                 _EventInfo("coefficient", "ineq", j, 1.0, "pos_ineq"),
             )
             add(
-                lambda t, y, k=pos: ctx.coefficients(t, y)[1][k],
+                lambda t, beta, k=pos: ctx.coefficients(t, beta)[1][k],
                 _EventInfo("coefficient", "ineq", j, 0.0, "neg_ineq"),
             )
         bound = self.opts.beta_bound
         add(
-            lambda t, y: bound - np.abs(y[:p]).max(),
+            lambda t, beta: bound - np.abs(beta).max(),
             _EventInfo("guard", "", -1, None, ""),
         )
         return events, infos
@@ -964,7 +886,7 @@ class _PathRunner:
         tol = self.opts.event_tol
         hit = []
         for ev, info in zip(events, infos):
-            value = ev.func(t0, ctx.state0)
+            value = ev.func(t0, ctx.beta0)
             if info.kind == "guard":
                 if value < 0.0:
                     raise PathDivergence(
@@ -1006,7 +928,7 @@ class _PathRunner:
         once to the two columns [H d + u, g_lin], gives r_Z = a + c / rho.
         """
         rho0 = self.rho
-        d = self.t_sign * ctx.rhs(self.t_sign * rho0, ctx.state0)[: self.p]
+        d = self.t_sign * ctx.rhs(self.t_sign * rho0, ctx.beta0)
         a = c = np.zeros(0)
         if ctx.active.shape[0]:
             h_d = self.hessian @ d
@@ -1015,7 +937,7 @@ class _PathRunner:
             g_lin = np.zeros(self.p)
             if rho0 >= RHO_FLOOR:
                 g_lin = self.model.gradient(self.beta) - rho0 * h_d
-            a, c = ctx.coefficient_map(ctx.state0, np.column_stack([h_d + ctx.u, g_lin])).T
+            a, c = ctx.coefficient_map(ctx.beta0, np.column_stack([h_d + ctx.u, g_lin])).T
         return _LinearSegment(rho0, self.beta.copy(), d, a, c, self.t_sign, ctx.n_act_eq)
 
     def _exact_events(self, ctx, line):
@@ -1113,7 +1035,7 @@ class _PathRunner:
         opts = self.opts
         t = self.t_sign * self.rho
         t_max = self._t_max()
-        y = ctx.state0
+        y = ctx.beta0
         trace = _SegmentTrace()
         while True:
             t_hi = self._chunk_end(t, t_max)
@@ -1155,15 +1077,16 @@ class _PathRunner:
             f"at rho={rho:g}; the penalized objective may lose coercivity"
         )
 
-    def _close(self, ctx, trace, coef_eval, rho_b, state_b, info):
+    def _close(self, ctx, trace, coef_eval, rho_b, beta_b, info):
         """Record the segment ending at rho_b, then apply its kink (if any)."""
         rho_a = self.rho
         if info is None:
             termination = "rho_max" if self.forward else "rho_min"
         else:
             termination = info.describe()
-        self._record_segment(ctx, trace, coef_eval, rho_a, rho_b, state_b, termination)
-        self._finish_state(ctx, rho_b, state_b)
+        beta_b = np.asarray(beta_b, dtype=float).copy()
+        self._record_segment(ctx.config, trace, coef_eval, rho_b, beta_b, termination)
+        self.rho, self.beta = rho_b, beta_b
         self._count_squeeze(abs(rho_b - rho_a))
         if info is not None:
             self._apply_kink(info, rho_b)
@@ -1180,13 +1103,6 @@ class _PathRunner:
             self._note_cluster(rho, len(infos))
         return min(infos, key=lambda info: info.key)
 
-    def _finish_state(self, ctx, rho, state):
-        self.rho = rho
-        self.beta = np.asarray(state[: self.p], dtype=float).copy()
-        # An exact segment leaves the tableau unchanged (dS/drho = 0).
-        if self.mode == "tableau" and not self.exact:
-            self.tableau = ctx.final_tableau(np.asarray(state, dtype=float))
-
     def _count_squeeze(self, span):
         if span <= EVENT_CLUSTER_TOL:
             self._squeeze += 1
@@ -1199,16 +1115,16 @@ class _PathRunner:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _record_segment(self, ctx, trace, coef_eval, rho_a, rho_b, state_b, termination):
+    def _record_segment(self, config, trace, coef_eval, rho_b, beta_b, termination):
+        """Append the segment from the current point to (rho_b, beta_b)."""
         self.segments.append(
             PathSegment(
-                rho_start=rho_a,
+                rho_start=self.rho,
                 rho_end=rho_b,
-                config=ctx.config,
+                config=config,
                 beta_start=self.beta.copy(),
-                beta_end=np.asarray(state_b[: self.p], dtype=float).copy(),
+                beta_end=beta_b.copy(),
                 termination=termination,
-                _dim=self.p,
                 _t_sign=self.t_sign,
                 _trace=trace,
                 _coef_eval=coef_eval,
@@ -1219,30 +1135,11 @@ class _PathRunner:
 
     def _record_point_segment(self, ctx, termination):
         coef_eval = ctx.coefficients if ctx is not None else None
-        self.segments.append(
-            PathSegment(
-                rho_start=self.rho,
-                rho_end=self.rho,
-                config=self.cfg,
-                beta_start=self.beta.copy(),
-                beta_end=self.beta.copy(),
-                termination=termination,
-                _dim=self.p,
-                _t_sign=self.t_sign,
-                _trace=None,
-                _coef_eval=coef_eval,
-                _model=self.model,
-                _cs=self.cs,
-            )
-        )
+        self._record_segment(self.cfg, None, coef_eval, self.rho, self.beta, termination)
 
     def _apply_kink(self, info, rho):
         from_set = self.cfg.locate(info.row_kind, info.index)
         new_cfg = self.cfg.move(info.row_kind, info.index, info.to_set)
-        if self.mode == "tableau" and self.tableau is not None:
-            g = info.index if info.row_kind == "eq" else self.cs.n_eq + info.index
-            activate = info.to_set in ("zero_eq", "zero_ineq")
-            self.tableau = self.tableau.sweep_constraint(g, activate)
         self.cfg = new_cfg
         self.kinks.append(
             Kink(
@@ -1324,7 +1221,7 @@ def run_path(model, cs, options=None, **overrides):
         Equality and inequality penalty rows.
     options : PathOptions, optional
         Full option set; alternatively pass individual fields as keyword
-        arguments (mode="tableau", direction="backward", ...).
+        arguments (mode="nullspace", direction="backward", ...).
 
     Returns
     -------

@@ -2,7 +2,7 @@
 
 Symmetric matrices are plain numpy arrays, validated on entry and kept
 exactly symmetric by construction.  The sweep operator acts on a symmetric
-tableau and is its own inverse up to sign bookkeeping; sweeping every
+matrix and is its own inverse up to sign bookkeeping; sweeping every
 diagonal position of a positive definite matrix yields its negated inverse.
 """
 
@@ -28,18 +28,15 @@ def check_symmetric(a, rtol=SYMMETRY_RTOL, name="matrix"):
     return a
 
 
-def _pivot_tol(scale):
-    return PIVOT_RTOL * (1.0 + abs(scale))
-
-
-def _sweep_core(a, k, col_sign, scale):
+def _sweep(a, k, col_sign):
     # Shared kernel: sweep and inverse sweep differ only in the sign of the
     # pivot row/column written back.
+    a = check_symmetric(a)
+    scale = np.abs(np.diag(a)).max() if a.size else 0.0
+    tol = PIVOT_RTOL * (1.0 + scale)
     piv = a[k, k]
-    if abs(piv) <= _pivot_tol(scale):
-        raise PivotTooSmall(
-            f"pivot {piv:.3e} at position {k} below tolerance {_pivot_tol(scale):.3e}"
-        )
+    if abs(piv) <= tol:
+        raise PivotTooSmall(f"pivot {piv:.3e} at position {k} below tolerance {tol:.3e}")
     col = a[:, k].copy()
     out = a - np.outer(col, col) / piv
     out[k, :] = col_sign * col / piv
@@ -54,16 +51,12 @@ def sweep(a, k):
     Returns a new array; `a` is not modified.  Raises PivotTooSmall when
     |a[k, k]| is below 1e-10 relative to the diagonal scale.
     """
-    a = check_symmetric(a)
-    scale = np.abs(np.diag(a)).max() if a.size else 0.0
-    return _sweep_core(a.copy(), k, 1.0, scale)
+    return _sweep(a, k, 1.0)
 
 
 def inverse_sweep(a, k):
     """Undo a sweep on position `k`.  inverse_sweep(sweep(a, k), k) == a."""
-    a = check_symmetric(a)
-    scale = np.abs(np.diag(a)).max() if a.size else 0.0
-    return _sweep_core(a.copy(), k, -1.0, scale)
+    return _sweep(a, k, -1.0)
 
 
 def kkt_blocks(h_inv, u_active):
@@ -145,82 +138,3 @@ def null_basis(u_active, p=None):
     q, _ = np.linalg.qr(u_active.T, mode="complete")
     return NullBasis(u_active, q[:, m:])
 
-
-class SweepTableau:
-    """Bordered tableau [[H^-1, H^-1 U^T], [U H^-1, U H^-1 U^T]] with sweep state.
-
-    Sweeping the diagonal position of constraint k (tableau index p + k)
-    moves that constraint into the active set; the swept tableau then holds
-    the KKT blocks for the active rows.  Operations return new tableaus.
-    """
-
-    def __init__(self, h_inv, constraint_rows):
-        h_inv = check_symmetric(h_inv, name="h_inv")
-        self.p = h_inv.shape[0]
-        rows = np.asarray(constraint_rows, dtype=float)
-        if rows.size == 0:
-            rows = rows.reshape(0, self.p)
-        self.n_constraints = rows.shape[0]
-        if rows.shape[1] != self.p:
-            raise ValueError("constraint rows do not match state dimension")
-        hu = h_inv @ rows.T
-        self.matrix = np.block([[h_inv, hu], [hu.T, rows @ hu]])
-        self.matrix = 0.5 * (self.matrix + self.matrix.T)
-        self.swept = np.zeros(self.n_constraints, dtype=bool)
-        self.scale = np.abs(np.diag(self.matrix)).max() if self.matrix.size else 0.0
-
-    def _raw_clone(self, matrix, swept):
-        obj = object.__new__(SweepTableau)
-        obj.p = self.p
-        obj.n_constraints = self.n_constraints
-        obj.matrix = matrix
-        obj.swept = swept
-        obj.scale = self.scale
-        return obj
-
-    def with_matrix(self, matrix):
-        """Same sweep state, new entries (used by the tableau-mode integrator)."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != self.matrix.shape:
-            raise ValueError("tableau shape mismatch")
-        return self._raw_clone(0.5 * (matrix + matrix.T), self.swept.copy())
-
-    @property
-    def active_indices(self):
-        return np.flatnonzero(self.swept)
-
-    @property
-    def p_block(self):
-        return self.matrix[: self.p, : self.p]
-
-    @property
-    def q_block(self):
-        """Columns for active constraints, in ascending constraint order."""
-        return self.matrix[: self.p, self.p + self.active_indices]
-
-    @property
-    def r_block(self):
-        idx = self.p + self.active_indices
-        return self.matrix[np.ix_(idx, idx)]
-
-    def inactive_columns(self, indices):
-        return self.matrix[: self.p, self.p + np.asarray(indices, dtype=int)]
-
-    def sweep_constraint(self, k, activate=True):
-        if not 0 <= k < self.n_constraints:
-            raise IndexError(f"constraint index {k} out of range")
-        if self.swept[k] == activate:
-            state = "active" if activate else "inactive"
-            raise ValueError(f"constraint {k} is already {state}")
-        pos = self.p + k
-        piv = self.matrix[pos, pos]
-        if abs(piv) <= _pivot_tol(self.scale):
-            raise PivotTooSmall(
-                f"tableau pivot {piv:.3e} for constraint {k} below tolerance; "
-                "constraint is linearly dependent on the active set"
-            )
-        sign = 1.0 if activate else -1.0
-        matrix = _sweep_core(self.matrix.copy(), pos, sign, self.scale)
-        swept = self.swept.copy()
-        swept[k] = activate
-        return self._raw_clone(0.5 * (matrix + matrix.T), swept)

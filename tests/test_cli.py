@@ -154,13 +154,49 @@ def test_solve_non_finite_hessian_exits_2_with_no_outputs(tmp_path, capsys):
 def test_solve_option_flags_override_spec(tmp_path):
     spec = lasso_toy(tmp_path)
     out = tmp_path / "out"
-    assert main(["solve", spec, "--out", str(out), "--mode", "tableau",
+    assert main(["solve", spec, "--out", str(out), "--mode", "nullspace",
                  "--rho-max", "0.5"]) == 0
     _, body = read_table(out / "path.csv")
     assert body[-1, 0] == pytest.approx(0.5, abs=1e-12)
     report = (out / "report.txt").read_text()
     assert "status: rho_max" in report
-    assert "mode: tableau" in report
+    assert "mode: nullspace" in report
+
+
+def test_solve_spec_with_unknown_mode_exits_1_with_no_outputs(tmp_path, capsys):
+    spec = lasso_toy(tmp_path, mode="tableau")
+    out = tmp_path / "out"
+    assert main(["solve", spec, "--out", str(out)]) == 1
+    assert "mode must be one of ('direct', 'nullspace')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "{spec}"], "the following arguments are required: --out"),
+        (["solve", "{spec}", "--out", "{out}", "--mode", "tableau"],
+         "invalid choice: 'tableau' (choose from 'direct', 'nullspace')"),
+        (["crossval", "{spec}", "--folds", "two", "--out", "{out}"],
+         "argument --folds: invalid int value: 'two'"),
+    ],
+    ids=["missing_out", "unknown_mode", "non_integer_folds"],
+)
+def test_usage_errors_exit_1_with_no_outputs(tmp_path, capsys, args, message):
+    spec = lasso_toy(tmp_path)
+    out = tmp_path / "out"
+    assert main([a.format(spec=spec, out=out) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: penpath ")
+    assert message in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--mode {direct,nullspace}" in capsys.readouterr().out
 
 
 def test_solve_backward_direction_rows_decrease(tmp_path):

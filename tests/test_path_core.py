@@ -65,8 +65,6 @@ def test_inactive_subgradient_signs():
     u = cfg.inactive_subgradient(cs)
     # -row0 + row1 + wrow0; the satisfied inequality contributes nothing.
     assert np.allclose(u, [-1.0 + 0.0 + 1.0, 0.0 + 1.0 + 1.0])
-    r = cfg.subgradient_signs(2, 2)
-    assert np.allclose(r, [-1.0, 1.0, 1.0, 0.0])
 
 
 def test_move_and_locate():
@@ -89,7 +87,6 @@ def test_active_rows_stacks_equalities_first():
     assert rows.shape == (2, 4)
     assert np.allclose(rows[0], two_sided.v_mat[2])
     assert np.allclose(rows[1], two_sided.w_mat[0])
-    assert cfg.active_global(3) == [2, 3]
 
 
 def test_degrees_of_freedom_counts_free_dimensions():

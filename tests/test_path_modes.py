@@ -22,7 +22,7 @@ from penpath.losses import (
     QuadraticLoss,
 )
 from penpath.oracles import glasso_coordinate, pava, solve_fixed_rho
-from penpath.path import run_path
+from penpath.path import MODES, PathOptions, run_path
 
 
 def logistic_model(seed, n=40, p=5):
@@ -42,50 +42,42 @@ def test_three_modes_agree_on_quadratic_fused_lasso():
     y = x @ np.array([2.0, 2.0, 0.0, 0.0, -1.0, -1.0]) + 0.2 * rng.standard_normal(30)
     model = QuadraticLoss.from_least_squares(x, y)
     cs = fused_lasso(6)
-    sols = {m: run_path(model, cs, mode=m) for m in ("direct", "nullspace", "tableau")}
-    ends = {m: s.rho_end for m, s in sols.items()}
-    assert max(ends.values()) - min(ends.values()) < 1e-5
-    grid = np.linspace(0.01, min(ends.values()) * 0.99, 11)
+    direct, nullspace = (run_path(model, cs, mode=m) for m in MODES)
+    assert abs(direct.rho_end - nullspace.rho_end) < 1e-5
+    grid = np.linspace(0.01, min(direct.rho_end, nullspace.rho_end) * 0.99, 11)
     for rho in grid:
-        ref = sols["direct"].beta_at(rho)
-        for m in ("nullspace", "tableau"):
-            assert np.abs(sols[m].beta_at(rho) - ref).max() < 1e-5
+        assert np.abs(nullspace.beta_at(rho) - direct.beta_at(rho)).max() < 1e-5
 
 
 def test_three_modes_agree_on_logistic_fused_lasso():
     model = logistic_model(7)
     cs = fused_lasso(5)
-    sols = {m: run_path(model, cs, mode=m) for m in ("direct", "nullspace", "tableau")}
-    kink_counts = {m: len(s.kinks) for m, s in sols.items()}
-    assert len(set(kink_counts.values())) == 1
-    grid = np.linspace(0.02, min(s.rho_end for s in sols.values()) * 0.98, 9)
+    direct, nullspace = (run_path(model, cs, mode=m) for m in MODES)
+    assert len(direct.kinks) == len(nullspace.kinks)
+    grid = np.linspace(0.02, min(direct.rho_end, nullspace.rho_end) * 0.98, 9)
     for rho in grid:
-        ref = sols["direct"].beta_at(rho)
-        for m in ("nullspace", "tableau"):
-            assert np.abs(sols[m].beta_at(rho) - ref).max() < 1e-5
+        assert np.abs(nullspace.beta_at(rho) - direct.beta_at(rho)).max() < 1e-5
 
 
 def test_modes_agree_with_inequality_rows():
     rng = np.random.default_rng(19)
     model = QuadraticLoss.from_target(rng.standard_normal(6) * 1.5)
     cs = isotone(6)
-    sols = {m: run_path(model, cs, mode=m) for m in ("direct", "nullspace", "tableau")}
-    for rho in np.linspace(0.02, min(s.rho_end for s in sols.values()) * 0.98, 8):
-        ref = sols["direct"].beta_at(rho)
-        for m in ("nullspace", "tableau"):
-            assert np.abs(sols[m].beta_at(rho) - ref).max() < 1e-5
+    direct, nullspace = (run_path(model, cs, mode=m) for m in MODES)
+    for rho in np.linspace(0.02, min(direct.rho_end, nullspace.rho_end) * 0.98, 8):
+        assert np.abs(nullspace.beta_at(rho) - direct.beta_at(rho)).max() < 1e-5
 
 
-def test_tableau_mode_on_trend_filter():
+def test_nullspace_mode_on_trend_filter():
     rng = np.random.default_rng(3)
     t = np.arange(9.0)
     y = 0.4 * t + rng.standard_normal(9)
     model = QuadraticLoss.from_target(y)
     cs = trend_filter(9, order=1)
     direct = run_path(model, cs)
-    tab = run_path(model, cs, mode="tableau")
+    nullspace = run_path(model, cs, mode="nullspace")
     for rho in np.linspace(0.05, direct.rho_end * 0.95, 7):
-        assert np.abs(direct.beta_at(rho) - tab.beta_at(rho)).max() < 1e-5
+        assert np.abs(direct.beta_at(rho) - nullspace.beta_at(rho)).max() < 1e-5
 
 
 # -- forward / backward -------------------------------------------------------
@@ -312,7 +304,13 @@ def test_simultaneous_events_are_recorded():
 
 def test_solution_records_options_and_mode():
     model = QuadraticLoss.from_target([1.0, -1.0])
-    sol = run_path(model, lasso(2), mode="tableau", rho_max=10.0)
-    assert sol.mode == "tableau"
+    sol = run_path(model, lasso(2), mode="nullspace", rho_max=10.0)
+    assert sol.mode == "nullspace"
     assert sol.direction == "forward"
     assert sol.options.rho_max == 10.0
+
+
+def test_modes_are_direct_and_nullspace():
+    assert MODES == ("direct", "nullspace")
+    with pytest.raises(ValueError, match="direct.*nullspace"):
+        PathOptions(mode="tableau")

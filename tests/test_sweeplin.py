@@ -1,4 +1,4 @@
-"""Sweep operator, KKT blocks, null basis, and tableau algebra."""
+"""Sweep operator, KKT blocks, and null basis."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from penpath.errors import PivotTooSmall, RankDeficientActiveSet
 from penpath.sweeplin import (
     NullBasis,
-    SweepTableau,
     inverse_sweep,
     kkt_blocks,
     null_basis,
@@ -144,52 +143,3 @@ def test_null_basis_deterministic():
     b1 = null_basis(u).basis
     b2 = null_basis(u.copy()).basis
     np.testing.assert_array_equal(b1, b2)
-
-
-def test_tableau_matches_kkt_blocks():
-    rng = np.random.default_rng(7)
-    p, m = 5, 3
-    h = random_spd(rng, p)
-    rows = rng.standard_normal((m, p))
-    h_inv = np.linalg.inv(h)
-
-    tab = SweepTableau(h_inv, rows)
-    tab = tab.sweep_constraint(0, True)
-    tab = tab.sweep_constraint(2, True)
-
-    active = rows[[0, 2]]
-    p_ref, q_ref, r_ref = kkt_blocks(h_inv, active)
-    np.testing.assert_allclose(tab.p_block, p_ref, atol=1e-9)
-    np.testing.assert_allclose(tab.q_block, q_ref, atol=1e-9)
-    np.testing.assert_allclose(tab.r_block, r_ref, atol=1e-9)
-    # Inactive column carries the projected row: P @ u_1^T.
-    np.testing.assert_allclose(
-        tab.inactive_columns([1])[:, 0], p_ref @ rows[1], atol=1e-9
-    )
-
-
-def test_tableau_sweep_roundtrip():
-    rng = np.random.default_rng(8)
-    h = random_spd(rng, 4)
-    rows = rng.standard_normal((2, 4))
-    tab = SweepTableau(np.linalg.inv(h), rows)
-    fwd = tab.sweep_constraint(1, True)
-    back = fwd.sweep_constraint(1, False)
-    np.testing.assert_allclose(back.matrix, tab.matrix, atol=1e-10)
-    assert not back.swept.any()
-
-
-def test_tableau_dependent_activation():
-    h_inv = np.eye(3)
-    v = np.array([1.0, -1.0, 0.5])
-    rows = np.vstack([v, 2.0 * v])
-    tab = SweepTableau(h_inv, rows).sweep_constraint(0, True)
-    with pytest.raises(PivotTooSmall):
-        tab.sweep_constraint(1, True)
-
-
-def test_tableau_double_activation_rejected():
-    tab = SweepTableau(np.eye(2), np.array([[1.0, 0.0]]))
-    tab = tab.sweep_constraint(0, True)
-    with pytest.raises(ValueError):
-        tab.sweep_constraint(0, True)
