@@ -28,7 +28,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,8 +206,7 @@ def _run_crossval(args):
         )
 
     log.info("cross-validating %d folds over %d grid points", k, grid.size)
-    with ThreadPoolExecutor(max_workers=min(k, 8)) as pool:
-        curves = list(pool.map(fold_curve, folds))
+    curves = [fold_curve(val_idx) for val_idx in folds]
     mean_curve = np.mean(curves, axis=0)
 
     cv_csv = _csv_text(

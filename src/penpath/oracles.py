@@ -16,6 +16,8 @@ from scipy.optimize import brentq
 from .errors import DomainError, NoConvergence
 from .losses.quadratic import QuadraticLoss
 
+_EPS = np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # Adaptive Simpson quadrature for the moment integrals.
@@ -100,15 +102,24 @@ def _pospart_prox(x, c):
     return out
 
 
-def _local_newton(value, gradient, hessian, x0, tol=1e-12, max_iter=100):
+def _local_newton(value, gradient, hessian, x0, max_iter=100):
+    """Damped Newton minimization of a smooth convex function from x0.
+
+    Iterates until a step can no longer improve x in floating point: when
+    the Newton step leaves x unchanged, or when the decrease it predicts
+    (half the squared Newton decrement) is below the rounding of f, where
+    the line search could no longer judge it.  Then the full step, accurate
+    this close to the minimum, is taken as the last one.
+    """
     x = np.asarray(x0, dtype=float).copy()
     fx = value(x)
     for _ in range(max_iter):
         g = gradient(x)
-        if np.abs(g).max() <= tol * (1.0 + abs(fx)):
-            return x
         step = -np.linalg.solve(hessian(x), g)
         slope = float(g @ step)
+        x_full = x + step
+        if -slope <= _EPS * (1.0 + abs(fx)) or np.array_equal(x_full, x):
+            return x_full
         t = 1.0
         while t >= 1e-14:
             try:

@@ -25,10 +25,11 @@ integrates the segment with adaptive Runge-Kutta steps and locates events
 on the dense output.
 
 Two interchangeable segment formulations serve both engines: "direct"
-solves the bordered KKT blocks (at every evaluation in the ODE engine, once
-per segment in the exact one), and "nullspace" works in the active rows'
-null space (usable when the Hessian is singular).  Either way the ODE state
-is beta itself.
+factors the bordered KKT system by Cholesky (once per point in the ODE
+engine, shared by the derivative and the coefficient events there; once per
+segment from a per-path Hessian factor in the exact one), and "nullspace"
+works in the active rows' null space (usable when the Hessian is singular).
+Either way the ODE state is beta itself.
 """
 
 import math
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
 from .odeint import DEAD_BAND, EventSpec, integrate
-from .sweeplin import kkt_blocks, null_basis
+from .sweeplin import KKTFactor, null_basis
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
 RHO_FLOOR = 1e-12
@@ -231,17 +232,15 @@ def _factor_hessian(mat, singular_error, message):
     if not np.all(np.isfinite(mat)):
         raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
     try:
-        return cho_factor(mat)
+        return cho_factor(mat, check_finite=False)
     except np.linalg.LinAlgError:
         raise singular_error(message) from None
 
 
-def _hessian_inverse(model, beta):
-    h = model.hessian(beta)
-    factor = _factor_hessian(
+def _hessian_factor(h):
+    return _factor_hessian(
         h, NotStrictlyConvex, "Hessian is not positive definite at the current point"
     )
-    return cho_solve(factor, np.eye(h.shape[0]))
 
 
 def _reduced_direction(hessian, y_b, u):
@@ -253,11 +252,13 @@ def _reduced_direction(hessian, y_b, u):
         ReducedHessianSingular,
         "Hessian restricted to the active null space is singular",
     )
-    return -(y_b @ cho_solve(factor, y_b.T @ u))
+    # u is a sum of validated constraint rows, so finite.
+    return -(y_b @ cho_solve(factor, y_b.T @ u, check_finite=False))
 
 
 def active_coefficients(model, cs, config, beta, rho):
-    """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first).
+    """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first),
+    with Q^T = S^-1 U H^-1 applied through the KKT factor at beta.
 
     Below rho = 1e-12 the limiting value -Q^T u is used instead: on the
     path grad f / rho tends to H dbeta/drho = -H P u, and Q^T H P vanishes
@@ -269,12 +270,11 @@ def active_coefficients(model, cs, config, beta, rho):
     n_act_eq = len(config.zero_eq)
     if active.shape[0] == 0:
         return ActiveCoefficients(np.zeros(0), np.zeros(0), (), ())
-    h_inv = _hessian_inverse(model, beta)
-    _, q_blk, _ = kkt_blocks(h_inv, active)
+    kkt = KKTFactor(_hessian_factor(model.hessian(beta)), active)
     vec = config.inactive_subgradient(cs)
     if rho >= RHO_FLOOR:
         vec = model.gradient(beta) / rho + vec
-    r_z = -(q_blk.T @ vec)
+    r_z = kkt.multipliers(vec)
     return ActiveCoefficients(
         r_z[:n_act_eq], r_z[n_act_eq:], config.zero_eq, config.zero_ineq
     )
@@ -588,6 +588,9 @@ class _SegmentContext:
     def rho_of(self, t):
         return t * self.t_sign
 
+    def release(self):
+        """Drop per-point state once the segment is recorded."""
+
     def coefficients(self, t, beta):
         # All event evaluations at one t share the same dense-output beta,
         # so float t is a safe cache key within a segment.
@@ -611,49 +614,55 @@ class _SegmentContext:
 class _DirectContext(_SegmentContext):
     def __init__(self, runner, config, beta0):
         super().__init__(runner, config, beta0)
-        # A constant Hessian's inverse comes from the runner, and the KKT
-        # blocks built from it serve every evaluation on the segment.
-        self.h_inv = runner.h_inv
-        self._blocks = None
+        # A constant Hessian is factored once per path by the runner.
+        self.h_factor = runner.h_factor
+        self._point = self._point_factor = None
 
-    def _kkt(self, beta):
-        if self.h_inv is None:
-            return kkt_blocks(_hessian_inverse(self.model, beta), self.active)
-        if self._blocks is None:
-            self._blocks = kkt_blocks(self.h_inv, self.active)
-        return self._blocks
+    def release(self):
+        self._point = self._point_factor = None
+
+    def _factor(self, t, beta):
+        # One KKT factor per point.  RK45's last stage and the events at
+        # the step end evaluate at the same (t, beta), as do the exact
+        # engine's derivative and coefficient map, so they share it.
+        point = (float(t), beta.tobytes())
+        if point != self._point:
+            h_factor = self.h_factor
+            if h_factor is None:
+                h_factor = _hessian_factor(self.model.hessian(beta))
+            self._point_factor = KKTFactor(h_factor, self.active)
+            self._point = point
+        return self._point_factor
 
     def rhs(self, t, beta):
-        p_blk, _, _ = self._kkt(beta)
-        return self.t_sign * -(p_blk @ self.u)
+        return self.t_sign * self._factor(t, beta).direction(self.u)
 
-    def coefficient_map(self, beta, vec):
+    def coefficient_map(self, t, beta, vec):
         """r_Z for vec = grad f / rho + u (or for each column of vec)."""
-        _, q_blk, _ = self._kkt(beta)
-        return -(q_blk.T @ vec)
+        return self._factor(t, beta).multipliers(vec)
 
     def _coefficients(self, t, beta):
-        return self._split(self.coefficient_map(beta, self._gradient_vector(t, beta)))
+        return self._split(self.coefficient_map(t, beta, self._gradient_vector(t, beta)))
 
 
 class _NullspaceContext(_SegmentContext):
     def __init__(self, runner, config, beta0):
         super().__init__(runner, config, beta0)
-        self.basis = null_basis(self.active, self.p).basis
+        self.qr = null_basis(self.active, self.p)
 
     def rhs(self, t, beta):
-        y_b = self.basis
+        y_b = self.qr.basis
         if y_b.shape[1] == 0:
             return np.zeros(self.p)
         return self.t_sign * _reduced_direction(self.model.hessian(beta), y_b, self.u)
 
-    def coefficient_map(self, beta, vec):
-        return np.linalg.lstsq(self.active.T, -vec, rcond=None)[0]
+    def coefficient_map(self, t, beta, vec):
+        return self.qr.multipliers(vec)
 
     def _coefficients(self, t, beta):
         if self.active.shape[0] == 0:
             return np.zeros(0), np.zeros(0)
-        return self._split(self.coefficient_map(beta, self._gradient_vector(t, beta)))
+        return self._split(self.coefficient_map(t, beta, self._gradient_vector(t, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +688,11 @@ class _PathRunner:
             else 1e-8 * (1.0 + offsets_scale)
         )
         # Constant-Hessian losses follow the exact engine; their Hessian
-        # (and, for the direct mode, its inverse) is computed once per path.
+        # (and, for the direct mode, its Cholesky factor) is computed once
+        # per path.
         self.exact = model.constant_hessian
         self.hessian = None
-        self.h_inv = None
+        self.h_factor = None
         self.segments = []
         self.kinks = []
         self.warnings = []
@@ -813,8 +823,8 @@ class _PathRunner:
     def _context(self):
         if self.mode == "nullspace":
             return _NullspaceContext(self, self.cfg, self.beta)
-        if self.exact and self.h_inv is None:
-            self.h_inv = _hessian_inverse(self.model, self.beta)
+        if self.exact and self.h_factor is None:
+            self.h_factor = _hessian_factor(self.hessian)
         return _DirectContext(self, self.cfg, self.beta)
 
     def _switch_to_nullspace(self):
@@ -928,7 +938,8 @@ class _PathRunner:
         once to the two columns [H d + u, g_lin], gives r_Z = a + c / rho.
         """
         rho0 = self.rho
-        d = self.t_sign * ctx.rhs(self.t_sign * rho0, ctx.beta0)
+        t0 = self.t_sign * rho0
+        d = self.t_sign * ctx.rhs(t0, ctx.beta0)
         a = c = np.zeros(0)
         if ctx.active.shape[0]:
             h_d = self.hessian @ d
@@ -937,7 +948,7 @@ class _PathRunner:
             g_lin = np.zeros(self.p)
             if rho0 >= RHO_FLOOR:
                 g_lin = self.model.gradient(self.beta) - rho0 * h_d
-            a, c = ctx.coefficient_map(ctx.beta0, np.column_stack([h_d + ctx.u, g_lin])).T
+            a, c = ctx.coefficient_map(t0, ctx.beta0, np.column_stack([h_d + ctx.u, g_lin])).T
         return _LinearSegment(rho0, self.beta.copy(), d, a, c, self.t_sign, ctx.n_act_eq)
 
     def _exact_events(self, ctx, line):
@@ -1086,6 +1097,7 @@ class _PathRunner:
             termination = info.describe()
         beta_b = np.asarray(beta_b, dtype=float).copy()
         self._record_segment(ctx.config, trace, coef_eval, rho_b, beta_b, termination)
+        ctx.release()
         self.rho, self.beta = rho_b, beta_b
         self._count_squeeze(abs(rho_b - rho_a))
         if info is not None:
@@ -1094,6 +1106,7 @@ class _PathRunner:
     def _kink_in_place(self, ctx, info):
         """Move a row that starts beyond its boundary via a zero-length segment."""
         self._record_point_segment(ctx, info.describe())
+        ctx.release()
         self._count_squeeze(0.0)
         self._apply_kink(info, self.rho)
 

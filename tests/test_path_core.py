@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import penpath.odeint
+import penpath.path
 from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso, shape
-from penpath.errors import NonFiniteDerivative, PathDivergence
-from penpath.losses import LogConcaveLoss, QuadraticLoss
+from penpath.errors import NonFiniteDerivative, NotStrictlyConvex, PathDivergence
+from penpath.losses import GlmLoss, LogConcaveLoss, QuadraticLoss
 from penpath.path import (
     _DirectContext,
     _NullspaceContext,
@@ -170,12 +172,12 @@ def test_active_coefficients_zero_rho_limit():
     cfg = SetConfiguration(zero_eq=(1, 3), neg_eq=(0,), pos_eq=(2, 4))
     beta = rng.standard_normal(p)
     coef = active_coefficients(model, cs, cfg, beta, 0.0)
-    # The limit drops the gradient term entirely: r = -Q^T u.
-    from penpath.sweeplin import kkt_blocks
-
+    # The limit drops the gradient term entirely: r = -Q^T u, with
+    # Q^T = (U H^-1 U^T)^-1 U H^-1.
     h_inv = np.linalg.inv(model.hessian(beta))
-    _, q_blk, _ = kkt_blocks(h_inv, cfg.active_rows(cs))
-    expect = -(q_blk.T @ cfg.inactive_subgradient(cs))
+    u_act = cfg.active_rows(cs)
+    q_t = np.linalg.solve(u_act @ h_inv @ u_act.T, u_act @ h_inv)
+    expect = -(q_t @ cfg.inactive_subgradient(cs))
     assert np.abs(coef.r_z - expect).max() < 1e-10
 
 
@@ -367,6 +369,114 @@ def test_non_finite_hessian_raises_typed_error(mode):
     cs = shape(model.dim, kind="concave", grid=model.support)
     with pytest.raises(NonFiniteDerivative, match="non-finite"):
         run_path(model, cs, mode=mode)
+
+
+class OdeQuadratic(QuadraticLoss):
+    """A quadratic loss that the ODE engine traces, as it would a non-quadratic one."""
+
+    constant_hessian = False
+
+
+def row_system(row):
+    return ConstraintSystem(np.array([row]), np.zeros(1), np.zeros((0, len(row))), np.zeros(0))
+
+
+@pytest.mark.parametrize(
+    "hessian, error",
+    [(np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteDerivative),
+     (np.diag([1.0, -1.0]), NotStrictlyConvex)],
+    ids=["non_finite", "indefinite"],
+)
+def test_direct_factor_error_types(hessian, error):
+    model = OdeQuadratic(np.eye(2), [2.0, -1.0])
+    model.hessian = lambda x: hessian
+    cs = lasso(2)
+    cfg = SetConfiguration(zero_eq=(1,), pos_eq=(0,))
+    beta = np.array([0.5, 0.0])
+    ctx = _DirectContext(_PathRunner(model, cs, PathOptions()), cfg, beta)
+    with pytest.raises(error):
+        ctx.rhs(0.5, beta)
+    with pytest.raises(error):
+        active_coefficients(model, cs, cfg, beta, 0.5)
+
+
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_indefinite_hessian_switches_to_nullspace(loss):
+    # f = ((x_2 - 1)^2 - x_1^2) / 2 with x_1 penalized: the Hessian is
+    # indefinite, but positive on the active row's null space.
+    model = loss(np.diag([-1.0, 1.0]), [0.0, 1.0])
+    with pytest.warns(UserWarning, match="nullspace"):
+        sol = run_path(model, row_system([1.0, 0.0]), direction="backward",
+                       start_beta=[0.0, 1.0], rho_start=1.0, rho_min=0.05)
+    assert sol.mode == "nullspace" and sol.status == "rho_min"
+    assert np.abs(sol.beta_at(0.1) - [0.0, 1.0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["direct", "nullspace"])
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_non_finite_gradient_raises_typed_error(loss, mode):
+    model = loss(np.eye(2), [2.0, -1.0])
+    model.gradient = lambda x: np.array([np.nan, 0.0])
+    with pytest.raises(NonFiniteDerivative, match="gradient"):
+        run_path(model, lasso(2), mode=mode, direction="backward",
+                 start_beta=[0.0, 0.0], rho_start=3.0)
+
+
+def test_direct_mode_factors_once_per_point(monkeypatch):
+    # One Hessian evaluation per distinct point: the coefficient events at a
+    # step end reuse the factor of RK45's last stage there, so outside rhs
+    # the Hessian is evaluated only at a segment's first point and where
+    # brentq locates an event.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(80, 5))
+    eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
+    y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    model = GlmLoss(x, y, family="logistic")
+    calls = {"hessian": 0, "outside_rhs": 0, "rhs": 0, "brentq": 0}
+    in_rhs = []
+
+    hessian = model.hessian
+
+    def counted_hessian(beta):
+        calls["hessian"] += 1
+        calls["outside_rhs"] += not in_rhs
+        return hessian(beta)
+
+    rhs = _DirectContext.rhs
+
+    def counted_rhs(self, t, beta):
+        calls["rhs"] += 1
+        in_rhs.append(True)
+        try:
+            return rhs(self, t, beta)
+        finally:
+            in_rhs.pop()
+
+    brentq = penpath.odeint.brentq
+
+    def counted_brentq(f, *args, **kwargs):
+        def g(t):
+            calls["brentq"] += 1
+            return f(t)
+        return brentq(g, *args, **kwargs)
+
+    start = penpath.path.unconstrained_minimum
+
+    def counted_start(loss):
+        before = calls["hessian"]
+        beta = start(loss)
+        calls["start"] = calls["hessian"] - before
+        return beta
+
+    monkeypatch.setattr(model, "hessian", counted_hessian)
+    monkeypatch.setattr(_DirectContext, "rhs", counted_rhs)
+    monkeypatch.setattr(penpath.odeint, "brentq", counted_brentq)
+    monkeypatch.setattr(penpath.path, "unconstrained_minimum", counted_start)
+    sol = run_path(model, lasso(5), mode="direct")
+    assert sol.mode == "direct" and sol.status == "terminated" and len(sol.kinks) >= 5
+    assert calls["hessian"] <= calls["rhs"] + calls["brentq"]
+    outside = calls["outside_rhs"] - calls["start"]
+    assert outside <= len(sol.segments) + calls["brentq"]
 
 
 def test_options_validation():
