@@ -79,17 +79,27 @@ def _sample_table(spec, solution):
     return rows
 
 
-def _csv_text(header, kinds, rows):
-    """CSV text of a header and rows, each row formatted by one %-template
-    with a column per letter of kinds: "g" a float as %.17g, "d" an integer."""
-    template = ",".join("%.17g" if kind == "g" else "%d" for kind in kinds)
-    return "\n".join([header, *(template % tuple(row) for row in rows), ""])
+def _csv_lines(header, kinds, rows):
+    """Newline-terminated lines of a CSV table: the header, then each row
+    formatted by one %-template with a column per letter of kinds: "g" a
+    float as %.17g, "d" an integer.  Rows are formatted as they are read."""
+    template = ",".join("%.17g" if kind == "g" else "%d" for kind in kinds) + "\n"
+    yield header + "\n"
+    for row in rows:
+        yield template % tuple(row)
+
+
+def _write_lines(path, lines):
+    # Each line goes to the file as it is formatted, so a table is never
+    # held in memory as one string.
+    with open(path, "w") as handle:
+        handle.writelines(lines)
 
 
 def _path_csv(rows, p):
     header = "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic"
     cells = ((rho, *beta.tolist(), df, value, aic, bic) for rho, beta, df, value, aic, bic in rows)
-    return _csv_text(header, "g" * (p + 1) + "dggg", cells)
+    return _csv_lines(header, "g" * (p + 1) + "dggg", cells)
 
 
 def _kinks_jsonl(solution):
@@ -162,13 +172,12 @@ def _run_solve(args):
     log.info("path %s after %d kinks", solution.status, len(solution.kinks))
 
     rows = _sample_table(spec, solution)
-    path_csv = _path_csv(rows, spec.dimension)
     kinks = _kinks_jsonl(solution)
     report = _report_text(spec, solution, rows)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "path.csv").write_text(path_csv)
+    _write_lines(out / "path.csv", _path_csv(rows, spec.dimension))
     (out / "kinks.jsonl").write_text(kinks)
     (out / "report.txt").write_text(report)
     log.info("wrote %s", out / "path.csv")
@@ -209,11 +218,6 @@ def _run_crossval(args):
     curves = [fold_curve(val_idx) for val_idx in folds]
     mean_curve = np.mean(curves, axis=0)
 
-    cv_csv = _csv_text(
-        "rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean",
-        "g" * (k + 2),
-        np.column_stack([grid, *curves, mean_curve]).tolist(),
-    )
     best = int(np.argmin(mean_curve))
     report = "\n".join(
         [
@@ -227,7 +231,9 @@ def _run_crossval(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cv.csv").write_text(cv_csv)
+    header = "rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean"
+    table = np.column_stack([grid, *curves, mean_curve]).tolist()
+    _write_lines(out / "cv.csv", _csv_lines(header, "g" * (k + 2), table))
     (out / "cv_report.txt").write_text(report)
     return 0
 

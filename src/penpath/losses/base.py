@@ -10,14 +10,11 @@ class LossModel(abc.ABC):
 
     Implementations provide the value, gradient, Hessian, and the action of
     the Hessian's directional derivative: dhessian(x, v) is the matrix
-    d/de H(x + e v) at e = 0.  strictly_convex declares whether H is
-    positive definite everywhere on the domain (the direct path mode relies
-    on it).  constant_hessian declares that H does not depend on x (so
-    dhessian is identically zero); run_path then traces the path with its
-    exact piecewise-linear engine instead of integrating it.
+    d/de H(x + e v) at e = 0.  constant_hessian declares that H does not
+    depend on x (so dhessian is identically zero); run_path then traces the
+    path with its exact piecewise-linear engine instead of integrating it.
     """
 
-    strictly_convex = True
     constant_hessian = False
 
     @property

@@ -99,8 +99,6 @@ class GlmLoss(LossModel):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
-        sv = np.linalg.svd(self.design, compute_uv=False)
-        self.strictly_convex = bool(sv.size and sv[-1] > 1e-10 * sv[0])
         # psi'' is constant only for the built-in normal family
         self.constant_hessian = self.family is FAMILIES["normal"]
 
@@ -134,14 +132,10 @@ class QuasiLoss(LossModel):
 
     mean_fn is a tuple (mu, dmu, d2mu, d3mu) of vectorized functions of the
     linear predictor; variance_fn is (V, dV, d2V) of vectorized functions of
-    the mean.  Convexity is not guaranteed for arbitrary pairings, so
-    strictly_convex defaults to False unless declared.
+    the mean.  Convexity is not guaranteed for arbitrary pairings.
     """
 
-    strictly_convex = False
-
-    def __init__(self, design, response, mean_fn, variance_fn, scale=1.0,
-                 strictly_convex=False):
+    def __init__(self, design, response, mean_fn, variance_fn, scale=1.0):
         self.design = np.asarray(design, dtype=float)
         self.response = np.asarray(response, dtype=float).ravel()
         if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
@@ -151,7 +145,6 @@ class QuasiLoss(LossModel):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
-        self.strictly_convex = bool(strictly_convex)
 
     @property
     def dim(self):

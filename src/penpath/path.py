@@ -14,29 +14,33 @@ rows).  Forward runs start at rho = 0 from the unconstrained minimum and
 stop when no row pulls on the solution any more, at which point beta
 solves the constrained program min f subject to V beta = d, W beta <= e.
 
-Two segment engines share the event and kink logic, chosen by the loss's
-constant_hessian attribute.  For a constant Hessian (quadratic losses, the
-normal GLM) the right-hand side dbeta/drho = -P u is constant between
-kinks, so beta is linear in rho and the active coefficients are affine in
-1/rho: the exact engine evaluates the derivative once per segment and
-finds every event as the root of a closed-form function, with no
-integration step.  Every other loss follows the ODE engine, which
-integrates the segment with adaptive Runge-Kutta steps and locates events
-on the dense output.
+Two segment engines, chosen by the loss's constant_hessian attribute, read
+one event table per segment: each inactive row's signed residual, which
+fires on reaching zero, and each active row's subgradient coefficient,
+which fires on reaching a boundary.  For a constant Hessian (quadratic
+losses, the normal GLM) dbeta/drho = -P u is constant between kinks, so
+beta is linear in rho and the active coefficients are affine in 1/rho: the
+exact engine finds every event in closed form from the table's start
+values and slopes, with no integration step.  Every other loss follows the
+ODE engine, which integrates the segment with adaptive Runge-Kutta steps
+and locates the table's events on the dense output.
 
 Two interchangeable segment formulations serve both engines: "direct"
 factors the bordered KKT system by Cholesky (once per point in the ODE
 engine, shared by the derivative and the coefficient events there; once per
 segment from a per-path Hessian factor in the exact one), and "nullspace"
 works in the active rows' null space (usable when the Hessian is singular).
-Either way the ODE state is beta itself.
+Either way the ODE state is beta itself.  Each formulation's context holds
+the one coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with
+H dbeta/drho in place of grad f / rho below RHO_FLOOR, which the events,
+the exact engine's closed form and every lookup on a finished path use.
 """
 
 import math
 import warnings as _pywarnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -211,6 +215,14 @@ class ActiveCoefficients:
     eq_indices: tuple
     ineq_indices: tuple
 
+    @classmethod
+    def of(cls, config, r_z):
+        """Split r_Z (eq rows first) of the active rows of config; copies it,
+        since evaluators cache their results."""
+        r_z = np.array(r_z, dtype=float)
+        n_act_eq = len(config.zero_eq)
+        return cls(r_z[:n_act_eq], r_z[n_act_eq:], config.zero_eq, config.zero_ineq)
+
     @property
     def r_z(self):
         return np.concatenate([self.s, self.t])
@@ -257,27 +269,15 @@ def _reduced_direction(hessian, y_b, u):
 
 
 def active_coefficients(model, cs, config, beta, rho):
-    """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first),
-    with Q^T = S^-1 U H^-1 applied through the KKT factor at beta.
-
-    Below rho = 1e-12 the limiting value -Q^T u is used instead: on the
-    path grad f / rho tends to H dbeta/drho = -H P u, and Q^T H P vanishes
-    identically, so the gradient term drops out of the limit.
+    """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first)
+    in the direct formulation at beta, by the segment contexts' evaluator
+    (_SegmentContext.coefficients), which takes the rho -> 0 limit below
+    RHO_FLOOR.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    active = config.active_rows(cs)
-    n_act_eq = len(config.zero_eq)
-    if active.shape[0] == 0:
-        return ActiveCoefficients(np.zeros(0), np.zeros(0), (), ())
-    kkt = KKTFactor(_hessian_factor(model.hessian(beta)), active)
-    vec = config.inactive_subgradient(cs)
-    if rho >= RHO_FLOOR:
-        vec = model.gradient(beta) / rho + vec
-    r_z = kkt.multipliers(vec)
-    return ActiveCoefficients(
-        r_z[:n_act_eq], r_z[n_act_eq:], config.zero_eq, config.zero_ineq
-    )
+    ctx = _DirectContext(model, cs, config, beta)
+    return ActiveCoefficients.of(config, ctx.coefficients(rho, ctx.beta0))
 
 
 def stationarity_residual(model, cs, config, beta, rho):
@@ -352,20 +352,20 @@ class Kink:
 
 
 class _SegmentTrace:
-    """Dense trajectory of one segment, possibly integrated in chunks."""
+    """Dense trajectory of one ODE segment, possibly integrated in chunks,
+    with the segment's context for its coefficients."""
 
-    def __init__(self):
+    def __init__(self, ctx):
+        self.ctx = ctx
         self.results = []
 
     def add(self, result):
         if result.steps:
             self.results.append(result)
 
-    @property
-    def empty(self):
-        return not self.results
-
     def interpolate(self, t):
+        if not self.results:
+            return self.ctx.beta0.copy()
         # Chunks run forward in t one after another, so the first whose
         # padded range holds t is the first that does not end before it.
         i = bisect_left(self.results, t, key=lambda r: r.steps[-1].t_end + 1e-9)
@@ -376,26 +376,26 @@ class _SegmentTrace:
                 return result.interpolate(t)
         raise ValueError(f"t={t} outside the segment trace")
 
+    def coefficients(self, t, beta):
+        return self.ctx.coefficients(t, beta)
+
 
 class _LinearSegment:
     """Closed form of one segment of a constant-Hessian path.
 
     beta(rho) = beta0 + (rho - rho0) d, and the active coefficients (eq
     rows first) are r_Z(rho) = a + c / rho, or their rho -> 0 limit a
-    below RHO_FLOOR.  Stands in for the ODE engine's dense trace
-    (interpolate) and coefficient evaluator (coefficients).
+    below RHO_FLOOR.  The exact engine's segment evaluator, in place of
+    the ODE engine's trace.
     """
 
-    empty = False
-
-    def __init__(self, rho0, beta0, d, a, c, t_sign, n_act_eq):
+    def __init__(self, rho0, beta0, d, a, c, t_sign):
         self.rho0 = rho0
         self.beta0 = beta0
         self.d = d
         self.a = a
         self.c = c
         self.t_sign = t_sign
-        self.n_act_eq = n_act_eq
 
     def beta(self, rho):
         return self.beta0 + (rho - self.rho0) * self.d
@@ -407,8 +407,7 @@ class _LinearSegment:
         return self.beta(self.t_sign * t)
 
     def coefficients(self, t, beta):
-        r_z = self.r_z(self.t_sign * t)
-        return r_z[: self.n_act_eq], r_z[self.n_act_eq :]
+        return self.r_z(self.t_sign * t)
 
 
 @dataclass
@@ -428,10 +427,10 @@ class PathSegment:
     beta_end: np.ndarray
     termination: str
     _t_sign: float = 1.0
-    _trace: object = None  # _SegmentTrace (ODE engine) or _LinearSegment (exact)
-    _coef_eval: Optional[Callable] = None
-    _model: object = None
-    _cs: object = None
+    # The segment's evaluator, interpolate(t) and coefficients(t, beta) in
+    # t = t_sign * rho: a _LinearSegment (exact engine), a _SegmentTrace (ODE
+    # engine) or, for a point segment, its context.
+    _eval: object = None
 
     @property
     def rho_span(self):
@@ -446,22 +445,16 @@ class PathSegment:
         """Solution on this segment: the exact line or the ODE dense output."""
         if not self.contains(rho):
             raise ValueError(f"rho={rho} outside segment [{self.rho_start}, {self.rho_end}]")
-        if self._trace is None or self._trace.empty:
-            return self.beta_start.copy()
         lo, hi = sorted((self._t_sign * self.rho_start, self._t_sign * self.rho_end))
-        return self._trace.interpolate(min(max(self._t_sign * rho, lo), hi))
+        return self._eval.interpolate(min(max(self._t_sign * rho, lo), hi))
 
     def coefficients_at(self, rho):
         """Active subgradient coefficients at a point of this segment."""
-        if self._coef_eval is not None and self._trace is not None and not self._trace.empty:
-            s, t = self._coef_eval(self._t_sign * rho, self.beta_at(rho))
-            return ActiveCoefficients(
-                np.asarray(s, dtype=float).copy(),
-                np.asarray(t, dtype=float).copy(),
-                self.config.zero_eq,
-                self.config.zero_ineq,
-            )
-        return active_coefficients(self._model, self._cs, self.config, self.beta_at(rho), rho)
+        return self._coefficients(rho, self.beta_at(rho))
+
+    def _coefficients(self, rho, beta):
+        r_z = self._eval.coefficients(self._t_sign * rho, beta)
+        return ActiveCoefficients.of(self.config, r_z)
 
 
 @dataclass
@@ -532,9 +525,8 @@ class PathSolution:
         if seg.contains(rho):
             return seg.coefficients_at(rho)
         # Extension range: beta is frozen but the coefficients still decay
-        # with rho, so evaluate the formula directly.
-        beta = (seg.beta_end if self.direction == "forward" else seg.beta_start).copy()
-        return active_coefficients(self.model, self.constraints, seg.config, beta, rho)
+        # with rho, by the segment's own formula.
+        return seg._coefficients(rho, self.beta_at(rho))
 
     def rho_grid(self, per_segment=20):
         """Ascending sample grid: segment endpoints plus interior points."""
@@ -549,11 +541,11 @@ class PathSolution:
 
 
 # ---------------------------------------------------------------------------
-# Segment contexts: one per segment formulation, shared by both engines.
+# Events: one table per segment, read by both engines.
 
 @dataclass(frozen=True)
 class _EventInfo:
-    kind: str                    # "residual", "coefficient", or "guard"
+    kind: str                    # "residual" or "coefficient"
     row_kind: str
     index: int
     boundary: Optional[float]
@@ -570,52 +562,149 @@ class _EventInfo:
         return f"coefficient_hit({self.row_kind}[{self.index}], boundary={self.boundary:g})"
 
 
-class _SegmentContext:
-    """Shared per-segment state: subgradient direction, caches, splits."""
+# Event types by code: (kind, row_kind, boundary, to_set).
+_EVENT_TYPES = (
+    ("residual", "eq", None, "zero_eq"),
+    ("residual", "ineq", None, "zero_ineq"),
+    ("coefficient", "eq", 1.0, "pos_eq"),
+    ("coefficient", "eq", -1.0, "neg_eq"),
+    ("coefficient", "ineq", 1.0, "pos_ineq"),
+    ("coefficient", "ineq", 0.0, "neg_ineq"),
+)
 
-    def __init__(self, runner, config, beta0):
-        self.model = runner.model
-        self.cs = runner.cs
+
+class _EventTable:
+    """Every event of one segment, in the layout both engines read.
+
+    Entry j has a type code (an index into _EVENT_TYPES) and a constraint
+    row.  The first n_res entries are residual events g = row_j beta -
+    offset_j, row and offset signed so that g > 0 while the row keeps its
+    sign class.  The others are coefficient events g = sign_j (r_Z[pos_j]
+    - boundary_j), where pos_j is the row's position in r_Z (eq rows
+    first) and the sign is -1 at an upper boundary and +1 at a lower one.
+    An event fires when its g falls through zero.
+    """
+
+    def __init__(self, cs, cfg):
+        codes, rows, res_rows, res_offsets = [], [], [], []
+        for code, (mat, offsets, neg, pos) in enumerate((
+            (cs.v_mat, cs.d, cfg.neg_eq, cfg.pos_eq),
+            (cs.w_mat, cs.e, cfg.neg_ineq, cfg.pos_ineq),
+        )):
+            idx = np.array(neg + pos, dtype=int)
+            sign = np.repeat([-1.0, 1.0], [len(neg), len(pos)])
+            res_rows.append(sign[:, None] * mat[idx])
+            res_offsets.append(sign * offsets[idx])
+            codes.append(np.full(idx.size, code))
+            rows.append(idx)
+        self.res_rows = np.vstack(res_rows)
+        self.res_offsets = np.concatenate(res_offsets)
+        self.n_res = self.res_offsets.size
+        positions, signs, bounds = [], [], []
+        for code in range(2, len(_EVENT_TYPES)):
+            _, row_kind, boundary, to_set = _EVENT_TYPES[code]
+            eq = row_kind == "eq"
+            idx = np.array(cfg.zero_eq if eq else cfg.zero_ineq, dtype=int)
+            positions.append(np.arange(idx.size) + (0 if eq else len(cfg.zero_eq)))
+            signs.append(np.full(idx.size, -1.0 if to_set.startswith("pos") else 1.0))
+            bounds.append(np.full(idx.size, boundary))
+            codes.append(np.full(idx.size, code))
+            rows.append(idx)
+        self.coef_pos = np.concatenate(positions)
+        self.coef_sign = np.concatenate(signs)
+        self.coef_bound = np.concatenate(bounds)
+        self.codes = np.concatenate(codes)
+        self.rows = np.concatenate(rows)
+        self.size = self.codes.size
+
+    def info(self, j):
+        kind, row_kind, boundary, to_set = _EVENT_TYPES[self.codes[j]]
+        return _EventInfo(kind, row_kind, int(self.rows[j]), boundary, to_set)
+
+    def coefficient_values(self, r_z):
+        """The coefficient events' g for active coefficients r_z."""
+        return self.coef_sign * (r_z[self.coef_pos] - self.coef_bound)
+
+    def event_function(self, j, coefficients):
+        """Entry j's g(t, beta) for the ODE engine; coefficients(t, beta)
+        gives r_Z."""
+        if j < self.n_res:
+            row, offset = self.res_rows[j], self.res_offsets[j]
+            return lambda t, beta: row @ beta - offset
+        k = j - self.n_res
+        pos, sign = int(self.coef_pos[k]), float(self.coef_sign[k])
+        boundary = float(self.coef_bound[k])
+        return lambda t, beta: sign * (coefficients(t, beta)[pos] - boundary)
+
+
+# ---------------------------------------------------------------------------
+# Segment contexts: one per segment formulation, shared by both engines.
+
+class _SegmentContext:
+    """Per-segment state of one formulation: the active rows U, the
+    inactive rows' subgradient direction u, and the coefficient evaluator.
+
+    hessian is the loss's constant Hessian when it has one, else None.
+    Subclasses supply rhs(t, beta), the path derivative dbeta/dt, and
+    multipliers(t, beta, vec), the map vec -> -Q^T vec.
+    """
+
+    def __init__(self, model, cs, config, beta0, t_sign=1.0, hessian=None):
+        self.model = model
         self.config = config
-        self.p = runner.p
-        self.t_sign = runner.t_sign
-        self.u = config.inactive_subgradient(runner.cs)
-        self.active = config.active_rows(runner.cs)
-        self.n_act_eq = len(config.zero_eq)
+        self.p = cs.dim
+        self.t_sign = t_sign
+        self.hessian = hessian
+        self.u = config.inactive_subgradient(cs)
+        self.active = config.active_rows(cs)
         self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
-
-    def rho_of(self, t):
-        return t * self.t_sign
 
     def release(self):
         """Drop per-point state once the segment is recorded."""
 
+    def interpolate(self, t):
+        # The whole solution of a point segment, which keeps only its context.
+        return self.beta0.copy()
+
     def coefficients(self, t, beta):
+        """Active coefficients r_Z (eq rows first) at (t, beta): the
+        multipliers of grad f / rho + u, or below RHO_FLOOR of its limit on
+        the path (see limit)."""
         # All event evaluations at one t share the same dense-output beta,
         # so float t is a safe cache key within a segment.
         key = float(t)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._coefficients(t, np.asarray(beta, dtype=float))
-            self._cache[key] = got
-        return got
+        r_z = self._cache.get(key)
+        if r_z is None:
+            beta = np.asarray(beta, dtype=float)
+            rho = t * self.t_sign
+            if not self.active.shape[0]:
+                r_z = np.zeros(0)
+            else:
+                if rho < RHO_FLOOR:
+                    vec = self.limit(t, beta)
+                else:
+                    vec = self.model.gradient(beta) / rho + self.u
+                r_z = self.multipliers(t, beta, vec)
+            self._cache[key] = r_z
+        return r_z
 
-    def _split(self, r_z):
-        return r_z[: self.n_act_eq], r_z[self.n_act_eq :]
+    def limit(self, t, beta, slope=None):
+        """H dbeta/drho + u, the rho -> 0 limit of grad f / rho + u along
+        the path; slope is dbeta/drho when the caller already has it."""
+        if slope is None:
+            slope = self.t_sign * self.rhs(t, beta)
+        return self._hessian(beta) @ slope + self.u
 
-    def _gradient_vector(self, t, beta):
-        rho = self.rho_of(t)
-        if rho < RHO_FLOOR:
-            return self.u
-        return self.model.gradient(beta) / rho + self.u
+    def _hessian(self, beta):
+        return self.hessian if self.hessian is not None else self.model.hessian(beta)
 
 
 class _DirectContext(_SegmentContext):
-    def __init__(self, runner, config, beta0):
-        super().__init__(runner, config, beta0)
+    def __init__(self, model, cs, config, beta0, t_sign=1.0, hessian=None, h_factor=None):
+        super().__init__(model, cs, config, beta0, t_sign, hessian)
         # A constant Hessian is factored once per path by the runner.
-        self.h_factor = runner.h_factor
+        self.h_factor = h_factor
         self._point = self._point_factor = None
 
     def release(self):
@@ -629,7 +718,7 @@ class _DirectContext(_SegmentContext):
         if point != self._point:
             h_factor = self.h_factor
             if h_factor is None:
-                h_factor = _hessian_factor(self.model.hessian(beta))
+                h_factor = _hessian_factor(self._hessian(beta))
             self._point_factor = KKTFactor(h_factor, self.active)
             self._point = point
         return self._point_factor
@@ -637,32 +726,33 @@ class _DirectContext(_SegmentContext):
     def rhs(self, t, beta):
         return self.t_sign * self._factor(t, beta).direction(self.u)
 
-    def coefficient_map(self, t, beta, vec):
-        """r_Z for vec = grad f / rho + u (or for each column of vec)."""
+    def multipliers(self, t, beta, vec):
+        """-Q^T vec = -S^-1 U H^-1 vec (or that of each column of vec)."""
         return self._factor(t, beta).multipliers(vec)
 
-    def _coefficients(self, t, beta):
-        return self._split(self.coefficient_map(t, beta, self._gradient_vector(t, beta)))
+    def limit(self, t, beta, slope=None):
+        # Q^T H P = 0, so the H dbeta/drho term moves r_Z by rounding only:
+        # it is kept where the Hessian is constant and otherwise dropped
+        # rather than paid for with a Hessian call.
+        if self.hessian is None:
+            return self.u
+        return super().limit(t, beta, slope)
 
 
 class _NullspaceContext(_SegmentContext):
-    def __init__(self, runner, config, beta0):
-        super().__init__(runner, config, beta0)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.qr = null_basis(self.active, self.p)
 
     def rhs(self, t, beta):
         y_b = self.qr.basis
         if y_b.shape[1] == 0:
             return np.zeros(self.p)
-        return self.t_sign * _reduced_direction(self.model.hessian(beta), y_b, self.u)
+        return self.t_sign * _reduced_direction(self._hessian(beta), y_b, self.u)
 
-    def coefficient_map(self, t, beta, vec):
+    def multipliers(self, t, beta, vec):
+        """The r with U^T r = -vec (or that of each column of vec)."""
         return self.qr.multipliers(vec)
-
-    def _coefficients(self, t, beta):
-        if self.active.shape[0] == 0:
-            return np.zeros(0), np.zeros(0)
-        return self._split(self.coefficient_map(t, beta, self._gradient_vector(t, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +846,7 @@ class _PathRunner:
                     )
                 self._advance()
         if not self.segments or self.segments[-1].config is not self.cfg:
-            self._record_point_segment(None, status)
+            self._record_point_segment(self._context(), status)
         return PathSolution(
             segments=self.segments,
             kinks=self.kinks,
@@ -778,34 +868,41 @@ class _PathRunner:
     def _advance_ode(self):
         try:
             ctx = self._context()
-            events, infos = self._events(ctx)
-            crossed = self._already_crossed(ctx, events, infos)
+            table = _EventTable(self.cs, ctx.config)
+            events = [
+                EventSpec(table.event_function(j, ctx.coefficients)) for j in range(table.size)
+            ]
+            t0 = self.t_sign * self.rho
+            crossed = self._crossed_at_start(table, [ev.func(t0, ctx.beta0) for ev in events])
         except NotStrictlyConvex:
             self._switch_to_nullspace()
             return
         if crossed is not None:
             self._kink_in_place(ctx, crossed)
             return
+        bound = self.opts.beta_bound
+        events.append(EventSpec(lambda t, beta: bound - np.abs(beta).max()))
         try:
             trace, result = self._integrate_chunked(ctx, events)
         except NotStrictlyConvex:
             self._switch_to_nullspace()
             return
-        self._absorb(ctx, trace, result, infos)
+        self._absorb(ctx, trace, result, table)
 
     def _advance_exact(self):
         try:
+            if self.mode == "direct" and self.h_factor is None:
+                self.h_factor = _hessian_factor(self.hessian)
             ctx = self._context()
             line = self._line(ctx)
         except NotStrictlyConvex:
             self._switch_to_nullspace()
             return
-        start, times, codes, rows, t_guard = self._exact_events(ctx, line)
-        beyond = np.flatnonzero(start < -self.opts.event_tol)
-        infos = (_exact_info(codes[j], rows[j]) for j in beyond)
-        crossed = [info for info in infos if not self._undoes_last_kink(info)]
-        if crossed:
-            self._kink_in_place(ctx, self._first(crossed, self.rho))
+        table = _EventTable(self.cs, ctx.config)
+        start, times, t_guard = self._exact_events(table, line)
+        crossed = self._crossed_at_start(table, start)
+        if crossed is not None:
+            self._kink_in_place(ctx, crossed)
             return
         t_max = self._t_max()
         t_event = times.min(initial=np.inf)
@@ -815,17 +912,16 @@ class _PathRunner:
         if t_event <= t_max:
             cluster = np.flatnonzero(times - t_event <= EVENT_CLUSTER_TOL)
             rho_b = float(self.t_sign * t_event)
-            info = self._first([_exact_info(codes[j], rows[j]) for j in cluster], rho_b)
+            info = self._first([table.info(j) for j in cluster], rho_b)
         else:
             rho_b = float(self.t_sign * t_max)
-        self._close(ctx, line, line.coefficients, rho_b, line.beta(rho_b), info)
+        self._close(ctx, line, rho_b, line.beta(rho_b), info)
 
     def _context(self):
+        args = (self.model, self.cs, self.cfg, self.beta, self.t_sign, self.hessian)
         if self.mode == "nullspace":
-            return _NullspaceContext(self, self.cfg, self.beta)
-        if self.exact and self.h_factor is None:
-            self.h_factor = _hessian_factor(self.hessian)
-        return _DirectContext(self, self.cfg, self.beta)
+            return _NullspaceContext(*args)
+        return _DirectContext(*args, self.h_factor)
 
     def _switch_to_nullspace(self):
         if self.mode == "nullspace":
@@ -842,72 +938,22 @@ class _PathRunner:
 
     # -- events -------------------------------------------------------------
 
-    def _events(self, ctx):
-        cs = self.cs
-        cfg = ctx.config
-        events, infos = [], []
+    def _crossed_at_start(self, table, start):
+        """The event to apply at once, given every table entry's value at
+        the segment start, or None.
 
-        def add(fn, info):
-            events.append(EventSpec(fn))
-            infos.append(info)
-
-        def residual(mat, offs, index, sign):
-            row, off = mat[index], offs[index]
-            return lambda t, beta, row=row, off=off, sign=sign: sign * (row @ beta - off)
-
-        for i in cfg.neg_eq:
-            add(residual(cs.v_mat, cs.d, i, -1.0), _EventInfo("residual", "eq", i, None, "zero_eq"))
-        for i in cfg.pos_eq:
-            add(residual(cs.v_mat, cs.d, i, 1.0), _EventInfo("residual", "eq", i, None, "zero_eq"))
-        for j in cfg.neg_ineq:
-            add(residual(cs.w_mat, cs.e, j, -1.0), _EventInfo("residual", "ineq", j, None, "zero_ineq"))
-        for j in cfg.pos_ineq:
-            add(residual(cs.w_mat, cs.e, j, 1.0), _EventInfo("residual", "ineq", j, None, "zero_ineq"))
-        for pos, i in enumerate(cfg.zero_eq):
-            add(
-                lambda t, beta, k=pos: 1.0 - ctx.coefficients(t, beta)[0][k],
-                _EventInfo("coefficient", "eq", i, 1.0, "pos_eq"),
+        After a kink (or a misclassified start) some events can begin
+        beyond their boundary; such rows are moved immediately via
+        zero-length segments instead of integrating.  Raises PathDivergence
+        when the start is outside beta_bound.
+        """
+        if self.opts.beta_bound - np.abs(self.beta).max() < 0.0:
+            raise PathDivergence(
+                f"|beta| exceeds beta_bound={self.opts.beta_bound:g} at rho={self.rho:g}"
             )
-            add(
-                lambda t, beta, k=pos: 1.0 + ctx.coefficients(t, beta)[0][k],
-                _EventInfo("coefficient", "eq", i, -1.0, "neg_eq"),
-            )
-        for pos, j in enumerate(cfg.zero_ineq):
-            add(
-                lambda t, beta, k=pos: 1.0 - ctx.coefficients(t, beta)[1][k],
-                _EventInfo("coefficient", "ineq", j, 1.0, "pos_ineq"),
-            )
-            add(
-                lambda t, beta, k=pos: ctx.coefficients(t, beta)[1][k],
-                _EventInfo("coefficient", "ineq", j, 0.0, "neg_ineq"),
-            )
-        bound = self.opts.beta_bound
-        add(
-            lambda t, beta: bound - np.abs(beta).max(),
-            _EventInfo("guard", "", -1, None, ""),
-        )
-        return events, infos
-
-    def _already_crossed(self, ctx, events, infos):
-        # After a kink (or a misclassified start) some event functions can
-        # begin beyond their boundary; such rows are moved immediately via
-        # zero-length segments instead of integrating.
-        t0 = self.t_sign * self.rho
-        tol = self.opts.event_tol
-        hit = []
-        for ev, info in zip(events, infos):
-            value = ev.func(t0, ctx.beta0)
-            if info.kind == "guard":
-                if value < 0.0:
-                    raise PathDivergence(
-                        f"|beta| exceeds beta_bound={self.opts.beta_bound:g} at rho={self.rho:g}"
-                    )
-                continue
-            if value < -tol and not self._undoes_last_kink(info):
-                hit.append(info)
-        if not hit:
-            return None
-        return self._first(hit, self.rho)
+        beyond = np.flatnonzero(np.asarray(start) < -self.opts.event_tol)
+        crossed = [info for info in map(table.info, beyond) if not self._undoes_last_kink(info)]
+        return self._first(crossed, self.rho) if crossed else None
 
     def _undoes_last_kink(self, info):
         # Event location error can leave a freshly moved row a few 1e-9
@@ -934,103 +980,69 @@ class _PathRunner:
         """Closed form of the exact-engine segment starting at the current point.
 
         One rhs evaluation gives the constant dbeta/drho = d.  Along the
-        segment grad f = g_lin + rho H d, so the coefficient map, applied
-        once to the two columns [H d + u, g_lin], gives r_Z = a + c / rho.
+        segment grad f = g_lin + rho H d, so grad f / rho + u is the
+        evaluator's rho -> 0 limit H d + u plus g_lin / rho, and the
+        coefficient map, applied once to those two columns, gives
+        r_Z = a + c / rho.
         """
         rho0 = self.rho
         t0 = self.t_sign * rho0
         d = self.t_sign * ctx.rhs(t0, ctx.beta0)
         a = c = np.zeros(0)
         if ctx.active.shape[0]:
-            h_d = self.hessian @ d
             # At a forward start grad f vanishes up to Newton's rounding;
             # dropping it keeps that noise out of c / rho at tiny rho.
             g_lin = np.zeros(self.p)
             if rho0 >= RHO_FLOOR:
-                g_lin = self.model.gradient(self.beta) - rho0 * h_d
-            a, c = ctx.coefficient_map(t0, ctx.beta0, np.column_stack([h_d + ctx.u, g_lin])).T
-        return _LinearSegment(rho0, self.beta.copy(), d, a, c, self.t_sign, ctx.n_act_eq)
+                g_lin = self.model.gradient(self.beta) - rho0 * (self.hessian @ d)
+            columns = np.column_stack([ctx.limit(t0, ctx.beta0, d), g_lin])
+            a, c = ctx.multipliers(t0, ctx.beta0, columns).T
+        return _LinearSegment(rho0, self.beta.copy(), d, a, c, self.t_sign)
 
-    def _exact_events(self, ctx, line):
+    def _exact_events(self, table, line):
         """Every event of a linear segment in closed form.
 
-        Returns each event's value at the segment start and its firing
-        time t (inf if it never fires), the type codes and row indices
-        that _exact_info turns into event records, and the time at which
+        Returns the table entries' values at the segment start and their
+        firing times t (inf if one never fires), and the time at which
         |beta| reaches beta_bound.  The firing rules are those of
         odeint.integrate: an event starting within event_tol of zero is
         armed only in its crossing direction and fires at -event_tol, no
         earlier than the dead band; one starting beyond its boundary never
         fires, because every event function here is monotone in rho.
-        Raises PathDivergence when the start is already outside beta_bound.
         """
-        cs, cfg, tol = self.cs, ctx.config, self.opts.event_tol
         rho0, t_sign = line.rho0, self.t_sign
         t0 = t_sign * rho0
         t_max = self._t_max()
-        bound = self.opts.beta_bound
-        if bound - np.abs(line.beta0).max() < 0.0:
-            raise PathDivergence(
-                f"|beta| exceeds beta_bound={bound:g} at rho={self.rho:g}"
-            )
 
-        # Residual events g = sign * (row beta - offset), linear in rho.
-        starts, slopes, codes, rows = [], [], [], []
-        ends = np.column_stack([line.beta0, line.d])
-        for code, (mat, offsets, neg, pos) in enumerate((
-            (cs.v_mat, cs.d, cfg.neg_eq, cfg.pos_eq),
-            (cs.w_mat, cs.e, cfg.neg_ineq, cfg.pos_ineq),
-        )):
-            idx = np.array(neg + pos, dtype=int)
-            sign = np.repeat([-1.0, 1.0], [len(neg), len(pos)])
-            values = mat[idx] @ ends
-            starts.append(sign * (values[:, 0] - offsets[idx]))
-            slopes.append(sign * values[:, 1])
-            codes.append(np.full(idx.size, code))
-            rows.append(idx)
-        slope = np.concatenate(slopes)
-        n_res = slope.size
-
-        # Coefficient events g = sign * (r_Z - boundary) = alpha + beta / rho,
-        # with sign -1 at an upper boundary and +1 at a lower one.
-        r_start = line.r_z(rho0)
-        alphas, betas = [], []
-        for code in range(2, len(_EXACT_EVENT_TYPES)):
-            _, row_kind, boundary, to_set = _EXACT_EVENT_TYPES[code]
-            sign = -1.0 if to_set.startswith("pos") else 1.0
-            eq = row_kind == "eq"
-            part = slice(0, ctx.n_act_eq) if eq else slice(ctx.n_act_eq, None)
-            alphas.append(sign * (line.a[part] - boundary))
-            betas.append(sign * line.c[part])
-            starts.append(sign * (r_start[part] - boundary))
-            idx = np.array(cfg.zero_eq if eq else cfg.zero_ineq, dtype=int)
-            codes.append(np.full(idx.size, code))
-            rows.append(idx)
-        alpha, beta_c = np.concatenate(alphas), np.concatenate(betas)
-
-        start = np.concatenate(starts)
-        g_res = start[:n_res]
+        # Residual events g = row beta - offset, linear in rho.
+        values = table.res_rows @ np.column_stack([line.beta0, line.d])
+        g_res, slope = values[:, 0] - table.res_offsets, values[:, 1]
+        n_res = table.n_res
+        # Coefficient events g = sign * (r_Z - boundary) = alpha + gamma / rho.
+        alpha = table.coefficient_values(line.a)
+        gamma = table.coef_sign * line.c[table.coef_pos]
+        start = np.concatenate([g_res, table.coefficient_values(line.r_z(rho0))])
 
         def falls_to(level):
             # A residual event falls in t where t_sign * slope < 0, and
-            # alpha + beta / rho where t_sign * beta > 0.
+            # alpha + gamma / rho where t_sign * gamma > 0.
             level_res, level_coef = level[:n_res], level[n_res:]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_res = t0 + t_sign * (level_res - g_res) / slope
                 t_res[t_sign * slope >= 0.0] = np.inf
-                rho_c = beta_c / (level_coef - alpha)
+                rho_c = gamma / (level_coef - alpha)
                 t_coef = np.maximum(t_sign * rho_c, t0)
-                t_coef[~((t_sign * beta_c > 0.0) & (rho_c > 0.0))] = np.inf
+                t_coef[~((t_sign * gamma > 0.0) & (rho_c > 0.0))] = np.inf
             return np.concatenate([t_res, t_coef])
 
-        times = _firing_times(start, falls_to, tol, t0, t_max)
+        times = _firing_times(start, falls_to, self.opts.event_tol, t0, t_max)
         dt = t_sign * line.d
         moving = dt != 0.0
         t_guard = np.inf
         if moving.any():
-            reach = (np.sign(dt[moving]) * bound - line.beta0[moving]) / dt[moving]
+            reach = (np.sign(dt[moving]) * self.opts.beta_bound - line.beta0[moving]) / dt[moving]
             t_guard = t0 + reach.min()
-        return start, times, np.concatenate(codes), np.concatenate(rows), t_guard
+        return start, times, t_guard
 
     def _t_max(self):
         return self.t_sign * (self.opts.rho_max if self.forward else self.opts.rho_min)
@@ -1047,7 +1059,7 @@ class _PathRunner:
         t = self.t_sign * self.rho
         t_max = self._t_max()
         y = ctx.beta0
-        trace = _SegmentTrace()
+        trace = _SegmentTrace(ctx)
         while True:
             t_hi = self._chunk_end(t, t_max)
             result = integrate(
@@ -1066,21 +1078,21 @@ class _PathRunner:
                 return trace, result
             t, y = result.t_end, result.y_end
 
-    def _absorb(self, ctx, trace, result, infos):
+    def _absorb(self, ctx, trace, result, table):
         if result.status == "reached_t_max":
-            rho_b = self.t_sign * result.t_end
-            self._close(ctx, trace, ctx.coefficients, rho_b, result.y_end, None)
+            self._close(ctx, trace, self.t_sign * result.t_end, result.y_end, None)
             return
-        if infos[result.event_index].kind == "guard":
+        # The beta_bound guard follows the table's entries.
+        if result.event_index == table.size:
             self._diverged(self.t_sign * result.t_event)
         cluster = [
-            infos[j]
+            table.info(j)
             for j, t_j in result.step_events
-            if abs(t_j - result.t_event) <= EVENT_CLUSTER_TOL and infos[j].kind != "guard"
+            if abs(t_j - result.t_event) <= EVENT_CLUSTER_TOL and j < table.size
         ]
         rho_b = self.t_sign * result.t_event
         info = self._first(cluster, rho_b)
-        self._close(ctx, trace, ctx.coefficients, rho_b, result.y_event, info)
+        self._close(ctx, trace, rho_b, result.y_event, info)
 
     def _diverged(self, rho):
         raise PathDivergence(
@@ -1088,7 +1100,7 @@ class _PathRunner:
             f"at rho={rho:g}; the penalized objective may lose coercivity"
         )
 
-    def _close(self, ctx, trace, coef_eval, rho_b, beta_b, info):
+    def _close(self, ctx, evaluator, rho_b, beta_b, info):
         """Record the segment ending at rho_b, then apply its kink (if any)."""
         rho_a = self.rho
         if info is None:
@@ -1096,7 +1108,7 @@ class _PathRunner:
         else:
             termination = info.describe()
         beta_b = np.asarray(beta_b, dtype=float).copy()
-        self._record_segment(ctx.config, trace, coef_eval, rho_b, beta_b, termination)
+        self._record_segment(ctx.config, evaluator, rho_b, beta_b, termination)
         ctx.release()
         self.rho, self.beta = rho_b, beta_b
         self._count_squeeze(abs(rho_b - rho_a))
@@ -1128,7 +1140,7 @@ class _PathRunner:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _record_segment(self, config, trace, coef_eval, rho_b, beta_b, termination):
+    def _record_segment(self, config, evaluator, rho_b, beta_b, termination):
         """Append the segment from the current point to (rho_b, beta_b)."""
         self.segments.append(
             PathSegment(
@@ -1139,16 +1151,12 @@ class _PathRunner:
                 beta_end=beta_b.copy(),
                 termination=termination,
                 _t_sign=self.t_sign,
-                _trace=trace,
-                _coef_eval=coef_eval,
-                _model=self.model,
-                _cs=self.cs,
+                _eval=evaluator,
             )
         )
 
     def _record_point_segment(self, ctx, termination):
-        coef_eval = ctx.coefficients if ctx is not None else None
-        self._record_segment(self.cfg, None, coef_eval, self.rho, self.beta, termination)
+        self._record_segment(self.cfg, ctx, self.rho, self.beta, termination)
 
     def _apply_kink(self, info, rho):
         from_set = self.cfg.locate(info.row_kind, info.index)
@@ -1194,22 +1202,6 @@ def _firing_times(start, falls_to, tol, t0, t_max):
     return times
 
 
-# Event types of the exact engine, by code: (kind, row_kind, boundary, to_set).
-_EXACT_EVENT_TYPES = (
-    ("residual", "eq", None, "zero_eq"),
-    ("residual", "ineq", None, "zero_ineq"),
-    ("coefficient", "eq", 1.0, "pos_eq"),
-    ("coefficient", "eq", -1.0, "neg_eq"),
-    ("coefficient", "ineq", 1.0, "pos_ineq"),
-    ("coefficient", "ineq", 0.0, "neg_ineq"),
-)
-
-
-def _exact_info(code, index):
-    kind, row_kind, boundary, to_set = _EXACT_EVENT_TYPES[code]
-    return _EventInfo(kind, row_kind, int(index), boundary, to_set)
-
-
 def _constrained_minimum(model, v_mat, d):
     """Minimize f subject to V beta = d by Newton in the null space of V."""
     part = np.linalg.lstsq(v_mat, d, rcond=None)[0]
@@ -1229,7 +1221,7 @@ def run_path(model, cs, options=None, **overrides):
     Parameters
     ----------
     model : LossModel
-        Smooth convex loss supplying value/gradient/hessian/dhessian.
+        Smooth convex loss supplying value, gradient and hessian.
     cs : ConstraintSystem
         Equality and inequality penalty rows.
     options : PathOptions, optional

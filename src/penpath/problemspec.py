@@ -173,7 +173,7 @@ def _build_loss(entry, dim, base_dir):
         if kind == "glm":
             _check_keys(entry, allowed + ("family",), "glm loss")
         else:
-            _check_keys(entry, allowed + ("link", "variance", "strictly_convex"), "quasi loss")
+            _check_keys(entry, allowed + ("link", "variance"), "quasi loss")
         design = _matrix(_take(entry, "design", f"{kind} loss"), base_dir, '"design"')
         response = _vector(_take(entry, "response", f"{kind} loss"), base_dir, '"response"')
         scale = float(entry.get("scale", 1.0))
@@ -192,14 +192,8 @@ def _build_loss(entry, dim, base_dir):
                     f"unknown quasi variance {variance!r}; "
                     f"expected one of {sorted(VARIANCES)}"
                 )
-            convex = bool(entry.get("strictly_convex", False))
             factory = lambda x, y: QuasiLoss(
-                x,
-                y,
-                LINKS[link],
-                VARIANCES[variance],
-                scale=scale,
-                strictly_convex=convex,
+                x, y, LINKS[link], VARIANCES[variance], scale=scale
             )
         try:
             model = factory(design, response)

@@ -25,7 +25,6 @@ class OdeOnly(LossModel):
 
     def __init__(self, inner):
         self.inner = inner
-        self.strictly_convex = inner.strictly_convex
 
     @property
     def dim(self):

@@ -11,7 +11,6 @@ from penpath.losses import GlmLoss, LogConcaveLoss, QuadraticLoss
 from penpath.path import (
     _DirectContext,
     _NullspaceContext,
-    _PathRunner,
     ActiveCoefficients,
     PathOptions,
     SetConfiguration,
@@ -112,10 +111,9 @@ def test_information_criteria_values():
 
 def segment_rhs(model, cs, cfg, beta):
     """dbeta/drho at beta from the direct and the nullspace segment contexts."""
-    runner = _PathRunner(model, cs, PathOptions())
     beta = np.asarray(beta, dtype=float)
     return [
-        context(runner, cfg, beta).rhs(0.5, beta)
+        context(model, cs, cfg, beta).rhs(0.5, beta)
         for context in (_DirectContext, _NullspaceContext)
     ]
 
@@ -393,7 +391,7 @@ def test_direct_factor_error_types(hessian, error):
     cs = lasso(2)
     cfg = SetConfiguration(zero_eq=(1,), pos_eq=(0,))
     beta = np.array([0.5, 0.0])
-    ctx = _DirectContext(_PathRunner(model, cs, PathOptions()), cfg, beta)
+    ctx = _DirectContext(model, cs, cfg, beta)
     with pytest.raises(error):
         ctx.rhs(0.5, beta)
     with pytest.raises(error):

@@ -21,6 +21,7 @@ from penpath.losses import (
     LossModel,
     QuadraticLoss,
 )
+from penpath.losses.newton import unconstrained_minimum
 from penpath.oracles import glasso_coordinate, pava, solve_fixed_rho
 from penpath.path import MODES, PathOptions, run_path
 
@@ -66,6 +67,36 @@ def test_modes_agree_with_inequality_rows():
     direct, nullspace = (run_path(model, cs, mode=m) for m in MODES)
     for rho in np.linspace(0.02, min(direct.rho_end, nullspace.rho_end) * 0.98, 8):
         assert np.abs(nullspace.beta_at(rho) - direct.beta_at(rho)).max() < 1e-5
+
+
+def kink_sequence(solution):
+    return [(k.row_kind, k.index, k.from_set, k.to_set, k.df_after) for k in solution.kinks]
+
+
+def test_modes_agree_on_kinks_with_a_row_active_at_the_start():
+    # Row 0 vanishes at the unconstrained minimum, so its coefficient at
+    # rho = 0 is the limit formula's -Q^T (H dbeta/drho + u); the plain -Q^T u
+    # is that limit only where Q^T H P = 0, as in direct mode, and in
+    # nullspace mode it put the coefficient beyond 1 and added two kinks.
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(200, 4))
+    eta = x @ np.array([1.0, -0.5, 0.0, 0.0])
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    model = GlmLoss(x, y, family="logistic")
+    b = unconstrained_minimum(model)
+    rows = np.array([
+        [1.4 * b[1], -1.4 * b[0], 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 1.0, 0.0, 0.0],
+    ])
+    cs = ConstraintSystem(rows, np.zeros(4), np.zeros((0, 4)), np.zeros(0))
+    direct, nullspace = (run_path(model, cs, mode=m) for m in MODES)
+    assert direct.segments[0].config.zero_eq == (0,)
+    assert kink_sequence(nullspace) == kink_sequence(direct)
+    start = [sol.segments[0].coefficients_at(0.0).r_z for sol in (direct, nullspace)]
+    assert abs(start[0][0]) < 1.0
+    assert np.abs(start[1] - start[0]).max() < 1e-6
 
 
 def test_nullspace_mode_on_trend_filter():
@@ -264,6 +295,31 @@ def test_direct_mode_switches_to_nullspace_on_singular_hessian():
     assert sol.mode == "nullspace"
     assert any("nullspace" in w for w in sol.warnings)
     assert np.abs(sol.beta_at(0.1) - [0.0, -1.0]).max() < 1e-8
+
+
+def test_coefficients_on_a_singular_hessian_path():
+    # n < p least squares: direct mode switches to nullspace at the start,
+    # and every coefficient lookup must then use the nullspace formulation.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 8))
+    model = QuadraticLoss.from_least_squares(x, rng.normal(size=5))
+    with pytest.warns(UserWarning, match="nullspace"):
+        sol = run_path(model, fused_lasso(8), direction="backward", rho_min=0.05)
+    assert sol.mode == "nullspace"
+    first = sol.segments[0]
+    # Beyond the start beta is frozen with every row active, so r_Z ~ 1/rho.
+    beyond = sol.coefficients_at(2.0 * first.rho_start).r_z
+    assert beyond.size == 7 and np.all(np.isfinite(beyond))
+    assert np.abs(beyond - 0.5 * first.coefficients_at(first.rho_start).r_z).max() < 1e-10
+    # Starting just below the largest multiplier moves that row in place,
+    # which records a point segment.
+    with pytest.warns(UserWarning, match="nullspace"):
+        low = run_path(model, fused_lasso(8), direction="backward", rho_min=0.05,
+                       start_beta=first.beta_start, rho_start=0.99 * first.rho_start / 1.1)
+    points = [seg for seg in low.segments if seg.rho_span == 0.0]
+    assert points
+    for seg in points:
+        assert np.all(np.isfinite(seg.coefficients_at(seg.rho_start).r_z))
 
 
 def test_nullspace_mode_reports_singular_reduction():

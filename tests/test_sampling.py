@@ -187,7 +187,7 @@ def logistic_path():
 def test_lookup_on_ode_logistic_path():
     sol = logistic_path()
     assert sol.status == "terminated"
-    assert any(isinstance(seg._trace, _SegmentTrace) for seg in sol.segments)
+    assert any(isinstance(seg._eval, _SegmentTrace) for seg in sol.segments)
     end = sol.rho_end
     assert assert_lookup_matches_scan(sol, extra=(2.0 * end, -1.0)) > 0
 
@@ -240,7 +240,7 @@ def test_integration_result_lookup_matches_scan_in_both_directions():
 
 def test_chunked_trace_lookup_matches_scan():
     # chunks end where the runner's geometric chunks would: 1, 8, 20
-    trace = _SegmentTrace()
+    trace = _SegmentTrace(None)
     y, t0 = np.array([1.0, -0.5]), 0.0
     for t1 in (1.0, 8.0, 20.0):
         result = integrate(lambda t, y: np.cos(t) - 0.1 * y, t0, t1, y)
@@ -255,8 +255,8 @@ def test_chunked_trace_lookup_matches_scan():
 
 
 def test_ode_path_traces_match_scan():
-    traces = [seg._trace for seg in logistic_path().segments
-              if isinstance(seg._trace, _SegmentTrace)]
+    traces = [seg._eval for seg in logistic_path().segments
+              if isinstance(seg._eval, _SegmentTrace)]
     assert traces
     for trace in traces:
         steps = [step for result in trace.results for step in result.steps]
@@ -280,11 +280,11 @@ def test_row_formatter_matches_per_cell_format():
     values += [0.0] * (-len(values) % width)
     rows = [values[i : i + width] for i in range(0, len(values), width)]
     legacy = "".join(",".join(legacy_g17(x) for x in row) + "\n" for row in rows)
-    assert cli._csv_text("h", "g" * width, rows) == "h\n" + legacy
+    assert "".join(cli._csv_lines("h", "g" * width, rows)) == "h\n" + legacy
     # integer columns (df) keep str()'s text
     mixed = [(x, df) for x, df in zip(EDGE_VALUES, range(-3, 1000))]
     legacy = "".join(f"{legacy_g17(x)},{df}\n" for x, df in mixed)
-    assert cli._csv_text("h", "gd", mixed) == "h\n" + legacy
+    assert "".join(cli._csv_lines("h", "gd", mixed)) == "h\n" + legacy
 
 
 def write_spec(directory, body):
