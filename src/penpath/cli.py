@@ -13,6 +13,13 @@ df, negloglik, aic, bic), kinks.jsonl (one JSON event per line), and
 report.txt (terminal status plus the AIC- and BIC-minimizing rho).
 `crossval` refits the path on k training folds and evaluates the held-out
 loss on a shared rho grid that contains every kink of the full-data path.
+Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
+1) and more than one CPU is usable, the fold paths run in forked children,
+at most one per CPU, while this process runs the full-data path; each
+child then reads the grid from a pipe and returns its curves, warnings and
+errors, which are reported in fold order as a serial run would.  Otherwise
+the folds run one after another here.  The `penpath` console script
+(penpath_entry) defaults both variables to 1.
 `oracle` exposes the slow reference solvers for regenerating expected
 values by hand.
 
@@ -27,7 +34,12 @@ import argparse
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
+import threading
+import traceback
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,6 +196,184 @@ def _run_solve(args):
     return 0
 
 
+def _full_grid(spec):
+    """The shared rho grid in path order: the full-data path's samples,
+    which include every kink of that path."""
+    full = _checked_path(spec, spec.options)
+    grid = full.rho_grid(spec.samples_per_segment)
+    return grid[::-1] if full.direction == "backward" else grid
+
+
+def _fold_path(spec, val_idx):
+    train_idx = np.setdiff1d(np.arange(spec.n_observations), val_idx)
+    return run_path(spec.split_loss(train_idx), spec.constraints, spec.options)
+
+
+def _held_out_curve(spec, val_idx, solution, grid):
+    heldout = spec.split_loss(val_idx)
+    return np.array([heldout.value(solution.beta_at(rho)) / val_idx.size for rho in grid])
+
+
+def _fold_workers(k):
+    """How many forked processes solve the k fold paths, or 0 to solve them
+    one after another in this process.
+
+    Forking pays only where each process's BLAS runs one thread: with
+    OpenBLAS's default two threads on a 2-CPU host, a 2-fold logistic job
+    took 3.2-4.4 s with forked folds against 1.4-1.8 s serially.  It also
+    needs more than one usable CPU, and no other thread running, since a
+    fork copies only the calling thread.  With more folds than CPUs the
+    folds are dealt round-robin.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    # OpenBLAS's own precedence between the two variables
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas_threads != "1":
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(k, cpus) if cpus > 1 else 0
+
+
+def _recorded(caught, fn, *args):
+    """fn(*args), or the exception it raised; the warnings it issued are
+    appended to caught as showwarning arguments."""
+    with warnings.catch_warnings(record=True) as issued:
+        try:
+            result = fn(*args)
+        except Exception as exc:  # reported to the parent, which raises it
+            result = exc
+    caught.extend((w.message, w.category, w.filename, w.lineno) for w in issued)
+    return result
+
+
+def _fold_process_body(spec, folds, mine, grid_fd, result_fd):
+    """Body of a forked fold process; never returns.
+
+    Solves the paths of the folds numbered in mine, then reads the grid
+    from grid_fd and writes {fold: (warnings, curve)} to result_fd.  A fold
+    that fails ends the work at once, without waiting for the grid: its
+    entry holds the exception in place of a curve, and the folds solved
+    before it hold None.
+    """
+    code = 1
+    try:
+        caught = {index: [] for index in mine}
+        results = {}
+        for index in mine:
+            results[index] = _recorded(caught[index], _fold_path, spec, folds[index])
+            if isinstance(results[index], Exception):
+                results = {i: r if i == index else None for i, r in results.items()}
+                break
+        else:
+            with os.fdopen(grid_fd, "rb") as pipe:
+                grid = pickle.load(pipe)
+            for index in mine:
+                results[index] = _recorded(
+                    caught[index], _held_out_curve, spec, folds[index], results[index], grid
+                )
+        # pickled whole first, so that a pickling error writes nothing
+        data = pickle.dumps({i: (caught[i], r) for i, r in results.items()})
+        with os.fdopen(result_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+class _FoldProcess:
+    """A forked child solving some folds' paths; its pipes and process id."""
+
+    def __init__(self, spec, folds, mine, inherited):
+        grid_r, self.grid_w = os.pipe()
+        self.result_r, result_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (grid_r, self.grid_w, self.result_r, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            # Drop the parent's ends of every pipe, so that each pipe has
+            # one reader and one writer.
+            for fd in [*inherited, self.grid_w, self.result_r]:
+                os.close(fd)
+            _fold_process_body(spec, folds, mine, grid_r, result_w)
+        os.close(grid_r)
+        os.close(result_w)
+
+    def fds(self):
+        return [fd for fd in (self.grid_w, self.result_r) if fd is not None]
+
+    def send(self, payload):
+        fd, self.grid_w = self.grid_w, None
+        try:
+            with os.fdopen(fd, "wb") as pipe:
+                pipe.write(payload)
+        except BrokenPipeError:
+            pass  # the child already ended; its result says why
+
+    def result(self):
+        """The child's {fold: (warnings, curve or exception or None)}, or {}
+        if it ended without writing one."""
+        fd, self.result_r = self.result_r, None
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        return pickle.loads(data) if data else {}
+
+    def close(self):
+        for fd in self.fds():
+            os.close(fd)
+        self.grid_w = self.result_r = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _forked_curves(spec, folds, workers):
+    """The grid and every fold's held-out curve, the fold paths solved in
+    forked children while this process solves the full-data path."""
+    k = len(folds)
+    children = []
+    try:
+        for w in range(workers):
+            inherited = [fd for child in children for fd in child.fds()]
+            children.append(_FoldProcess(spec, folds, range(w, k, workers), inherited))
+        grid = _full_grid(spec)
+        payload = pickle.dumps(grid)
+        for child in children:
+            child.send(payload)
+        outcomes = {}
+        for child in children:
+            outcomes.update(child.result())
+    finally:
+        for child in children:
+            child.close()
+    # In fold order, as a serial run would: show each fold's warnings, and
+    # raise the first fold's error.  A child stops at its first failing
+    # fold, so a fold with no outcome comes after a failure, unless its
+    # process died.
+    curves = []
+    for index in range(k):
+        if index not in outcomes:
+            raise PenPathError(f"the process solving fold {index + 1} ended without a result")
+        caught, result = outcomes[index]
+        for args in caught:
+            warnings.showwarning(*args)
+        if isinstance(result, Exception):
+            raise result
+        curves.append(result)
+    return grid, curves
+
+
 def _run_crossval(args):
     spec = parse_problem_spec(args.spec)
     if not spec.splittable:
@@ -196,26 +386,18 @@ def _run_crossval(args):
     if not 2 <= k <= n:
         raise SpecError(f"folds must be between 2 and {n}, got {k}")
 
-    full = _checked_path(spec, spec.options)
-    grid = full.rho_grid(spec.samples_per_segment)
-    if full.direction == "backward":
-        grid = grid[::-1]
-
     rng = np.random.default_rng(args.seed)
     folds = np.array_split(rng.permutation(n), k)
-
-    def fold_curve(val_idx):
-        train_idx = np.setdiff1d(np.arange(n), val_idx)
-        fold_solution = run_path(
-            spec.split_loss(train_idx), spec.constraints, spec.options
-        )
-        heldout = spec.split_loss(val_idx)
-        return np.array(
-            [heldout.value(fold_solution.beta_at(rho)) / val_idx.size for rho in grid]
-        )
-
-    log.info("cross-validating %d folds over %d grid points", k, grid.size)
-    curves = [fold_curve(val_idx) for val_idx in folds]
+    workers = _fold_workers(k)
+    if workers:
+        grid, curves = _forked_curves(spec, folds, workers)
+    else:
+        grid = _full_grid(spec)
+        curves = [
+            _held_out_curve(spec, val_idx, _fold_path(spec, val_idx), grid) for val_idx in folds
+        ]
+    log.info("cross-validated %d folds over %d grid points, %d forked processes",
+             k, grid.size, workers)
     mean_curve = np.mean(curves, axis=0)
 
     best = int(np.argmin(mean_curve))

@@ -891,8 +891,6 @@ class _PathRunner:
 
     def _advance_exact(self):
         try:
-            if self.mode == "direct" and self.h_factor is None:
-                self.h_factor = _hessian_factor(self.hessian)
             ctx = self._context()
             line = self._line(ctx)
         except NotStrictlyConvex:
@@ -918,6 +916,14 @@ class _PathRunner:
         self._close(ctx, line, rho_b, line.beta(rho_b), info)
 
     def _context(self):
+        # The exact engine factors its constant Hessian once per path in
+        # direct mode, and a singular one switches the path to nullspace
+        # mode, also for a terminal point segment that no advance preceded.
+        if self.exact and self.mode == "direct" and self.h_factor is None:
+            try:
+                self.h_factor = _hessian_factor(self.hessian)
+            except NotStrictlyConvex:
+                self._switch_to_nullspace()
         args = (self.model, self.cs, self.cfg, self.beta, self.t_sign, self.hessian)
         if self.mode == "nullspace":
             return _NullspaceContext(*args)

@@ -1,12 +1,21 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from penpath import cli
 from penpath.cli import main
+from penpath.errors import PenPathError
 from penpath.oracles import glasso_coordinate
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def write_spec(directory, body, name="spec.json"):
@@ -32,6 +41,44 @@ def read_table(path):
     header = lines[0].split(",")
     body = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
     return header, body
+
+
+def usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def set_blas_threads(monkeypatch, value):
+    # crossval forks its folds only under one BLAS thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    monkeypatch.setenv("OMP_NUM_THREADS", value)
+
+
+def count_forks(monkeypatch):
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def subprocess_env(**values):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(values)
+    return env
 
 
 def regression_spec(directory, n=10, p=3, seed=11):
@@ -254,11 +301,16 @@ def test_path_table_df_agrees_with_kink_log(tmp_path):
         assert df == p - implied
 
 
-def test_crossval_leave_one_out_runs(tmp_path):
+def test_crossval_leave_one_out_runs(tmp_path, monkeypatch):
     spec = regression_spec(tmp_path, n=10)
     out = tmp_path / "cv"
+    set_blas_threads(monkeypatch, "1")
+    forks = count_forks(monkeypatch)
     assert main(["crossval", spec, "--folds", "10", "--seed", "3",
                  "--out", str(out)]) == 0
+    # folds are dealt to at most one process per usable CPU
+    assert len(forks) <= min(10, usable_cpus())
+    assert_no_child_left()
     header, body = read_table(out / "cv.csv")
     assert header[0] == "rho"
     assert header[1:11] == [f"fold_{j}" for j in range(1, 11)]
@@ -290,6 +342,135 @@ def test_crossval_deterministic_under_seed(tmp_path):
     assert main(["crossval", spec, "--folds", "4", "--seed", "9",
                  "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "cv.csv").read_bytes() == (tmp_path / "b" / "cv.csv").read_bytes()
+
+
+def test_crossval_forked_and_serial_outputs_are_byte_identical(tmp_path, monkeypatch):
+    spec = regression_spec(tmp_path, n=12, seed=7)
+    forks = count_forks(monkeypatch)
+    written = {}
+    for threads in ("1", "2"):  # forked folds, then serial ones
+        set_blas_threads(monkeypatch, threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["crossval", spec, "--folds", "3", "--seed", "9", "--out", str(out)]) == 0
+        written[threads] = [(out / name).read_bytes() for name in ("cv.csv", "cv_report.txt")]
+        if threads == "1" and usable_cpus() > 1:
+            assert len(forks) == min(3, usable_cpus())
+    assert len(forks) <= min(3, usable_cpus())
+    assert written["1"] == written["2"]
+
+
+def separable_fold_spec(directory):
+    # The rows of the second of two folds (seed 0) are separable, so the
+    # first fold's training path fails; the full data overlap.
+    n = 12
+    _, train = np.array_split(np.random.default_rng(0).permutation(n), 2)
+    held_out = np.setdiff1d(np.arange(n), train)
+    x, y = np.zeros(n), np.zeros(n)
+    x[train], y[train] = [-3, -2, -1, 1, 2, 3], [0, 0, 0, 1, 1, 1]
+    x[held_out], y[held_out] = [-1, 1, -2, 2, -0.5, 0.5], [1, 0, 1, 0, 0, 1]
+    return write_spec(directory, {
+        "dimension": 1,
+        "loss": {"kind": "glm", "family": "logistic",
+                 "design": x.reshape(-1, 1).tolist(), "response": y.tolist()},
+        "constraints": [{"builder": "lasso"}],
+    })
+
+
+def test_crossval_fold_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
+    spec = separable_fold_spec(tmp_path)
+    real_full_grid = cli._full_grid
+
+    def slow_full_grid(spec):
+        # the failing fold's process ends before the grid is sent to it
+        time.sleep(0.5)
+        return real_full_grid(spec)
+
+    monkeypatch.setattr(cli, "_full_grid", slow_full_grid)
+    errors = {}
+    for threads in ("1", "2"):  # forked folds, then serial ones
+        set_blas_threads(monkeypatch, threads)
+        out = tmp_path / f"threads{threads}"
+        with pytest.warns(UserWarning, match="nullspace"):
+            assert main(["crossval", spec, "--folds", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        errors[threads] = [line for line in err if line.startswith("solver error: ")]
+    assert len(errors["1"]) == 1 and errors["1"] == errors["2"]
+    assert_no_child_left()
+
+
+def test_crossval_full_path_failure_kills_fold_processes(tmp_path, monkeypatch, capsys):
+    spec = regression_spec(tmp_path, n=12)
+    set_blas_threads(monkeypatch, "1")
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_fold_path", lambda spec, val_idx: time.sleep(60))
+
+    def failing_full_grid(spec):
+        raise PenPathError("full-data path failed")
+
+    monkeypatch.setattr(cli, "_full_grid", failing_full_grid)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["crossval", spec, "--folds", "4", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 30
+    assert "solver error: full-data path failed" in capsys.readouterr().err
+    assert not out.exists()
+    if usable_cpus() > 1:
+        assert forks
+    assert_no_child_left()
+
+
+WARNINGS_PROBE = """
+import contextlib, io, os, sys
+from penpath.cli import main
+spec, out = sys.argv[1:]
+for threads in ("1", "2"):  # forked folds, then serial ones
+    os.environ["OPENBLAS_NUM_THREADS"] = threads
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["crossval", spec, "--folds", "2", "--out", out + threads])
+    print(code, repr(err.getvalue()))
+"""
+
+
+def test_crossval_fold_warnings_reach_redirected_stderr(tmp_path):
+    # Each fold trains on 5 rows of a 6-coefficient least-squares loss, so
+    # its Hessian is singular and the fold path warns as it switches mode.
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(10, 6)), rng.normal(size=10)
+    spec = write_spec(tmp_path, {
+        "dimension": 6,
+        "loss": {"kind": "quadratic", "design": x.tolist(), "response": y.tolist()},
+        "constraints": [{"builder": "fused_lasso"}],
+        "options": {"direction": "backward"},
+    })
+    run = subprocess.run(
+        [sys.executable, "-c", WARNINGS_PROBE, spec, str(tmp_path / "out")],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    forked, serial = run.stdout.splitlines()
+    assert forked == serial
+    assert forked.count("continuing in nullspace mode") == 2
+
+
+ENTRY_PROBE = """
+import os, sys
+import penpath_entry
+assert "numpy" not in sys.modules
+sys.argv = ["penpath", "oracle", "pava", "3,1"]
+code = penpath_entry.main()
+print(code, os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("given, expected", [({}, "0 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "0 3 1")],
+                         ids=["unset", "user_set"])
+def test_console_entry_defaults_to_one_blas_thread(given, expected):
+    run = subprocess.run([sys.executable, "-c", ENTRY_PROBE], env=subprocess_env(**given),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["2,2", expected]
 
 
 def test_crossval_reports_invalid_options_as_spec_error(tmp_path, capsys):

@@ -322,6 +322,22 @@ def test_coefficients_on_a_singular_hessian_path():
         assert np.all(np.isfinite(seg.coefficients_at(seg.rho_start).r_z))
 
 
+def test_singular_hessian_path_without_a_segment_switches_to_nullspace():
+    # rho_min within rounding of rho_start: the path records only its
+    # terminal point segment, which must still switch off direct mode.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 8))
+    model = QuadraticLoss.from_least_squares(x, rng.normal(size=5))
+    opts = dict(direction="backward", rho_start=2.0, rho_min=2.0 - 1e-13)
+    with pytest.warns(UserWarning, match="nullspace"):
+        sol = run_path(model, fused_lasso(8), **opts)
+    assert (sol.mode, sol.status, len(sol.segments)) == ("nullspace", "rho_min", 1)
+    reference = run_path(model, fused_lasso(8), mode="nullspace", **opts)
+    r_z = sol.coefficients_at(2.0).r_z
+    assert r_z.size == 7 and np.all(np.isfinite(r_z))
+    assert np.abs(r_z - reference.coefficients_at(2.0).r_z).max() < 1e-12
+
+
 def test_nullspace_mode_reports_singular_reduction():
     # Here the active row is the curved direction itself, so the reduced
     # Hessian is identically zero and the segment cannot be integrated.
