@@ -444,7 +444,7 @@ def _run_oracle(args):
                 f"unknown oracle {name!r}; "
                 f"choices: pava, quadrature_j, glasso, fixed_rho"
             )
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OSError, OverflowError) as exc:
         raise SpecError(f"bad arguments for oracle {name!r}: {exc}") from exc
     return 0
 

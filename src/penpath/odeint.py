@@ -1,15 +1,19 @@
-"""Adaptive embedded Runge-Kutta integration with event detection.
+"""Adaptive embedded Runge-Kutta integration with vector event location.
 
-Wraps scipy's RK45 stepper pair in a loop that owns event semantics:
-directional zero crossings located on the dense output, and arming logic so
-an event function that starts at zero fires only if it moves in its crossing
-direction (a constraint that just left the active set must not immediately
-re-trigger).
+Wraps scipy's RK45 stepper in a loop that owns the event semantics.  One
+callable gives the value g of every event, and an event fires when its g
+falls through its level (FiringRule; a constraint that just left the active
+set starts at zero and must not immediately re-trigger).  The callable runs
+once at each accepted step end.  In the first step where some events fell
+through their levels, one bracketed root search on the smallest of their
+g - level over the step's dense output locates the earliest crossing, and
+the fired events that have also crossed by EVENT_CLUSTER_TOL after it form
+the cluster of simultaneous events.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import RK45
@@ -21,21 +25,36 @@ DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_EVENT_TOL = 1e-9
 DEAD_BAND = 1e-12
+# Events closer than this (in t) are treated as simultaneous.
+EVENT_CLUSTER_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Scalar event function with a crossing direction.
+class FiringRule:
+    """When events that take the values g0 at time t0 fire.
 
-    direction -1 fires on positive-to-negative crossings, +1 on
-    negative-to-positive, 0 on either.  Events starting at zero (within
-    event_tol) are disarmed: they fire only once the value moves beyond
-    event_tol in the crossing direction, and re-arm if it moves the other
-    way first.
+    An event fires when its g falls through its level.  One that starts
+    more than event_tol from zero is armed, with level 0, so one that starts
+    below -event_tol fires only after rising back through zero.  One that
+    starts within event_tol of zero is disarmed: its level is -event_tol
+    until g exceeds event_tol, which re-arms it, and it fires no earlier
+    than DEAD_BAND after t0.
     """
 
-    func: Callable[[float, np.ndarray], float]
-    direction: int = -1
+    def __init__(self, g0, event_tol, t0):
+        self.event_tol = event_tol
+        self.armed = np.abs(g0) > event_tol
+        self.level = np.where(self.armed, 0.0, -event_tol)
+        self.dead_band_end = t0 + DEAD_BAND * (1.0 + abs(t0))
+
+    def rearm(self, g):
+        rising = g > self.event_tol
+        self.armed |= rising
+        self.level[rising] = 0.0
+
+    def held(self, times, t_end):
+        """Firing times of events that fall through their levels at `times`:
+        a disarmed event's is held to the dead band, but not past t_end."""
+        return np.where(self.armed, times, np.maximum(times, min(self.dead_band_end, t_end)))
 
 
 @dataclass(frozen=True)
@@ -44,19 +63,16 @@ class StepResult:
 
     t_start: float
     t_end: float
-    y_start: np.ndarray
-    y_end: np.ndarray
     interpolant: Callable[[float], np.ndarray]
-    error_norm: float
 
 
 @dataclass
 class IntegrationResult:
     """Trajectory plus the reason integration stopped.
 
-    status is "reached_t_max" or "event"; on an event, event_index / t_event
-    / y_event identify the earliest crossing and step_events lists every
-    crossing located in the final step as (index, t) sorted by time.
+    status is "reached_t_max" or "event"; on an event, t_end / y_end are
+    the earliest crossing and event_rows holds the ascending indices of the
+    events that fire there (the simultaneous cluster).
     """
 
     steps: list
@@ -65,10 +81,7 @@ class IntegrationResult:
     y0: np.ndarray
     t_end: float
     y_end: np.ndarray
-    event_index: Optional[int] = None
-    t_event: Optional[float] = None
-    y_event: Optional[np.ndarray] = None
-    step_events: list = field(default_factory=list)
+    event_rows: Optional[np.ndarray] = None
 
     def interpolate(self, t):
         """Evaluate the trajectory at time t inside the integrated range."""
@@ -87,14 +100,6 @@ class IntegrationResult:
         return np.asarray(step.interpolant(t), dtype=float)
 
 
-def _crossed(g_old, g_new, direction):
-    if direction <= 0 and g_old > 0.0 >= g_new:
-        return True
-    if direction >= 0 and g_old < 0.0 <= g_new:
-        return True
-    return False
-
-
 def _locate(f, a, b):
     """Root of f in [a, b] given a sign change between the endpoints.
 
@@ -110,12 +115,32 @@ def _locate(f, a, b):
     return brentq(f, a, b, xtol=1e-12)
 
 
+def _first_crossing(events, rule, fired, dense, t_old, t_new):
+    """The event time in [t_old, t_new] and its cluster, given the events
+    that fell through their levels in that step."""
+    level = rule.level[fired]
+
+    def gap(t):
+        return events(t, dense(t), fired) - level
+
+    t_star = _locate(lambda t: gap(t).min(), t_old, t_new)
+    # Every fired event crosses at t_star or later; a disarmed one holds the
+    # event to the dead band.
+    t_event = float(rule.held(t_star, t_new)[fired].max())
+    if fired.size == 1:
+        return t_event, fired
+    below = gap(min(t_event + EVENT_CLUSTER_TOL, t_new))
+    # The dense output can differ from the step-end values by rounding and
+    # leave no value below its level there; the nearest then stands alone.
+    return t_event, fired[below <= max(below.min(), 0.0)]
+
+
 def integrate(
     rhs,
     t0,
     t_max,
     y0,
-    events: Sequence[EventSpec] = (),
+    events=None,
     rel_tol=DEFAULT_REL_TOL,
     abs_tol=DEFAULT_ABS_TOL,
     event_tol=DEFAULT_EVENT_TOL,
@@ -127,8 +152,10 @@ def integrate(
     ----------
     rhs : callable (t, y) -> dy/dt.  Non-finite output raises
         NonFiniteDerivative.
-    events : sequence of EventSpec, monitored on every accepted step and
-        located on the dense output by bracketed root finding.
+    events : callable (t, y, rows) -> the values g of the events `rows`, an
+        ascending index array that defaults to every event.  The events fire
+        under FiringRule: checked at every accepted step end, the earliest
+        crossing located on that step's dense output.
     max_step : maximum step size; defaults to (t_max - t0) / 10 so no single
         step spans a large fraction of the interval.
 
@@ -152,10 +179,9 @@ def integrate(
     stepper = RK45(
         checked_rhs, t0, y0, t_bound=t_max, rtol=rel_tol, atol=abs_tol, max_step=max_step
     )
-
-    g_prev = [ev.func(t0, y0) for ev in events]
-    armed = [abs(g) > event_tol for g in g_prev]
-    dead_band_end = t0 + DEAD_BAND * (1.0 + abs(t0))
+    if events is not None:
+        g_prev = np.asarray(events(t0, y0), dtype=float)
+        rule = FiringRule(g_prev, event_tol, t0)
 
     steps = []
     result = IntegrationResult(
@@ -168,58 +194,21 @@ def integrate(
             raise StepSizeUnderflow(message or f"step size underflow at t={stepper.t}")
         t_old, t_new = stepper.t_old, stepper.t
         dense = stepper.dense_output()
-        y_new = stepper.y.copy()
-        y_old = np.asarray(dense(t_old), dtype=float)
-        err = stepper.h_previous * (stepper.K.T @ stepper.E)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-        error_norm = float(np.sqrt(np.mean((err / scale) ** 2))) if err.size else 0.0
-        steps.append(StepResult(t_old, t_new, y_old, y_new, dense, error_norm))
+        result.t_end, result.y_end = t_new, stepper.y.copy()
+        steps.append(StepResult(t_old, t_new, dense))
+        if events is None:
+            continue
 
-        located = []
-        for i, ev in enumerate(events):
-            g_new = ev.func(t_new, y_new)
-            g_old = g_prev[i]
-            g_prev[i] = g_new
-            if armed[i]:
-                if _crossed(g_old, g_new, ev.direction):
-                    t_star = _locate(lambda t, e=ev: e.func(t, dense(t)), t_old, t_new)
-                    located.append((t_star, i))
-                continue
-            # Disarmed: the function started at zero.  Fire only once it has
-            # clearly moved in the crossing direction; re-arm if it departs
-            # the other way.
-            fire_neg = ev.direction <= 0 and g_new < -event_tol
-            fire_pos = ev.direction >= 0 and g_new > event_tol
-            if ev.direction == 0:
-                # Ambiguous from a zero start: departing either way re-arms.
-                if abs(g_new) > event_tol:
-                    armed[i] = True
-                continue
-            if fire_neg or fire_pos:
-                offset = -event_tol if fire_neg else event_tol
-                t_star = _locate(
-                    lambda t, e=ev, o=offset: e.func(t, dense(t)) - o, t_old, t_new
-                )
-                t_star = max(t_star, min(dead_band_end, t_new))
-                located.append((t_star, i))
-            elif abs(g_new) > event_tol:
-                armed[i] = True
-
-        if located:
-            located.sort()
-            t_star, idx = located[0]
-            y_star = np.asarray(dense(t_star), dtype=float)
-            steps[-1] = StepResult(t_old, t_star, y_old, y_star, dense, error_norm)
+        g_new = np.asarray(events(t_new, result.y_end), dtype=float)
+        fired = np.flatnonzero((g_prev >= rule.level) & (g_new < rule.level))
+        if fired.size:
+            t_event, cluster = _first_crossing(events, rule, fired, dense, t_old, t_new)
+            y_event = np.asarray(dense(t_event), dtype=float)
+            steps[-1] = StepResult(t_old, t_event, dense)
             result.status = "event"
-            result.event_index = idx
-            result.t_event = t_star
-            result.y_event = y_star
-            result.step_events = [(i, t) for t, i in located]
-            result.t_end = t_star
-            result.y_end = y_star
+            result.t_end, result.y_end, result.event_rows = t_event, y_event, cluster
             return result
-
-        result.t_end = t_new
-        result.y_end = y_new
+        rule.rearm(g_new)
+        g_prev = g_new
 
     return result

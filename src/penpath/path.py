@@ -22,8 +22,11 @@ losses, the normal GLM) dbeta/drho = -P u is constant between kinks, so
 beta is linear in rho and the active coefficients are affine in 1/rho: the
 exact engine finds every event in closed form from the table's start
 values and slopes, with no integration step.  Every other loss follows the
-ODE engine, which integrates the segment with adaptive Runge-Kutta steps
-and locates the table's events on the dense output.
+ODE engine, which integrates the segment with adaptive Runge-Kutta steps.
+It reads the table as one event vector with a beta_bound guard appended,
+evaluated once per step end, and odeint locates only the earliest crossing,
+evaluating only the rows that fired.  Both engines fire an event under
+odeint's FiringRule.
 
 Two interchangeable segment formulations serve both engines: "direct"
 factors the bordered KKT system by Cholesky (once per point in the ODE
@@ -55,13 +58,11 @@ from .errors import (
     SimultaneousEventWarning,
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
-from .odeint import DEAD_BAND, EventSpec, integrate
+from .odeint import EVENT_CLUSTER_TOL, FiringRule, integrate
 from .sweeplin import KKTFactor, null_basis
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
 RHO_FLOOR = 1e-12
-# Events closer than this (in rho) are treated as simultaneous.
-EVENT_CLUSTER_TOL = 1e-10
 DEFAULT_RHO_MAX = 1e6
 DEFAULT_BETA_BOUND = 1e8
 MODES = ("direct", "nullspace")
@@ -625,16 +626,24 @@ class _EventTable:
         """The coefficient events' g for active coefficients r_z."""
         return self.coef_sign * (r_z[self.coef_pos] - self.coef_bound)
 
-    def event_function(self, j, coefficients):
-        """Entry j's g(t, beta) for the ODE engine; coefficients(t, beta)
-        gives r_Z."""
-        if j < self.n_res:
-            row, offset = self.res_rows[j], self.res_offsets[j]
-            return lambda t, beta: row @ beta - offset
-        k = j - self.n_res
-        pos, sign = int(self.coef_pos[k]), float(self.coef_sign[k])
-        boundary = float(self.coef_bound[k])
-        return lambda t, beta: sign * (coefficients(t, beta)[pos] - boundary)
+    def vector(self, ctx, beta_bound):
+        """The ODE engine's event vector g(t, beta, rows): the table's
+        entries, then the guard beta_bound - max |beta| as entry `size`.
+        Only the entries `rows` (ascending, all by default) are computed, so
+        residual events alone cost no coefficient evaluation."""
+        n_res, size = self.n_res, self.size
+
+        def g(t, beta, rows=np.arange(size + 1)):
+            i, j = np.searchsorted(rows, (n_res, size))
+            res, coef = rows[:i], rows[i:j] - n_res
+            parts = [self.res_rows[res] @ beta - self.res_offsets[res]]
+            if coef.size:
+                parts.append(self.coefficient_values(ctx.coefficients(t, beta))[coef])
+            if j < rows.size:
+                parts.append([beta_bound - np.abs(beta).max()])
+            return np.concatenate(parts)
+
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -869,19 +878,15 @@ class _PathRunner:
         try:
             ctx = self._context()
             table = _EventTable(self.cs, ctx.config)
-            events = [
-                EventSpec(table.event_function(j, ctx.coefficients)) for j in range(table.size)
-            ]
-            t0 = self.t_sign * self.rho
-            crossed = self._crossed_at_start(table, [ev.func(t0, ctx.beta0) for ev in events])
+            events = table.vector(ctx, self.opts.beta_bound)
+            start = events(self.t_sign * self.rho, ctx.beta0)
+            crossed = self._crossed_at_start(table, start[: table.size])
         except NotStrictlyConvex:
             self._switch_to_nullspace()
             return
         if crossed is not None:
             self._kink_in_place(ctx, crossed)
             return
-        bound = self.opts.beta_bound
-        events.append(EventSpec(lambda t, beta: bound - np.abs(beta).max()))
         try:
             trace, result = self._integrate_chunked(ctx, events)
         except NotStrictlyConvex:
@@ -1010,11 +1015,8 @@ class _PathRunner:
 
         Returns the table entries' values at the segment start and their
         firing times t (inf if one never fires), and the time at which
-        |beta| reaches beta_bound.  The firing rules are those of
-        odeint.integrate: an event starting within event_tol of zero is
-        armed only in its crossing direction and fires at -event_tol, no
-        earlier than the dead band; one starting beyond its boundary never
-        fires, because every event function here is monotone in rho.
+        |beta| reaches beta_bound.  The events fire under odeint's
+        FiringRule, as in the ODE engine (_firing_times).
         """
         rho0, t_sign = line.rho0, self.t_sign
         t0 = t_sign * rho0
@@ -1088,17 +1090,12 @@ class _PathRunner:
         if result.status == "reached_t_max":
             self._close(ctx, trace, self.t_sign * result.t_end, result.y_end, None)
             return
+        rho_b = self.t_sign * result.t_end
         # The beta_bound guard follows the table's entries.
-        if result.event_index == table.size:
-            self._diverged(self.t_sign * result.t_event)
-        cluster = [
-            table.info(j)
-            for j, t_j in result.step_events
-            if abs(t_j - result.t_event) <= EVENT_CLUSTER_TOL and j < table.size
-        ]
-        rho_b = self.t_sign * result.t_event
-        info = self._first(cluster, rho_b)
-        self._close(ctx, trace, rho_b, result.y_event, info)
+        if result.event_rows[-1] == table.size:
+            self._diverged(rho_b)
+        info = self._first([table.info(j) for j in result.event_rows], rho_b)
+        self._close(ctx, trace, rho_b, result.y_end, info)
 
     def _diverged(self, rho):
         raise PathDivergence(
@@ -1190,22 +1187,17 @@ class _PathRunner:
 
 
 def _firing_times(start, falls_to, tol, t0, t_max):
-    """Firing times of monotone event functions under odeint.integrate's rules.
+    """Firing times of monotone event functions under odeint's FiringRule.
 
     `start` holds the functions' values at t0, and falls_to(level) the
     times after t0 at which each one falls to its entry of `level` (inf if
-    it never does).  A function above tol fires where it reaches zero.  One
-    within tol of zero is disarmed: it fires where it passes -tol, no
-    earlier than the dead band after t0.  One below -tol never fires,
-    because it would have to rise back through zero first.
+    it never does).  One that starts below its level never fires, because
+    it would have to rise back through it first.
     """
-    armed = np.abs(start) > tol
-    level = np.where(armed, 0.0, -tol)
-    times = falls_to(level)
-    times[start < level] = np.inf
-    dead_band_end = min(t0 + DEAD_BAND * (1.0 + abs(t0)), t_max)
-    times[~armed] = np.maximum(times[~armed], dead_band_end)
-    return times
+    rule = FiringRule(start, tol, t0)
+    times = falls_to(rule.level)
+    times[start < rule.level] = np.inf
+    return rule.held(times, t_max)
 
 
 def _constrained_minimum(model, v_mat, d):

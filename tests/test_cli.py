@@ -546,6 +546,19 @@ def test_oracle_unknown_name_fails(capsys):
     assert "unknown oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["glasso", "MISSING", "0.1"], ["quadrature_j", "0", "0", "1e6", "1e6"]],
+    ids=["missing_file", "overflow"],
+)
+def test_oracle_input_errors_print_one_line(tmp_path, capsys, args):
+    argv = ["oracle"] + [str(tmp_path / "missing.csv") if a == "MISSING" else a for a in args]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad arguments for oracle {args[0]!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_log_env_var(tmp_path, monkeypatch, capfd):
     spec = lasso_toy(tmp_path)
     monkeypatch.setenv("EPSODE_LOG", "info")

@@ -12,7 +12,7 @@ import pytest
 
 from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso, trend_filter
 from penpath.losses import GlmLoss, LossModel, QuadraticLoss
-from penpath.odeint import EventSpec, integrate
+from penpath.odeint import EVENT_CLUSTER_TOL, integrate
 from penpath.path import _firing_times, run_path
 
 KINK_RTOL = 1e-9
@@ -197,7 +197,9 @@ def test_rho_max_ends_an_exact_segment():
 def test_firing_rules_match_odeint():
     # Linear event functions g = start + slope (t - t0): armed and falling,
     # rising, disarmed (within event_tol of zero) either way, exactly at
-    # -event_tol, and already beyond the boundary.
+    # -event_tol, and already beyond the boundary.  One integrate call on
+    # all eight fires the earliest and its cluster; dropping those rows and
+    # integrating again walks through every firing time in turn.
     t0, t_max, tol = 2.0, 10.0, 1e-9
     start = np.array([0.5, 0.5, 0.0, 5e-10, -tol, 0.0, -0.5, -0.5])
     slope = np.array([-1.0, 1.0, -1.0, -2.0, -1.0, 1.0, -1.0, 1.0])
@@ -207,12 +209,20 @@ def test_firing_rules_match_odeint():
             return np.where(slope < 0.0, t0 + (level - start) / slope, np.inf)
 
     times = _firing_times(start, falls_to, tol, t0, t_max)
-    for g0, k, t_fire in zip(start, slope, times):
-        event = EventSpec(lambda t, y, g0=g0, k=k: g0 + k * (t - t0))
-        result = integrate(lambda t, y: np.zeros(1), t0, t_max, np.zeros(1), [event],
-                           event_tol=tol)
-        if result.status == "event":
-            assert t_fire == pytest.approx(result.t_event, abs=1e-12)
-        else:
-            assert t_fire == np.inf
     assert np.isinf(times).sum() == 4
+    live, calls = np.arange(start.size), 0
+    while True:
+        g0, k = start[live], slope[live]
+        result = integrate(lambda t, y: np.zeros(1), t0, t_max, np.zeros(1),
+                           lambda t, y, rows=slice(None): (g0 + k * (t - t0))[rows],
+                           event_tol=tol)
+        calls += 1
+        first = times[live].min()
+        if result.status != "event":
+            assert first == np.inf
+            break
+        assert result.t_end == pytest.approx(first, abs=1e-12)
+        fired = live[result.event_rows]
+        assert list(fired) == list(live[times[live] - first <= EVENT_CLUSTER_TOL])
+        live = np.setdiff1d(live, fired)
+    assert calls == 5 and live.size == 4

@@ -3,8 +3,29 @@
 import numpy as np
 import pytest
 
+import penpath.odeint
 from penpath.errors import NonFiniteDerivative, StepSizeUnderflow
-from penpath.odeint import EventSpec, integrate
+from penpath.odeint import integrate
+
+
+def rows_of(*funcs):
+    """An event vector whose rows are the scalar functions g(t, y)."""
+    def events(t, y, rows=range(len(funcs))):
+        return np.array([funcs[i](t, y) for i in rows])
+    return events
+
+
+@pytest.fixture
+def brentq_calls(monkeypatch):
+    calls = []
+    brentq = penpath.odeint.brentq
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(penpath.odeint, "brentq", counted)
+    return calls
 
 
 def test_exponential_decay_accuracy():
@@ -29,11 +50,6 @@ def test_dense_output_tracks_reference():
         assert abs(y[1] + np.sin(t)) < 1e-7
 
 
-def test_accepted_step_error_norms():
-    res = integrate(lambda t, y: -y, 0.0, 2.0, [1.0])
-    assert all(s.error_norm <= 1.0 + 1e-12 for s in res.steps)
-
-
 def test_max_step_default():
     res = integrate(lambda t, y: -y, 0.0, 10.0, [1.0])
     spans = [s.t_end - s.t_start for s in res.steps]
@@ -41,58 +57,84 @@ def test_max_step_default():
 
 
 def test_linear_event_location():
-    ev = EventSpec(lambda t, y: y[0], direction=-1)
-    res = integrate(lambda t, y: [-1.0], 0.0, 5.0, [1.0], events=[ev])
+    events = rows_of(lambda t, y: y[0])
+    res = integrate(lambda t, y: [-1.0], 0.0, 5.0, [1.0], events=events)
     assert res.status == "event"
-    assert res.event_index == 0
-    assert abs(res.t_event - 1.0) < 1e-10
-    assert abs(res.y_event[0]) < 1e-9
+    assert list(res.event_rows) == [0]
+    assert abs(res.t_end - 1.0) < 1e-10
+    assert abs(res.y_end[0]) < 1e-9
 
 
-def test_directional_filtering():
-    # y decreasing through zero: a +1-direction event must not fire.
-    ev = EventSpec(lambda t, y: y[0], direction=1)
-    res = integrate(lambda t, y: [-1.0], 0.0, 5.0, [1.0], events=[ev])
+def test_rising_row_never_fires():
+    # y rising through zero: an event fires only when its g falls.
+    events = rows_of(lambda t, y: y[0])
+    res = integrate(lambda t, y: [1.0], 0.0, 5.0, [-1.0], events=events)
     assert res.status == "reached_t_max"
 
 
 def test_event_starting_at_zero_departing_then_crossing():
     # y = sin(t): event starts at 0, departs positive (rearms), fires at pi.
-    ev = EventSpec(lambda t, y: y[0], direction=-1)
-    res = integrate(lambda t, y: [np.cos(t)], 0.0, 6.0, [0.0], events=[ev])
+    events = rows_of(lambda t, y: y[0])
+    res = integrate(lambda t, y: [np.cos(t)], 0.0, 6.0, [0.0], events=events)
     assert res.status == "event"
     # Root location is exact on the computed trajectory (see the linear
     # test); the remaining gap to pi is the trajectory's integration error.
-    assert abs(res.t_event - np.pi) < 1e-7
+    assert abs(res.t_end - np.pi) < 1e-7
 
 
 def test_event_starting_at_zero_moving_into_crossing():
-    # Starts at zero and immediately moves in the firing direction.
-    ev = EventSpec(lambda t, y: y[0], direction=-1)
-    res = integrate(lambda t, y: [-1.0], 0.0, 5.0, [0.0], events=[ev])
+    # Starts at zero and immediately falls: it fires at -event_tol, no
+    # earlier than the dead band.
+    events = rows_of(lambda t, y: y[0])
+    res = integrate(lambda t, y: [-1.0], 0.0, 5.0, [0.0], events=events)
     assert res.status == "event"
-    assert 1e-13 <= res.t_event < 1e-7
+    assert 1e-13 <= res.t_end < 1e-7
 
 
 def test_event_starting_at_zero_does_not_refire_on_jitter():
     # Stays within the event tolerance band forever: no event.
-    ev = EventSpec(lambda t, y: y[0], direction=-1)
+    events = rows_of(lambda t, y: y[0])
     res = integrate(
-        lambda t, y: [np.cos(t) * 1e-11], 0.0, 5.0, [0.0], events=[ev]
+        lambda t, y: [np.cos(t) * 1e-11], 0.0, 5.0, [0.0], events=events
     )
     assert res.status == "reached_t_max"
 
 
-def test_earliest_of_simultaneous_events_wins():
-    e1 = EventSpec(lambda t, y: y[0] - 0.5, direction=-1)
-    e2 = EventSpec(lambda t, y: y[0] - 0.5 + 1e-7, direction=-1)
-    res = integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=[e1, e2])
+def test_earliest_of_two_crossings_in_a_step_wins(brentq_calls):
+    # Both rows cross in the same step, 1e-7 apart: one root search locates
+    # the earlier, and the later is outside its cluster.
+    events = rows_of(lambda t, y: y[0] - 0.5 + 1e-7, lambda t, y: y[0] - 0.5)
+    res = integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
     assert res.status == "event"
-    assert res.event_index == 0
-    assert len(res.step_events) == 2
-    times = [t for _, t in res.step_events]
-    assert times == sorted(times)
-    assert abs(times[1] - times[0] - 1e-7) < 1e-9
+    assert list(res.event_rows) == [1]
+    assert abs(res.t_end - 0.5) < 1e-10
+    assert len(brentq_calls) == 1
+    t_old, t_new = brentq_calls[0]
+    assert t_old < 0.5 and 0.5 + 1e-7 < t_new
+
+
+def test_crossings_within_the_cluster_tolerance_fire_together(brentq_calls):
+    events = rows_of(lambda t, y: y[0] - 0.5, lambda t, y: 2.0,
+                     lambda t, y: y[0] - 0.5 + 5e-11)
+    res = integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
+    assert res.status == "event"
+    assert list(res.event_rows) == [0, 2]
+    assert abs(res.t_end - 0.5) < 1e-10
+    assert len(brentq_calls) == 1
+
+
+def test_location_evaluates_only_the_fired_rows():
+    asked = []
+    funcs = rows_of(lambda t, y: y[0] - 0.5, lambda t, y: 2.0 - y[0], lambda t, y: y[0] + 1.0)
+
+    def events(t, y, rows=None):
+        asked.append(None if rows is None else list(rows))
+        return funcs(t, y) if rows is None else funcs(t, y, rows)
+
+    res = integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
+    assert list(res.event_rows) == [0]
+    located = [rows for rows in asked if rows is not None]
+    assert located and all(rows == [0] for rows in located)
 
 
 def test_non_finite_derivative_raises():

@@ -217,10 +217,7 @@ def assert_same_or_both_outside(bisected, scanned, t):
 
 def reversed_in_time(result):
     """The same trajectory as an IntegrationResult that runs backward in t."""
-    steps = [
-        StepResult(s.t_end, s.t_start, s.y_end, s.y_start, s.interpolant, s.error_norm)
-        for s in reversed(result.steps)
-    ]
+    steps = [StepResult(s.t_end, s.t_start, s.interpolant) for s in reversed(result.steps)]
     return IntegrationResult(
         steps=steps, status=result.status, t0=result.t_end, y0=result.y_end,
         t_end=result.t0, y_end=result.y0,
