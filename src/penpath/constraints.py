@@ -171,28 +171,20 @@ def shape(p, kind="concave", grid=None):
         raise DimensionTooSmall("shape constraints need p >= 3")
     if kind not in ("concave", "convex"):
         raise ValueError(f"unknown shape kind {kind!r}")
-    if grid is None:
-        stencil_rows = []
-        for i in range(p - 2):
-            row = np.zeros(p)
-            row[i : i + 3] = (1.0, -2.0, 1.0)
-            stencil_rows.append(row)
-        w = np.vstack(stencil_rows)
-    else:
-        grid = np.asarray(grid, dtype=float).ravel()
-        if grid.shape[0] != p:
-            raise ValueError("grid length must equal p")
-        gaps = np.diff(grid)
-        if np.any(gaps <= 0):
-            raise NonIncreasingGrid("grid points must be strictly increasing")
-        rows = []
-        for i in range(p - 2):
-            row = np.zeros(p)
-            row[i] = 1.0 / gaps[i]
-            row[i + 1] = -1.0 / gaps[i] - 1.0 / gaps[i + 1]
-            row[i + 2] = 1.0 / gaps[i + 1]
-            rows.append(row)
-        w = np.vstack(rows)
+    grid = np.arange(p, dtype=float) if grid is None else np.asarray(grid, dtype=float).ravel()
+    if grid.shape[0] != p:
+        raise ValueError("grid length must equal p")
+    gaps = np.diff(grid)
+    if np.any(gaps <= 0):
+        raise NonIncreasingGrid("grid points must be strictly increasing")
+    rows = []
+    for i in range(p - 2):
+        row = np.zeros(p)
+        row[i] = 1.0 / gaps[i]
+        row[i + 1] = -1.0 / gaps[i] - 1.0 / gaps[i + 1]
+        row[i + 2] = 1.0 / gaps[i + 1]
+        rows.append(row)
+    w = np.vstack(rows)
     if kind == "convex":
         w = -w
     return inequalities(w)

@@ -105,14 +105,16 @@ def _locate(f, a, b):
 
     The endpoint values are re-evaluated through the dense output, which can
     differ from the stepper's endpoint values by rounding; degenerate sign
-    patterns fall back to the nearest endpoint instead of failing.
+    patterns fall back to the nearest endpoint instead of failing.  brentq
+    starts by evaluating both endpoints, and is handed these values.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0 or fa * fb > 0.0:
         return b
-    return brentq(f, a, b, xtol=1e-12)
+    known = {a: fa, b: fb}
+    return brentq(lambda t: known.pop(t) if t in known else f(t), a, b, xtol=1e-12)
 
 
 def _first_crossing(events, rule, fired, dense, t_old, t_new):

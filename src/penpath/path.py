@@ -28,15 +28,19 @@ evaluated once per step end, and odeint locates only the earliest crossing,
 evaluating only the rows that fired.  Both engines fire an event under
 odeint's FiringRule.
 
-Two interchangeable segment formulations serve both engines: "direct"
-factors the bordered KKT system by Cholesky (once per point in the ODE
-engine, shared by the derivative and the coefficient events there; once per
-segment from a per-path Hessian factor in the exact one), and "nullspace"
-works in the active rows' null space (usable when the Hessian is singular).
-Either way the ODE state is beta itself.  Each formulation's context holds
-the one coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with
-H dbeta/drho in place of grad f / rho below RHO_FLOOR, which the events,
-the exact engine's closed form and every lookup on a finished path use.
+Two interchangeable formulations of the segment's KKT system, both in
+sweeplin, serve both engines: "direct" is the range-space method, a
+Cholesky factor of the Hessian and of the Schur complement of the active
+rows (once per point in the ODE engine, once per segment from a per-path
+Hessian factor in the exact one), and "nullspace" works in the active rows'
+null space (usable when the Hessian is singular, and Hessian-free for the
+coefficients).  Either way the ODE state is beta itself.  One segment
+context per segment holds the formulation's per-point factor and the one
+coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with its limit
+H dbeta/drho + u below RHO_FLOOR, which the events, the exact engine's
+closed form and every lookup on a finished path use.  Both engines end a
+segment through one step, which checks the beta_bound guard, picks the
+first event of a cluster, records the segment and applies the kink.
 """
 
 import math
@@ -46,20 +50,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     NoConvergence,
-    NonFiniteDerivative,
     NotStrictlyConvex,
     PathDivergence,
     PenPathError,
-    ReducedHessianSingular,
     SimultaneousEventWarning,
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
 from .odeint import EVENT_CLUSTER_TOL, FiringRule, integrate
-from .sweeplin import KKTFactor, null_basis
+from .sweeplin import KKTFactor, NullspaceFactor, hessian_factor, null_basis
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
 RHO_FLOOR = 1e-12
@@ -236,48 +237,15 @@ class ActiveCoefficients:
         return bool(ok_s and ok_t)
 
 
-def _factor_hessian(mat, singular_error, message):
-    """Cholesky factor of a Hessian or its null-space restriction.
-
-    Non-finite entries raise NonFiniteDerivative (a loss evaluated where
-    its derivatives overflow), a failed factorization `singular_error`.
-    """
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
-    try:
-        return cho_factor(mat, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise singular_error(message) from None
-
-
-def _hessian_factor(h):
-    return _factor_hessian(
-        h, NotStrictlyConvex, "Hessian is not positive definite at the current point"
-    )
-
-
-def _reduced_direction(hessian, y_b, u):
-    """-Y (Y^T H Y)^-1 Y^T u: the path derivative in the null space basis Y."""
-    reduced = y_b.T @ hessian @ y_b
-    reduced = 0.5 * (reduced + reduced.T)
-    factor = _factor_hessian(
-        reduced,
-        ReducedHessianSingular,
-        "Hessian restricted to the active null space is singular",
-    )
-    # u is a sum of validated constraint rows, so finite.
-    return -(y_b @ cho_solve(factor, y_b.T @ u, check_finite=False))
-
-
 def active_coefficients(model, cs, config, beta, rho):
     """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first)
-    in the direct formulation at beta, by the segment contexts' evaluator
+    in the direct formulation at beta, by the segment context's evaluator
     (_SegmentContext.coefficients), which takes the rho -> 0 limit below
     RHO_FLOOR.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    ctx = _DirectContext(model, cs, config, beta)
+    ctx = _SegmentContext(model, cs, config, beta)
     return ActiveCoefficients.of(config, ctx.coefficients(rho, ctx.beta0))
 
 
@@ -331,6 +299,9 @@ class PathOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_kinks < 1:
             raise ValueError("max_kinks must be at least 1")
+        for name in ("rho_start", "residual_tol", "max_step"):
+            if getattr(self, name) is not None:
+                setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -647,34 +618,73 @@ class _EventTable:
 
 
 # ---------------------------------------------------------------------------
-# Segment contexts: one per segment formulation, shared by both engines.
+# The segment context, shared by both engines and both formulations.
 
 class _SegmentContext:
-    """Per-segment state of one formulation: the active rows U, the
-    inactive rows' subgradient direction u, and the coefficient evaluator.
+    """Per-segment state: the active rows U, the inactive rows' subgradient
+    direction u, the formulation's per-point factor (sweeplin's KKTFactor
+    in direct mode, its NullspaceFactor in nullspace mode) and the
+    coefficient evaluator.
 
-    hessian is the loss's constant Hessian when it has one, else None.
-    Subclasses supply rhs(t, beta), the path derivative dbeta/dt, and
-    multipliers(t, beta, vec), the map vec -> -Q^T vec.
+    hessian is the loss's constant Hessian when it has one, else None, and
+    h_factor its Cholesky factor for the direct mode, computed once per
+    path by the runner.
     """
 
-    def __init__(self, model, cs, config, beta0, t_sign=1.0, hessian=None):
+    def __init__(self, model, cs, config, beta0, t_sign=1.0, mode="direct",
+                 hessian=None, h_factor=None):
         self.model = model
         self.config = config
         self.p = cs.dim
         self.t_sign = t_sign
         self.hessian = hessian
+        self.h_factor = h_factor
         self.u = config.inactive_subgradient(cs)
         self.active = config.active_rows(cs)
+        self.qr = null_basis(self.active, self.p) if mode == "nullspace" else None
         self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
+        self.release()
 
     def release(self):
         """Drop per-point state once the segment is recorded."""
+        self._point = self._point_factor = self._point_hessian = None
 
     def interpolate(self, t):
         # The whole solution of a point segment, which keeps only its context.
         return self.beta0.copy()
+
+    def _factor(self, t, beta):
+        # One factor per point.  RK45's last stage and the events at the
+        # step end evaluate at the same (t, beta), as do the exact engine's
+        # derivative and coefficient map, so they share it, and the
+        # Hessian there, which is evaluated at most once.
+        point = (float(t), beta.tobytes())
+        if point != self._point:
+            self._point, self._point_hessian = point, self.hessian
+            if self.qr is not None:
+                self._point_factor = NullspaceFactor(self.qr, lambda: self._hessian_at(beta))
+            else:
+                h_factor = self.h_factor
+                if h_factor is None:
+                    h_factor = hessian_factor(self._hessian_at(beta))
+                self._point_factor = KKTFactor(h_factor, self.active)
+        return self._point_factor
+
+    def _hessian_at(self, beta):
+        # The Hessian at the current point, evaluated at most once there.
+        if self._point_hessian is None:
+            self._point_hessian = self.model.hessian(beta)
+        return self._point_hessian
+
+    def rhs(self, t, beta):
+        """The path derivative dbeta/dt = t_sign * (-P u)."""
+        return self.t_sign * self._factor(t, beta).direction(self.u)
+
+    def multipliers(self, t, beta, vec):
+        """-Q^T vec (or that of each column of vec): the r with U^T r = -vec
+        for vec in the range of U^T."""
+        return self._factor(t, beta).multipliers(vec)
 
     def coefficients(self, t, beta):
         """Active coefficients r_Z (eq rows first) at (t, beta): the
@@ -703,65 +713,10 @@ class _SegmentContext:
         the path; slope is dbeta/drho when the caller already has it."""
         if slope is None:
             slope = self.t_sign * self.rhs(t, beta)
-        return self._hessian(beta) @ slope + self.u
-
-    def _hessian(self, beta):
-        return self.hessian if self.hessian is not None else self.model.hessian(beta)
-
-
-class _DirectContext(_SegmentContext):
-    def __init__(self, model, cs, config, beta0, t_sign=1.0, hessian=None, h_factor=None):
-        super().__init__(model, cs, config, beta0, t_sign, hessian)
-        # A constant Hessian is factored once per path by the runner.
-        self.h_factor = h_factor
-        self._point = self._point_factor = None
-
-    def release(self):
-        self._point = self._point_factor = None
-
-    def _factor(self, t, beta):
-        # One KKT factor per point.  RK45's last stage and the events at
-        # the step end evaluate at the same (t, beta), as do the exact
-        # engine's derivative and coefficient map, so they share it.
-        point = (float(t), beta.tobytes())
-        if point != self._point:
-            h_factor = self.h_factor
-            if h_factor is None:
-                h_factor = _hessian_factor(self._hessian(beta))
-            self._point_factor = KKTFactor(h_factor, self.active)
-            self._point = point
-        return self._point_factor
-
-    def rhs(self, t, beta):
-        return self.t_sign * self._factor(t, beta).direction(self.u)
-
-    def multipliers(self, t, beta, vec):
-        """-Q^T vec = -S^-1 U H^-1 vec (or that of each column of vec)."""
-        return self._factor(t, beta).multipliers(vec)
-
-    def limit(self, t, beta, slope=None):
-        # Q^T H P = 0, so the H dbeta/drho term moves r_Z by rounding only:
-        # it is kept where the Hessian is constant and otherwise dropped
-        # rather than paid for with a Hessian call.
-        if self.hessian is None:
-            return self.u
-        return super().limit(t, beta, slope)
-
-
-class _NullspaceContext(_SegmentContext):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.qr = null_basis(self.active, self.p)
-
-    def rhs(self, t, beta):
-        y_b = self.qr.basis
-        if y_b.shape[1] == 0:
-            return np.zeros(self.p)
-        return self.t_sign * _reduced_direction(self._hessian(beta), y_b, self.u)
-
-    def multipliers(self, t, beta, vec):
-        """The r with U^T r = -vec (or that of each column of vec)."""
-        return self.qr.multipliers(vec)
+        # A caller's slope was taken at this point too, so the Hessian of
+        # its factor is reused.
+        self._factor(t, beta)
+        return self._hessian_at(beta) @ slope + self.u
 
 
 # ---------------------------------------------------------------------------
@@ -869,56 +824,39 @@ class _PathRunner:
         )
 
     def _advance(self):
-        if self.exact:
-            self._advance_exact()
-        else:
-            self._advance_ode()
-
-    def _advance_ode(self):
         try:
             ctx = self._context()
-            table = _EventTable(self.cs, ctx.config)
-            events = table.vector(ctx, self.opts.beta_bound)
-            start = events(self.t_sign * self.rho, ctx.beta0)
-            crossed = self._crossed_at_start(table, start[: table.size])
+            if self.exact:
+                self._advance_exact(ctx)
+            else:
+                self._advance_ode(ctx)
         except NotStrictlyConvex:
             self._switch_to_nullspace()
-            return
+
+    def _advance_ode(self, ctx):
+        table = _EventTable(self.cs, ctx.config)
+        events = table.vector(ctx, self.opts.beta_bound)
+        start = events(self.t_sign * self.rho, ctx.beta0)
+        crossed = self._crossed_at_start(table, start[: table.size])
         if crossed is not None:
             self._kink_in_place(ctx, crossed)
             return
-        try:
-            trace, result = self._integrate_chunked(ctx, events)
-        except NotStrictlyConvex:
-            self._switch_to_nullspace()
-            return
-        self._absorb(ctx, trace, result, table)
+        trace, result = self._integrate_chunked(ctx, events)
+        self._close(ctx, table, trace, result.t_end, result.y_end, result.event_rows)
 
-    def _advance_exact(self):
-        try:
-            ctx = self._context()
-            line = self._line(ctx)
-        except NotStrictlyConvex:
-            self._switch_to_nullspace()
-            return
+    def _advance_exact(self, ctx):
+        line = self._line(ctx)
         table = _EventTable(self.cs, ctx.config)
-        start, times, t_guard = self._exact_events(table, line)
+        start, times = self._exact_events(table, line)
         crossed = self._crossed_at_start(table, start)
         if crossed is not None:
             self._kink_in_place(ctx, crossed)
             return
-        t_max = self._t_max()
-        t_event = times.min(initial=np.inf)
-        if t_guard < t_event and t_guard <= t_max:
-            self._diverged(self.t_sign * t_guard)
-        info = None
-        if t_event <= t_max:
-            cluster = np.flatnonzero(times - t_event <= EVENT_CLUSTER_TOL)
-            rho_b = float(self.t_sign * t_event)
-            info = self._first([table.info(j) for j in cluster], rho_b)
-        else:
-            rho_b = float(self.t_sign * t_max)
-        self._close(ctx, line, rho_b, line.beta(rho_b), info)
+        t_end, rows = self._t_max(), None
+        if times.min() <= t_end:
+            t_end = times.min()
+            rows = np.flatnonzero(times - t_end <= EVENT_CLUSTER_TOL)
+        self._close(ctx, table, line, t_end, line.interpolate(t_end), rows)
 
     def _context(self):
         # The exact engine factors its constant Hessian once per path in
@@ -926,13 +864,13 @@ class _PathRunner:
         # mode, also for a terminal point segment that no advance preceded.
         if self.exact and self.mode == "direct" and self.h_factor is None:
             try:
-                self.h_factor = _hessian_factor(self.hessian)
+                self.h_factor = hessian_factor(self.hessian)
             except NotStrictlyConvex:
                 self._switch_to_nullspace()
-        args = (self.model, self.cs, self.cfg, self.beta, self.t_sign, self.hessian)
-        if self.mode == "nullspace":
-            return _NullspaceContext(*args)
-        return _DirectContext(*args, self.h_factor)
+        return _SegmentContext(
+            self.model, self.cs, self.cfg, self.beta, self.t_sign, self.mode,
+            self.hessian, self.h_factor,
+        )
 
     def _switch_to_nullspace(self):
         if self.mode == "nullspace":
@@ -1014,9 +952,10 @@ class _PathRunner:
         """Every event of a linear segment in closed form.
 
         Returns the table entries' values at the segment start and their
-        firing times t (inf if one never fires), and the time at which
-        |beta| reaches beta_bound.  The events fire under odeint's
-        FiringRule, as in the ODE engine (_firing_times).
+        firing times t (inf if one never fires), then as entry table.size
+        the time at which |beta| reaches beta_bound, the layout of the ODE
+        engine's event vector.  The events fire under odeint's FiringRule,
+        as in the ODE engine (_firing_times).
         """
         rho0, t_sign = line.rho0, self.t_sign
         t0 = t_sign * rho0
@@ -1050,7 +989,7 @@ class _PathRunner:
         if moving.any():
             reach = (np.sign(dt[moving]) * self.opts.beta_bound - line.beta0[moving]) / dt[moving]
             t_guard = t0 + reach.min()
-        return start, times, t_guard
+        return start, np.append(times, t_guard)
 
     def _t_max(self):
         return self.t_sign * (self.opts.rho_max if self.forward else self.opts.rho_min)
@@ -1086,31 +1025,23 @@ class _PathRunner:
                 return trace, result
             t, y = result.t_end, result.y_end
 
-    def _absorb(self, ctx, trace, result, table):
-        if result.status == "reached_t_max":
-            self._close(ctx, trace, self.t_sign * result.t_end, result.y_end, None)
-            return
-        rho_b = self.t_sign * result.t_end
-        # The beta_bound guard follows the table's entries.
-        if result.event_rows[-1] == table.size:
-            self._diverged(rho_b)
-        info = self._first([table.info(j) for j in result.event_rows], rho_b)
-        self._close(ctx, trace, rho_b, result.y_end, info)
-
-    def _diverged(self, rho):
-        raise PathDivergence(
-            f"|beta| exceeded beta_bound={self.opts.beta_bound:g} "
-            f"at rho={rho:g}; the penalized objective may lose coercivity"
-        )
-
-    def _close(self, ctx, evaluator, rho_b, beta_b, info):
-        """Record the segment ending at rho_b, then apply its kink (if any)."""
-        rho_a = self.rho
-        if info is None:
-            termination = "rho_max" if self.forward else "rho_min"
-        else:
+    def _close(self, ctx, table, evaluator, t_end, beta_end, rows):
+        """End the segment at t_end, where the table's entries `rows` fire
+        (None when it reached t_max): raise PathDivergence if the beta_bound
+        guard, entry table.size, is among them, else record the segment and
+        apply the first event of the cluster."""
+        rho_a, rho_b = self.rho, float(self.t_sign * t_end)
+        if rows is not None and rows[-1] == table.size:
+            raise PathDivergence(
+                f"|beta| exceeded beta_bound={self.opts.beta_bound:g} "
+                f"at rho={rho_b:g}; the penalized objective may lose coercivity"
+            )
+        info = None
+        termination = "rho_max" if self.forward else "rho_min"
+        if rows is not None:
+            info = self._first([table.info(j) for j in rows], rho_b)
             termination = info.describe()
-        beta_b = np.asarray(beta_b, dtype=float).copy()
+        beta_b = np.asarray(beta_end, dtype=float).copy()
         self._record_segment(ctx.config, evaluator, rho_b, beta_b, termination)
         ctx.release()
         self.rho, self.beta = rho_b, beta_b

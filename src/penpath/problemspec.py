@@ -145,8 +145,20 @@ def _build_loss(entry, dim, base_dir):
     declared_n = entry.get("n_observations")
     if declared_n is not None and (not isinstance(declared_n, int) or declared_n < 1):
         _fail('"n_observations" must be a positive integer')
+    try:
+        model, n, design, response, factory = _loss_of_kind(kind, entry, base_dir)
+    except (TypeError, ValueError) as exc:
+        _fail(f"{kind} loss: {exc}")
+    if model.dim != dim:
+        _fail(
+            f"loss dimension {model.dim} does not match declared dimension {dim}"
+        )
+    return model, kind, int(declared_n or n), design, response, factory
 
-    design = response = factory = None
+
+def _loss_of_kind(kind, entry, base_dir):
+    """(model, default n_observations, design, response, factory) of a loss
+    entry; the loss classes report bad data as ValueError or TypeError."""
     if kind == "quadratic":
         _check_keys(
             entry,
@@ -155,20 +167,16 @@ def _build_loss(entry, dim, base_dir):
         )
         if "target" in entry:
             target = _vector(entry["target"], base_dir, '"target"')
-            model = QuadraticLoss.from_target(target)
-            n = declared_n or target.shape[0]
-        elif "design" in entry or "response" in entry:
+            return QuadraticLoss.from_target(target), target.shape[0], None, None, None
+        if "design" in entry or "response" in entry:
             design = _matrix(_take(entry, "design", "quadratic loss"), base_dir, '"design"')
             response = _vector(_take(entry, "response", "quadratic loss"), base_dir, '"response"')
             factory = QuadraticLoss.from_least_squares
-            model = factory(design, response)
-            n = declared_n or response.shape[0]
-        else:
-            a_mat = _matrix(_take(entry, "matrix", "quadratic loss"), base_dir, '"matrix"')
-            b = _vector(_take(entry, "linear", "quadratic loss"), base_dir, '"linear"')
-            model = QuadraticLoss(a_mat, b)
-            n = declared_n or b.shape[0]
-    elif kind in ("glm", "quasi"):
+            return factory(design, response), response.shape[0], design, response, factory
+        a_mat = _matrix(_take(entry, "matrix", "quadratic loss"), base_dir, '"matrix"')
+        b = _vector(_take(entry, "linear", "quadratic loss"), base_dir, '"linear"')
+        return QuadraticLoss(a_mat, b), b.shape[0], None, None, None
+    if kind in ("glm", "quasi"):
         allowed = ("kind", "design", "response", "scale", "n_observations")
         if kind == "glm":
             _check_keys(entry, allowed + ("family",), "glm loss")
@@ -195,45 +203,22 @@ def _build_loss(entry, dim, base_dir):
             factory = lambda x, y: QuasiLoss(
                 x, y, LINKS[link], VARIANCES[variance], scale=scale
             )
-        try:
-            model = factory(design, response)
-        except ValueError as exc:
-            _fail(f"{kind} loss: {exc}")
-        n = declared_n or response.shape[0]
-    elif kind == "ggm":
+        return factory(design, response), response.shape[0], design, response, factory
+    if kind == "ggm":
         _check_keys(entry, ("kind", "covariance", "n_observations"), "ggm loss")
         sigma = _matrix(_take(entry, "covariance", "ggm loss"), base_dir, '"covariance"')
-        try:
-            model = GaussianGraphicalLoss(sigma)
-        except ValueError as exc:
-            _fail(f"ggm loss: {exc}")
-        n = declared_n or sigma.shape[0]
-    else:
-        _check_keys(
-            entry,
-            ("kind", "samples", "support", "frequencies", "n_observations"),
-            "logconcave loss",
-        )
-        if "samples" in entry:
-            samples = _vector(entry["samples"], base_dir, '"samples"')
-            model = LogConcaveLoss.from_samples(samples)
-            n = declared_n or samples.shape[0]
-        else:
-            support = _vector(_take(entry, "support", "logconcave loss"), base_dir, '"support"')
-            freq = _vector(
-                _take(entry, "frequencies", "logconcave loss"), base_dir, '"frequencies"'
-            )
-            try:
-                model = LogConcaveLoss(support, freq)
-            except ValueError as exc:
-                _fail(f"logconcave loss: {exc}")
-            n = declared_n or support.shape[0]
-
-    if model.dim != dim:
-        _fail(
-            f"loss dimension {model.dim} does not match declared dimension {dim}"
-        )
-    return model, kind, int(n), design, response, factory
+        return GaussianGraphicalLoss(sigma), sigma.shape[0], None, None, None
+    _check_keys(
+        entry,
+        ("kind", "samples", "support", "frequencies", "n_observations"),
+        "logconcave loss",
+    )
+    if "samples" in entry:
+        samples = _vector(entry["samples"], base_dir, '"samples"')
+        return LogConcaveLoss.from_samples(samples), samples.shape[0], None, None, None
+    support = _vector(_take(entry, "support", "logconcave loss"), base_dir, '"support"')
+    freq = _vector(_take(entry, "frequencies", "logconcave loss"), base_dir, '"frequencies"')
+    return LogConcaveLoss(support, freq), support.shape[0], None, None, None
 
 
 def _widen(cs, p):

@@ -1,9 +1,13 @@
 """Linear algebra for bordered KKT systems.
 
-The path derivative and the active multipliers come from the bordered KKT
-matrix [[H, U^T], [U, 0]], applied through a Cholesky factorization
-(KKTFactor) or through a QR factorization of the active rows (NullBasis).
-The sweep operator acts on a symmetric matrix and is its own inverse up to
+The path derivative dbeta/drho = -P u and the active multipliers -Q^T vec
+come from the bordered KKT matrix [[H, U^T], [U, 0]] of the active rows U.
+Both textbook methods for equality-constrained quadratic programs live
+here, behind the same two methods, direction(u) and multipliers(vec): the
+range-space method (KKTFactor: Cholesky factors of H and of the Schur
+complement U H^-1 U^T) and the null-space method (NullspaceFactor: a QR
+factorization of the active rows, NullBasis, and the Cholesky factor of the
+reduced Hessian Y^T H Y).  The sweep operator acts on a symmetric matrix and is its own inverse up to
 sign bookkeeping; sweeping every diagonal position of a positive definite
 matrix yields its negated inverse.  Symmetric matrices are plain numpy
 arrays, validated on entry and kept exactly symmetric by construction.
@@ -14,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .errors import NonFiniteDerivative, PivotTooSmall, RankDeficientActiveSet
+from .errors import (
+    NonFiniteDerivative,
+    NotStrictlyConvex,
+    PivotTooSmall,
+    RankDeficientActiveSet,
+    ReducedHessianSingular,
+)
 
 PIVOT_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-12
@@ -65,6 +75,28 @@ def inverse_sweep(a, k):
 def _require_finite(vec):
     if not np.all(np.isfinite(vec)):
         raise NonFiniteDerivative("gradient has non-finite entries at the current point")
+
+
+def _factor_hessian(mat, singular_error, message):
+    """Cholesky factor of a Hessian or its null-space restriction.
+
+    Non-finite entries raise NonFiniteDerivative (a loss evaluated where
+    its derivatives overflow), a failed factorization `singular_error`.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
+    try:
+        return cho_factor(mat, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise singular_error(message) from None
+
+
+def hessian_factor(h):
+    """Cholesky factor of the Hessian h; raises NotStrictlyConvex unless h
+    is positive definite."""
+    return _factor_hessian(
+        h, NotStrictlyConvex, "Hessian is not positive definite at the current point"
+    )
 
 
 class KKTFactor:
@@ -189,3 +221,37 @@ def null_basis(u_active, p=None):
         return NullBasis(u_active, np.eye(p), np.zeros((p, 0)), np.zeros((0, 0)))
     q, r = np.linalg.qr(u_active.T, mode="complete")
     return NullBasis(u_active, q[:, m:], q[:, :m], r[:m])
+
+
+class NullspaceFactor:
+    """The bordered KKT matrix by the null-space method.
+
+    Built from the active rows' NullBasis (U^T = [Q_1 Q_2] R, Y = Q_2) and
+    a zero-argument callable giving the Hessian H, which is evaluated only
+    when direction() is first asked for; multipliers() needs no Hessian.
+    """
+
+    def __init__(self, qr, hessian):
+        self.qr = qr
+        self.hessian = hessian
+        self._reduced = None
+
+    def direction(self, u):
+        """-Y (Y^T H Y)^-1 Y^T u, the -P u of KKTFactor.direction; raises
+        ReducedHessianSingular when Y^T H Y is not positive definite."""
+        y_b = self.qr.basis
+        if y_b.shape[1] == 0:
+            return np.zeros(np.shape(u))
+        if self._reduced is None:
+            reduced = y_b.T @ self.hessian() @ y_b
+            self._reduced = _factor_hessian(
+                0.5 * (reduced + reduced.T),
+                ReducedHessianSingular,
+                "Hessian restricted to the active null space is singular",
+            )
+        # u is a sum of validated constraint rows, so finite.
+        return -(y_b @ cho_solve(self._reduced, y_b.T @ u, check_finite=False))
+
+    def multipliers(self, vec):
+        """The r with U^T r = -vec (see NullBasis.multipliers)."""
+        return self.qr.multipliers(vec)

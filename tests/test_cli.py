@@ -170,6 +170,45 @@ def test_solve_malformed_spec_exits_1_with_no_outputs(tmp_path):
     assert not out.exists()
 
 
+GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.0]],
+            "response": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "loss, options, message",
+    [
+        ({"kind": "quadratic", "matrix": [[1.0, 1.0], [0.0, 1.0]], "linear": [0.0, 0.0]}, {},
+         "quadratic loss: quadratic form is not symmetric"),
+        ({"kind": "quadratic", "design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+          "response": [1.0, 2.0]}, {},
+         "quadratic loss: design and response row counts differ"),
+        ({"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]], "linear": [0.0, 0.0, 1.0]}, {},
+         "quadratic loss: linear term does not match"),
+        (dict(GLM_LOSS, scale="abc"), {}, "glm loss: could not convert string to float"),
+        (dict(GLM_LOSS, scale=[1]), {}, "glm loss: float() argument"),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"direction": "backward", "rho_start": "x"},
+         '"options": could not convert string to float'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"residual_tol": "x"},
+         '"options": could not convert string to float'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_step": "x"},
+         '"options": could not convert string to float'),
+    ],
+    ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
+         "rho_start_string", "residual_tol_string", "max_step_string"],
+)
+def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):
+    spec = write_spec(
+        tmp_path,
+        {"dimension": 2, "loss": loss, "constraints": [{"builder": "lasso"}], "options": options},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_solve_solver_failure_exits_2_with_no_outputs(tmp_path):
     # the starting point already violates this trust region
     spec = lasso_toy(tmp_path, beta_bound=1.5)

@@ -150,6 +150,19 @@ def test_shape_rows_uniform():
         shape(2)
 
 
+@pytest.mark.parametrize("kind", ["concave", "convex"])
+def test_shape_default_grid_is_the_unit_grid(kind):
+    # The default rows are the divided differences at unit gaps, bit for
+    # bit, and so the (1, -2, 1) stencil (negated for convex).
+    p = 6
+    rows = shape(p, kind=kind).w_mat
+    np.testing.assert_array_equal(rows, shape(p, kind=kind, grid=np.arange(p)).w_mat)
+    stencil = np.zeros((p - 2, p))
+    for i in range(p - 2):
+        stencil[i, i : i + 3] = (1.0, -2.0, 1.0)
+    np.testing.assert_array_equal(rows, stencil if kind == "concave" else -stencil)
+
+
 def test_shape_rows_on_grid():
     # Divided differences: row i is (1/g_i, -1/g_i - 1/g_{i+1}, 1/g_{i+1}).
     grid = np.array([0.0, 1.0, 3.0, 4.0])

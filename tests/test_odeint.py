@@ -123,7 +123,7 @@ def test_crossings_within_the_cluster_tolerance_fire_together(brentq_calls):
     assert len(brentq_calls) == 1
 
 
-def test_location_evaluates_only_the_fired_rows():
+def test_location_evaluates_only_the_fired_rows(monkeypatch):
     asked = []
     funcs = rows_of(lambda t, y: y[0] - 0.5, lambda t, y: 2.0 - y[0], lambda t, y: y[0] + 1.0)
 
@@ -131,10 +131,20 @@ def test_location_evaluates_only_the_fired_rows():
         asked.append(None if rows is None else list(rows))
         return funcs(t, y) if rows is None else funcs(t, y, rows)
 
+    # brentq is handed the step ends' values, which location evaluated
+    # before calling it, so each location evaluation is one brentq asked for.
+    brentq_evals = []
+    brentq = penpath.odeint.brentq
+
+    def counted(f, *args, **kwargs):
+        return brentq(lambda t: brentq_evals.append(t) or f(t), *args, **kwargs)
+
+    monkeypatch.setattr(penpath.odeint, "brentq", counted)
     res = integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
     assert list(res.event_rows) == [0]
     located = [rows for rows in asked if rows is not None]
     assert located and all(rows == [0] for rows in located)
+    assert len(located) == len(brentq_evals)
 
 
 def test_non_finite_derivative_raises():

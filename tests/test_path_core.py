@@ -9,8 +9,8 @@ from penpath.constraints import ConstraintSystem, fused_lasso, isotone, lasso, s
 from penpath.errors import NonFiniteDerivative, NotStrictlyConvex, PathDivergence
 from penpath.losses import GlmLoss, LogConcaveLoss, QuadraticLoss
 from penpath.path import (
-    _DirectContext,
-    _NullspaceContext,
+    MODES,
+    _SegmentContext,
     ActiveCoefficients,
     PathOptions,
     SetConfiguration,
@@ -113,8 +113,8 @@ def segment_rhs(model, cs, cfg, beta):
     """dbeta/drho at beta from the direct and the nullspace segment contexts."""
     beta = np.asarray(beta, dtype=float)
     return [
-        context(model, cs, cfg, beta).rhs(0.5, beta)
-        for context in (_DirectContext, _NullspaceContext)
+        _SegmentContext(model, cs, cfg, beta, mode=mode).rhs(0.5, beta)
+        for mode in MODES
     ]
 
 
@@ -391,7 +391,7 @@ def test_direct_factor_error_types(hessian, error):
     cs = lasso(2)
     cfg = SetConfiguration(zero_eq=(1,), pos_eq=(0,))
     beta = np.array([0.5, 0.0])
-    ctx = _DirectContext(model, cs, cfg, beta)
+    ctx = _SegmentContext(model, cs, cfg, beta)
     with pytest.raises(error):
         ctx.rhs(0.5, beta)
     with pytest.raises(error):
@@ -420,6 +420,17 @@ def test_non_finite_gradient_raises_typed_error(loss, mode):
                  start_beta=[0.0, 0.0], rho_start=3.0)
 
 
+@pytest.mark.parametrize("mode", ["direct", "nullspace"])
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_divergence_guard_fires_mid_segment(loss, mode):
+    # Backward from beta = 0 at rho = 3 toward the target (2, -1): beta_1 =
+    # 2 - rho reaches the bound 1.5 at rho = 0.5, inside the last segment.
+    model = loss(np.eye(2), [2.0, -1.0])
+    with pytest.raises(PathDivergence, match=r"exceeded beta_bound=1\.5 at rho=0\.5;"):
+        run_path(model, lasso(2), mode=mode, direction="backward",
+                 start_beta=[0.0, 0.0], rho_start=3.0, beta_bound=1.5)
+
+
 def test_direct_mode_factors_once_per_point(monkeypatch):
     # One Hessian evaluation per distinct point: the coefficient events at a
     # step end reuse the factor of RK45's last stage there, so outside rhs
@@ -440,7 +451,7 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
         calls["outside_rhs"] += not in_rhs
         return hessian(beta)
 
-    rhs = _DirectContext.rhs
+    rhs = _SegmentContext.rhs
 
     def counted_rhs(self, t, beta):
         calls["rhs"] += 1
@@ -467,7 +478,7 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
         return beta
 
     monkeypatch.setattr(model, "hessian", counted_hessian)
-    monkeypatch.setattr(_DirectContext, "rhs", counted_rhs)
+    monkeypatch.setattr(_SegmentContext, "rhs", counted_rhs)
     monkeypatch.setattr(penpath.odeint, "brentq", counted_brentq)
     monkeypatch.setattr(penpath.path, "unconstrained_minimum", counted_start)
     sol = run_path(model, lasso(5), mode="direct")
@@ -475,6 +486,46 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
     assert calls["hessian"] <= calls["rhs"] + calls["brentq"]
     outside = calls["outside_rhs"] - calls["start"]
     assert outside <= len(sol.segments) + calls["brentq"]
+
+
+def test_nullspace_coefficients_need_no_hessian(monkeypatch):
+    # The null-space coefficients are Hessian-free: outside the Newton
+    # start the Hessian is evaluated only for the path derivative (rhs) and
+    # the rho -> 0 limit.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(80, 5))
+    eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
+    y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    model = GlmLoss(x, y, family="logistic")
+    calls = {"hessian": 0, "outside": 0}
+    inside = []
+
+    hessian = model.hessian
+
+    def counted_hessian(beta):
+        calls["hessian"] += 1
+        calls["outside"] += not inside
+        return hessian(beta)
+
+    def marked(fn):
+        def run(*args, **kwargs):
+            inside.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(model, "hessian", counted_hessian)
+    monkeypatch.setattr(_SegmentContext, "rhs", marked(_SegmentContext.rhs))
+    monkeypatch.setattr(_SegmentContext, "limit", marked(_SegmentContext.limit))
+    monkeypatch.setattr(penpath.path, "unconstrained_minimum",
+                        marked(penpath.path.unconstrained_minimum))
+    sol = run_path(model, lasso(5), mode="nullspace")
+    assert sol.mode == "nullspace" and sol.status == "terminated" and len(sol.kinks) >= 5
+    assert calls["hessian"] > 0 and calls["outside"] == 0
+    sol.coefficients_at(0.5 * (sol.kinks[-1].rho + sol.kinks[-2].rho))
+    assert calls["outside"] == 0
 
 
 def test_options_validation():
