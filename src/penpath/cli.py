@@ -13,21 +13,27 @@ df, negloglik, aic, bic), kinks.jsonl (one JSON event per line), and
 report.txt (terminal status plus the AIC- and BIC-minimizing rho).
 `crossval` refits the path on k training folds and evaluates the held-out
 loss on a shared rho grid that contains every kink of the full-data path.
-Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
-1) and more than one CPU is usable, the fold paths run in forked children,
-at most one per CPU, while this process runs the full-data path; each
-child then reads the grid from a pipe and returns its curves, warnings and
-errors, which are reported in fold order as a serial run would.  Otherwise
-the folds run one after another here.  The `penpath` console script
-(penpath_entry) defaults both variables to 1.
 `oracle` exposes the slow reference solvers for regenerating expected
 values by hand.
+
+Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
+1) and more than one CPU is usable, both subcommands share their work with
+forked children, at most one per CPU: `crossval` solves the fold paths in
+them while this process solves the full-data path, and `solve` has one
+sample and format the second half of path.csv while this process does the
+first (a table too small to pay for a fork stays here).  Each child returns
+its results, warnings and errors through a pipe; they are reported in fold
+or row order, each warning shown as often as a serial run shows it, and
+the files written are byte for byte those of a serial run.  Otherwise all
+the work runs one step after another here.  The `penpath` console script
+(penpath_entry) defaults both variables to 1.
 
 Exit codes: 0 success, 1 malformed or inconsistent problem input (a
 command-line usage error included), 2 solver failure.  Nothing is written
 unless the run succeeds, so a nonzero exit never leaves partial outputs
-behind.  The EPSODE_LOG environment variable
-(error, info, debug) controls diagnostics on standard error.
+behind: path.csv's rows wait in unlinked temporary files, made in --out or
+its nearest existing ancestor, until then.  The EPSODE_LOG environment
+variable (error, info, debug) controls diagnostics on standard error.
 """
 
 import argparse
@@ -35,12 +41,16 @@ import json
 import logging
 import os
 import pickle
+import shutil
 import signal
 import sys
+import tempfile
 import threading
 import traceback
 import warnings
+from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,26 +86,16 @@ def _g12(x):
     return format(float(x), ".12g")
 
 
-def _sample_table(spec, solution):
-    """Rows (rho, beta, df, negloglik, aic, bic) in path order."""
-    grid = solution.rho_grid(spec.samples_per_segment)
-    if solution.direction == "backward":
-        grid = grid[::-1]
-    rows = []
-    for rho in grid:
-        beta = solution.beta_at(rho)
-        df = solution.df_at(rho)
-        value = spec.model.value(beta)
-        aic, bic = information_criteria(-value, df, spec.n_observations)
-        rows.append((float(rho), beta, df, value, aic, bic))
-    return rows
+def _row_template(kinds):
+    """A %-template for one newline-terminated CSV row, a column per letter
+    of kinds: "g" a float as %.17g, "d" an integer."""
+    return ",".join("%.17g" if kind == "g" else "%d" for kind in kinds) + "\n"
 
 
 def _csv_lines(header, kinds, rows):
     """Newline-terminated lines of a CSV table: the header, then each row
-    formatted by one %-template with a column per letter of kinds: "g" a
-    float as %.17g, "d" an integer.  Rows are formatted as they are read."""
-    template = ",".join("%.17g" if kind == "g" else "%d" for kind in kinds) + "\n"
+    formatted by one template.  Rows are formatted as they are read."""
+    template = _row_template(kinds)
     yield header + "\n"
     for row in rows:
         yield template % tuple(row)
@@ -108,10 +108,26 @@ def _write_lines(path, lines):
         handle.writelines(lines)
 
 
-def _path_csv(rows, p):
-    header = "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic"
-    cells = ((rho, *beta.tolist(), df, value, aic, bic) for rho, beta, df, value, aic, bic in rows)
-    return _csv_lines(header, "g" * (p + 1) + "dggg", cells)
+def _path_csv_header(p):
+    return "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic\n"
+
+
+def _sample_rows(spec, solution, rhos, part):
+    """Sample the path at rhos, writing each row (rho, beta, df, negloglik,
+    aic, bic) to the binary file part as path.csv holds it, formatted as it
+    is sampled.  Returns the rows' (rho, aic, bic)."""
+    template = _row_template("g" * (spec.dimension + 1) + "dggg")
+    points = []
+    for rho in rhos:
+        beta = solution.beta_at(rho)
+        df = solution.df_at(rho)
+        value = spec.model.value(beta)
+        aic, bic = information_criteria(-value, df, spec.n_observations)
+        rho = float(rho)
+        part.write((template % (rho, *beta.tolist(), df, value, aic, bic)).encode())
+        points.append((rho, aic, bic))
+    part.flush()
+    return points
 
 
 def _kinks_jsonl(solution):
@@ -131,18 +147,19 @@ def _kinks_jsonl(solution):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _report_text(spec, solution, rows):
-    aic_row = min(rows, key=lambda r: (r[4], r[0]))
-    bic_row = min(rows, key=lambda r: (r[5], r[0]))
+def _report_text(spec, solution, points):
+    """report.txt from the sampled rows' (rho, aic, bic), in path order."""
+    aic_row = min(points, key=lambda r: (r[1], r[0]))
+    bic_row = min(points, key=lambda r: (r[2], r[0]))
     lines = [
         f"status: {solution.status}",
         f"mode: {solution.mode}",
         f"direction: {solution.direction}",
         f"segments: {len(solution.segments)}",
         f"kinks: {len(solution.kinks)}",
-        f"rho range: {_g12(rows[0][0])} .. {_g12(rows[-1][0])}",
-        f"aic: minimum {_g12(aic_row[4])} at rho = {_g12(aic_row[0])}",
-        f"bic: minimum {_g12(bic_row[5])} at rho = {_g12(bic_row[0])}",
+        f"rho range: {_g12(points[0][0])} .. {_g12(points[-1][0])}",
+        f"aic: minimum {_g12(aic_row[1])} at rho = {_g12(aic_row[0])}",
+        f"bic: minimum {_g12(bic_row[2])} at rho = {_g12(bic_row[0])}",
     ]
     if spec.heuristic_df:
         lines.append(
@@ -183,17 +200,75 @@ def _run_solve(args):
     solution = _checked_path(spec, options)
     log.info("path %s after %d kinks", solution.status, len(solution.kinks))
 
-    rows = _sample_table(spec, solution)
-    kinks = _kinks_jsonl(solution)
-    report = _report_text(spec, solution, rows)
-
+    grid = solution.rho_grid(spec.samples_per_segment)
+    if solution.direction == "backward":
+        grid = grid[::-1]
+    slices = _slices(solution, grid)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_lines(out / "path.csv", _path_csv(rows, spec.dimension))
-    (out / "kinks.jsonl").write_text(kinks)
-    (out / "report.txt").write_text(report)
-    log.info("wrote %s", out / "path.csv")
+    near = next(d for d in (out, *out.parents) if d.is_dir())
+    with ExitStack() as stack:
+        # Each slice's rows go to an unlinked file as they are formatted,
+        # so no process holds the table and a failed run leaves no file.
+        # It is made in --out, or in its nearest existing ancestor, so
+        # that path.csv is written on one filesystem.
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=near)) for _ in slices]
+        points = _sampled_points(spec, solution, slices, parts)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "path.csv", "wb") as handle:
+            handle.write(_path_csv_header(spec.dimension).encode())
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, handle)
+    (out / "kinks.jsonl").write_text(_kinks_jsonl(solution))
+    (out / "report.txt").write_text(_report_text(spec, solution, points))
+    log.info("wrote %s from %d slices", out / "path.csv", len(slices))
     return 0
+
+
+# A forked slice must hold at least this many path.csv cells to pay for its
+# fork.  Measured on a 2-CPU host with one BLAS thread, timing `solve` after
+# its path is solved (medians of 40 calls, serial against two slices): the
+# 8-coefficient lasso of tests/golden/lasso_direct (13 cells a row) breaks
+# even at about 11,000 cells (201 rows: 13 ms serially, 21 ms forked), and
+# fused_fsa's 150-coefficient rows (155 cells) at about 30,000 (299 rows:
+# 69 ms against 57 ms; 150 rows: 39 against 43).
+_SLICE_MIN_CELLS = 15000
+
+# At most this many slices: the gain was measured only with two, on a 2-CPU
+# host.  Each fork costs the parent about 3-4 ms before it starts its own
+# slice (at 94 MB resident, forking 1 to 8 children), so more slices are
+# unmeasured and may not pay.
+_MAX_SLICES = 2
+
+
+def _slices(solution, grid):
+    """grid cut into contiguous slices of about equal row counts, one per
+    process that samples them: one per usable CPU where forking pays
+    (_fork_cpus), up to _MAX_SLICES, as long as each gets _SLICE_MIN_CELLS
+    path.csv cells; else this process alone."""
+    count = min(_fork_cpus(), _MAX_SLICES, grid.size * (solution.p + 5) // _SLICE_MIN_CELLS)
+    return np.array_split(grid, max(count, 1))
+
+
+def _slice_work(spec, solution, slices, parts, index):
+    """A forked process's work: slice index of the rows, written to its part."""
+    caught = []
+    points = _recorded(caught, _sample_rows, spec, solution, slices[index], parts[index])
+    return {index: (caught, points)}
+
+
+def _sampled_points(spec, solution, slices, parts):
+    """Each slice's rows written to its part, the first slice by this process
+    and each other one by a forked process; returns every row's (rho, aic,
+    bic) in path order.  Warnings and errors are reported as a serial run
+    would."""
+    works = [partial(_slice_work, spec, solution, slices, parts, index)
+             for index in range(1, len(slices))]
+    points, outcomes = _forked(works, partial(_sample_rows, spec, solution, slices[0], parts[0]))
+    for rest in _in_order(outcomes, range(1, len(slices)),
+                          lambda index: f"sampling slice {index + 1} of path.csv"):
+        points += rest
+    return points
 
 
 def _full_grid(spec):
@@ -214,16 +289,15 @@ def _held_out_curve(spec, val_idx, solution, grid):
     return np.array([heldout.value(solution.beta_at(rho)) / val_idx.size for rho in grid])
 
 
-def _fold_workers(k):
-    """How many forked processes solve the k fold paths, or 0 to solve them
-    one after another in this process.
+def _fork_cpus():
+    """How many processes may share the work by forking: the usable CPUs,
+    or 0 where forking does not pay.
 
     Forking pays only where each process's BLAS runs one thread: with
     OpenBLAS's default two threads on a 2-CPU host, a 2-fold logistic job
     took 3.2-4.4 s with forked folds against 1.4-1.8 s serially.  It also
     needs more than one usable CPU, and no other thread running, since a
-    fork copies only the calling thread.  With more folds than CPUs the
-    folds are dealt round-robin.
+    fork copies only the calling thread.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 0
@@ -235,7 +309,7 @@ def _fold_workers(k):
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(k, cpus) if cpus > 1 else 0
+    return cpus if cpus > 1 else 0
 
 
 def _recorded(caught, fn, *args):
@@ -250,33 +324,27 @@ def _recorded(caught, fn, *args):
     return result
 
 
-def _fold_process_body(spec, folds, mine, grid_fd, result_fd):
-    """Body of a forked fold process; never returns.
+def _close(*fds):
+    for fd in fds:
+        if fd is not None:
+            os.close(fd)
 
-    Solves the paths of the folds numbered in mine, then reads the grid
-    from grid_fd and writes {fold: (warnings, curve)} to result_fd.  A fold
-    that fails ends the work at once, without waiting for the grid: its
-    entry holds the exception in place of a curve, and the folds solved
-    before it hold None.
+
+def _child_main(work, request_fd, result_fd):
+    """Body of a forked process; never returns.
+
+    Runs work(), or work(receive) where there is a request_fd, receive()
+    reading what the parent sends there, and writes work's return value to
+    result_fd.
     """
     code = 1
     try:
-        caught = {index: [] for index in mine}
-        results = {}
-        for index in mine:
-            results[index] = _recorded(caught[index], _fold_path, spec, folds[index])
-            if isinstance(results[index], Exception):
-                results = {i: r if i == index else None for i, r in results.items()}
-                break
-        else:
-            with os.fdopen(grid_fd, "rb") as pipe:
-                grid = pickle.load(pipe)
-            for index in mine:
-                results[index] = _recorded(
-                    caught[index], _held_out_curve, spec, folds[index], results[index], grid
-                )
+        def receive():
+            with os.fdopen(request_fd, "rb") as pipe:
+                return pickle.load(pipe)
+
         # pickled whole first, so that a pickling error writes nothing
-        data = pickle.dumps({i: (caught[i], r) for i, r in results.items()})
+        data = pickle.dumps(work() if request_fd is None else work(receive))
         with os.fdopen(result_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -286,32 +354,30 @@ def _fold_process_body(spec, folds, mine, grid_fd, result_fd):
         os._exit(code)
 
 
-class _FoldProcess:
-    """A forked child solving some folds' paths; its pipes and process id."""
+class _Child:
+    """A forked process running one work; its pipes and process id.  Only
+    a child that listens has a request pipe, for what the parent sends."""
 
-    def __init__(self, spec, folds, mine, inherited):
-        grid_r, self.grid_w = os.pipe()
+    def __init__(self, work, inherited, listens):
+        request_r, self.request_w = os.pipe() if listens else (None, None)
         self.result_r, result_w = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (grid_r, self.grid_w, self.result_r, result_w):
-                os.close(fd)
+            _close(request_r, self.request_w, self.result_r, result_w)
             raise
         if self.pid == 0:
             # Drop the parent's ends of every pipe, so that each pipe has
             # one reader and one writer.
-            for fd in [*inherited, self.grid_w, self.result_r]:
-                os.close(fd)
-            _fold_process_body(spec, folds, mine, grid_r, result_w)
-        os.close(grid_r)
-        os.close(result_w)
+            _close(*inherited, self.request_w, self.result_r)
+            _child_main(work, request_r, result_w)
+        _close(request_r, result_w)
 
     def fds(self):
-        return [fd for fd in (self.grid_w, self.result_r) if fd is not None]
+        return [fd for fd in (self.request_w, self.result_r) if fd is not None]
 
     def send(self, payload):
-        fd, self.grid_w = self.grid_w, None
+        fd, self.request_w = self.request_w, None
         try:
             with os.fdopen(fd, "wb") as pipe:
                 pipe.write(payload)
@@ -319,8 +385,7 @@ class _FoldProcess:
             pass  # the child already ended; its result says why
 
     def result(self):
-        """The child's {fold: (warnings, curve or exception or None)}, or {}
-        if it ended without writing one."""
+        """The work's return value, or {} if the child ended without one."""
         fd, self.result_r = self.result_r, None
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
@@ -329,49 +394,106 @@ class _FoldProcess:
         return pickle.loads(data) if data else {}
 
     def close(self):
-        for fd in self.fds():
-            os.close(fd)
-        self.grid_w = self.result_r = None
+        _close(*self.fds())
+        self.request_w = self.result_r = None
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
 
 
-def _forked_curves(spec, folds, workers):
-    """The grid and every fold's held-out curve, the fold paths solved in
-    forked children while this process solves the full-data path."""
-    k = len(folds)
+def _forked(works, local, send=False):
+    """Run each of works in a forked process while this one runs local().
+
+    A work returns {key: (warnings, result)}, a result being the exception
+    that ended it, if one did.  With send it is called as work(receive),
+    where receive() returns the value of local(), else as work().  Returns
+    that value and every work's entries merged.  Every child has ended, or
+    is killed, when this returns or raises.
+    """
     children = []
     try:
-        for w in range(workers):
+        for work in works:
             inherited = [fd for child in children for fd in child.fds()]
-            children.append(_FoldProcess(spec, folds, range(w, k, workers), inherited))
-        grid = _full_grid(spec)
-        payload = pickle.dumps(grid)
-        for child in children:
-            child.send(payload)
+            children.append(_Child(work, inherited, send))
+        value = local()
+        if send:
+            payload = pickle.dumps(value)
+            for child in children:
+                child.send(payload)
         outcomes = {}
         for child in children:
             outcomes.update(child.result())
     finally:
         for child in children:
             child.close()
-    # In fold order, as a serial run would: show each fold's warnings, and
-    # raise the first fold's error.  A child stops at its first failing
-    # fold, so a fold with no outcome comes after a failure, unless its
-    # process died.
-    curves = []
-    for index in range(k):
-        if index not in outcomes:
-            raise PenPathError(f"the process solving fold {index + 1} ended without a result")
-        caught, result = outcomes[index]
-        for args in caught:
-            warnings.showwarning(*args)
+    return value, outcomes
+
+
+def _in_order(outcomes, keys, task):
+    """The results of outcomes' keys in order, as a serial run reports them:
+    issue each key's warnings again, and raise the first key's error.  A
+    work stops at its first error, so a key with no outcome comes after a
+    failure, unless its process died; task(key) names the work for that
+    case."""
+    modules = {m.__file__: m for m in list(sys.modules.values()) if getattr(m, "__file__", None)}
+    registries = {}
+    results = []
+    for key in keys:
+        if key not in outcomes:
+            raise PenPathError(f"the process {task(key)} ended without a result")
+        caught, result = outcomes[key]
+        for message, category, filename, lineno in caught:
+            # Through the filters and a copy of the issuing module's
+            # registry, kept for this run: a warning shown once per location
+            # (the default) is shown once in the run, as a serial run shows
+            # it, whichever of its processes issued it.
+            module = modules.get(filename)
+            if module is None:
+                warnings.showwarning(message, category, filename, lineno)
+                continue
+            if filename not in registries:
+                registries[filename] = dict(getattr(module, "__warningregistry__", {}))
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module=module.__name__, registry=registries[filename])
         if isinstance(result, Exception):
             raise result
-        curves.append(result)
-    return grid, curves
+        results.append(result)
+    return results
+
+
+def _fold_work(spec, folds, mine, receive):
+    """A forked process's work: the held-out curves of the folds numbered in
+    mine, as {fold: (warnings, curve)}.
+
+    Solves their paths, then receives the grid.  A fold that fails ends the
+    work at once, without waiting for the grid: its entry holds the
+    exception in place of a curve, and the folds solved before it hold None.
+    """
+    caught = {index: [] for index in mine}
+    results = {}
+    for index in mine:
+        results[index] = _recorded(caught[index], _fold_path, spec, folds[index])
+        if isinstance(results[index], Exception):
+            results = {i: r if i == index else None for i, r in results.items()}
+            break
+    else:
+        grid = receive()
+        for index in mine:
+            results[index] = _recorded(
+                caught[index], _held_out_curve, spec, folds[index], results[index], grid
+            )
+    return {i: (caught[i], r) for i, r in results.items()}
+
+
+def _forked_curves(spec, folds, workers):
+    """The grid and every fold's held-out curve, the fold paths solved in
+    forked processes while this one solves the full-data path.  With more
+    folds than processes the folds are dealt round-robin."""
+    k = len(folds)
+    works = [partial(_fold_work, spec, folds, range(w, k, workers)) for w in range(workers)]
+    grid, outcomes = _forked(works, partial(_full_grid, spec), send=True)
+    return grid, _in_order(outcomes, range(k), lambda index: f"solving fold {index + 1}")
 
 
 def _run_crossval(args):
@@ -388,7 +510,7 @@ def _run_crossval(args):
 
     rng = np.random.default_rng(args.seed)
     folds = np.array_split(rng.permutation(n), k)
-    workers = _fold_workers(k)
+    workers = min(k, _fork_cpus())
     if workers:
         grid, curves = _forked_curves(spec, folds, workers)
     else:

@@ -294,14 +294,17 @@ class PathOptions:
             raise ValueError(f"unknown direction {self.direction!r}")
         if not 0 <= self.rho_min < self.rho_max:
             raise ValueError("need 0 <= rho_min < rho_max")
-        for name in ("rel_tol", "abs_tol", "event_tol", "beta_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.max_kinks < 1:
             raise ValueError("max_kinks must be at least 1")
         for name in ("rho_start", "residual_tol", "max_step"):
             if getattr(self, name) is not None:
                 setattr(self, name, float(getattr(self, name)))
+        # An infinite or NaN tolerance or bound passes a bare "> 0" test and
+        # leaves the path silently wrong (inf event_tol disarms every event).
+        for name in ("rel_tol", "abs_tol", "event_tol", "beta_bound", "residual_tol", "max_step"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

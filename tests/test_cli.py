@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import penpath.path
 from penpath import cli
 from penpath.cli import main
 from penpath.errors import PenPathError
@@ -192,9 +196,16 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
          '"options": could not convert string to float'),
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_step": "x"},
          '"options": could not convert string to float'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"event_tol": math.inf},
+         '"options": event_tol must be finite and positive, got inf'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"residual_tol": math.nan},
+         '"options": residual_tol must be finite and positive, got nan'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_step": -1},
+         '"options": max_step must be finite and positive, got -1.0'),
     ],
     ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
-         "rho_start_string", "residual_tol_string", "max_step_string"],
+         "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
+         "residual_tol_nan", "max_step_negative"],
 )
 def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):
     spec = write_spec(
@@ -206,6 +217,15 @@ def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_rel_tol_flag_must_be_finite_and_positive(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["solve", lasso_toy(tmp_path), "--out", str(out), "--rel-tol", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rel_tol must be finite and positive") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -338,6 +358,152 @@ def test_path_table_df_agrees_with_kink_log(tmp_path):
             if e["rho"] < rho
         )
         assert df == p - implied
+
+
+def fused_target_spec(directory, direction):
+    return write_spec(directory, {
+        "dimension": 6,
+        "loss": {"kind": "quadratic", "target": [3.0, -1.0, 2.0, 0.5, 1.5, -2.0]},
+        "constraints": [{"builder": "fused_lasso"}],
+        "options": {"direction": direction},
+    })
+
+
+def logistic_spec(directory):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(40, 3))
+    y = (rng.random(40) < 1.0 / (1.0 + np.exp(-x @ [1.0, -0.5, 0.0]))).astype(float)
+    return write_spec(directory, {
+        "dimension": 3,
+        "loss": {"kind": "glm", "family": "logistic", "design": x.tolist(),
+                 "response": y.tolist()},
+        "constraints": [{"builder": "lasso"}],
+        "options": {"samples_per_segment": 8},
+    })
+
+
+SOLVE_CASES = {
+    "forward_direct": (regression_spec, []),
+    "forward_nullspace": (regression_spec, ["--mode", "nullspace"]),
+    "backward": (lambda d: fused_target_spec(d, "backward"), []),
+    "backward_nullspace": (lambda d: fused_target_spec(d, "backward"), ["--mode", "nullspace"]),
+    "logistic_ode": (logistic_spec, []),
+}
+SOLVE_OUTPUTS = ("path.csv", "kinks.jsonl", "report.txt")
+
+
+def fork_small_tables(monkeypatch, cpus, max_slices=2):
+    # sample even these small tables in forked slices, one per (faked) CPU
+    monkeypatch.setattr(cli, "_SLICE_MIN_CELLS", 1)
+    monkeypatch.setattr(cli, "_MAX_SLICES", max_slices)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solve_forked_and_serial_outputs_are_byte_identical(tmp_path, monkeypatch, case):
+    make_spec, flags = SOLVE_CASES[case]
+    spec = make_spec(tmp_path)
+    fork_small_tables(monkeypatch, cpus=3, max_slices=3)  # two children, joined in order
+    forks = count_forks(monkeypatch)
+    written = {}
+    for threads in ("1", "2"):  # forked slices, then one serial pass
+        set_blas_threads(monkeypatch, threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["solve", spec, "--out", str(out), *flags]) == 0
+        written[threads] = [(out / name).read_bytes() for name in SOLVE_OUTPUTS]
+        assert len(forks) == 2  # the first slice is this process's own
+    assert written["1"] == written["2"]
+    assert_no_child_left()
+
+
+def test_solve_forks_only_under_one_blas_thread_and_above_the_cell_threshold(tmp_path, monkeypatch):
+    spec = regression_spec(tmp_path)
+    forks = count_forks(monkeypatch)
+    set_blas_threads(monkeypatch, "1")
+    assert main(["solve", spec, "--out", str(tmp_path / "small")]) == 0
+    assert forks == []  # 61 rows of 8 cells
+    fork_small_tables(monkeypatch, cpus=2)
+    set_blas_threads(monkeypatch, "2")
+    assert main(["solve", spec, "--out", str(tmp_path / "two_threads")]) == 0
+    assert forks == []
+    set_blas_threads(monkeypatch, "1")
+    assert main(["solve", spec, "--out", str(tmp_path / "forked")]) == 0
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert main(["solve", spec, "--out", str(tmp_path / "capped")]) == 0
+    assert len(forks) == 2  # still two slices on four CPUs
+
+
+def test_solve_writes_its_parts_beside_out(tmp_path, monkeypatch):
+    # not in the system temporary directory, which need not exist
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    out = tmp_path / "new" / "out"
+    assert main(["solve", lasso_toy(tmp_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["kinks.jsonl", "path.csv", "report.txt"]
+
+
+@pytest.mark.parametrize("where", ["every_row", "second_slice"])
+def test_solve_forked_run_shows_a_repeated_warning_as_often_as_a_serial_run(
+    tmp_path, monkeypatch, where
+):
+    spec = regression_spec(tmp_path, n=30, p=6)
+    real_df_at = penpath.path.PathSolution.df_at
+    assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
+    middle = np.median(read_table(tmp_path / "ok" / "path.csv")[1][:, 0])  # rows ascend in rho
+
+    def df_at(self, rho):
+        if where == "every_row" or rho > middle:
+            warnings.warn("repeated at one location", UserWarning)
+        return real_df_at(self, rho)
+
+    monkeypatch.setattr(penpath.path.PathSolution, "df_at", df_at)
+    fork_small_tables(monkeypatch, cpus=2)
+    forks = count_forks(monkeypatch)
+    shown = {}
+    for threads in ("1", "2"):  # forked slices, then one serial pass
+        set_blas_threads(monkeypatch, threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # once per location, as outside tests
+            assert main(["solve", spec, "--out", str(tmp_path / f"threads{threads}")]) == 0
+        shown[threads] = [str(w.message) for w in caught]
+    assert len(forks) == 1
+    assert shown["1"] == shown["2"] == ["repeated at one location"]
+
+
+def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
+    spec = regression_spec(tmp_path, n=30, p=6)
+    assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
+    rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
+    bound = rhos[int(0.9 * rhos.size)]  # in the second of two slices
+    real_df_at = penpath.path.PathSolution.df_at
+
+    def df_at(self, rho):
+        # every row warns, and the rows beyond the bound fail
+        if rho > bound:
+            raise PenPathError(f"sampling failed beyond rho={bound:g}")
+        warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
+        return real_df_at(self, rho)
+
+    monkeypatch.setattr(penpath.path.PathSolution, "df_at", df_at)
+    fork_small_tables(monkeypatch, cpus=2)
+    forks = count_forks(monkeypatch)
+    capsys.readouterr()
+    seen = {}
+    for threads in ("1", "2"):  # forked slices, then one serial pass
+        set_blas_threads(monkeypatch, threads)
+        out = tmp_path / f"threads{threads}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", spec, "--out", str(out)]) == 2
+        assert not out.exists()
+        seen[threads] = (capsys.readouterr().err, [str(w.message) for w in caught])
+    assert len(forks) == 1
+    assert_no_child_left()
+    err, shown = seen["1"]
+    assert err.startswith("solver error: sampling failed beyond rho=") and err.count("\n") == 1
+    # every row before the failure warned once, in row order, the child's too
+    assert shown == [f"row at rho={rho!r}" for rho in rhos.tolist() if rho <= bound]
+    assert seen["1"] == seen["2"]
 
 
 def test_crossval_leave_one_out_runs(tmp_path, monkeypatch):

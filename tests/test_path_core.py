@@ -1,5 +1,7 @@
 """Path solver core: set bookkeeping, analytic toy paths, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -539,6 +541,20 @@ def test_options_validation():
         PathOptions(event_tol=0.0)
     with pytest.raises(ValueError, match="max_kinks"):
         PathOptions(max_kinks=0)
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "event_tol", "beta_bound",
+                                  "residual_tol", "max_step"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_options_reject_non_finite_or_non_positive_tolerances(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        PathOptions(**{name: value})
+
+
+def test_options_leave_optional_tolerances_unset():
+    opts = PathOptions(residual_tol=None, max_step=None)
+    assert opts.residual_tol is None and opts.max_step is None
+    assert PathOptions(residual_tol=1e-7, max_step=2).max_step == 2.0
 
 
 def test_run_path_argument_handling():

@@ -17,7 +17,7 @@ from penpath import cli
 from penpath.constraints import fused_lasso, lasso
 from penpath.losses import GlmLoss, QuadraticLoss
 from penpath.odeint import IntegrationResult, StepResult, integrate
-from penpath.path import _SegmentTrace, run_path
+from penpath.path import _SegmentTrace, information_criteria, run_path
 from penpath.problemspec import parse_problem_spec
 
 OFFSETS = (-2.0, -0.5, 0.5, 2.0)
@@ -66,10 +66,18 @@ def legacy_g17(x):
     return format(float(x), ".17g")
 
 
-def legacy_path_csv(rows, p):
-    """cli._path_csv with one format call per cell."""
+def legacy_path_csv(spec, solution):
+    """path.csv of `penpath solve`, sampled in one pass, per-cell format."""
+    grid = solution.rho_grid(spec.samples_per_segment)
+    if solution.direction == "backward":
+        grid = grid[::-1]
+    p = spec.dimension
     lines = ["rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic"]
-    for rho, beta, df, value, aic, bic in rows:
+    for rho in grid:
+        beta = solution.beta_at(rho)
+        df = solution.df_at(rho)
+        value = spec.model.value(beta)
+        aic, bic = information_criteria(-value, df, spec.n_observations)
         cells = [legacy_g17(rho), *(legacy_g17(b) for b in beta), str(df),
                  legacy_g17(value), legacy_g17(aic), legacy_g17(bic)]
         lines.append(",".join(cells))
@@ -304,8 +312,7 @@ def test_solve_path_csv_is_legacy_output(tmp_path, direction):
     spec = parse_problem_spec(spec_path)
     solution = run_path(spec.model, spec.constraints, replace(spec.options, direction=direction))
     assert solution.direction == direction and solution.kinks
-    rows = cli._sample_table(spec, solution)
-    assert (out / "path.csv").read_text() == legacy_path_csv(rows, 8)
+    assert (out / "path.csv").read_text() == legacy_path_csv(spec, solution)
 
 
 def test_crossval_cv_csv_is_legacy_output(tmp_path):
