@@ -1,4 +1,4 @@
-"""Loss models and their derivative stacks."""
+"""Loss models: value, gradient and Hessian of each smooth convex loss."""
 
 from .base import LossModel
 from .ggm import GaussianGraphicalLoss, tri_indices

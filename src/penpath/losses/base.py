@@ -1,4 +1,4 @@
-"""Loss model interface: smooth convex losses with third-order information."""
+"""Loss model interface: smooth convex losses with value, gradient and Hessian."""
 
 import abc
 
@@ -8,11 +8,10 @@ import numpy as np
 class LossModel(abc.ABC):
     """Smooth convex loss f with derivatives used by the path solver.
 
-    Implementations provide the value, gradient, Hessian, and the action of
-    the Hessian's directional derivative: dhessian(x, v) is the matrix
-    d/de H(x + e v) at e = 0.  constant_hessian declares that H does not
-    depend on x (so dhessian is identically zero); run_path then traces the
-    path with its exact piecewise-linear engine instead of integrating it.
+    Implementations provide dim and the value, gradient and Hessian of f;
+    the path solver calls nothing else.  constant_hessian declares that H
+    does not depend on x; run_path then traces the path with its exact
+    piecewise-linear engine instead of integrating it.
     """
 
     constant_hessian = False
@@ -32,10 +31,6 @@ class LossModel(abc.ABC):
 
     @abc.abstractmethod
     def hessian(self, x):
-        ...
-
-    @abc.abstractmethod
-    def dhessian(self, x, v):
         ...
 
     def newton_start(self):

@@ -94,20 +94,5 @@ class GaussianGraphicalLoss(LossModel):
             h[:, k] = self._gather(m)
         return 0.5 * (h + h.T)
 
-    def dhessian(self, x, v):
-        _, inv, _ = self._inverse(x)
-        mv = self.to_matrix(np.asarray(v, dtype=float))
-        b = inv @ mv @ inv
-        b = 0.5 * (b + b.T)
-        q = self.dim
-        dh = np.empty((q, q))
-        for k in range(q):
-            i, j = self.rows[k], self.cols[k]
-            m = np.outer(inv[:, i], b[j, :]) + np.outer(b[:, i], inv[j, :])
-            if i != j:
-                m = m + m.T
-            dh[:, k] = -self._gather(m)
-        return 0.5 * (dh + dh.T)
-
     def newton_start(self):
         return self.from_matrix(np.diag(1.0 / np.diag(self.sample_cov)))

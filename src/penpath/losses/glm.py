@@ -11,6 +11,8 @@ Fisher approximation.  With a canonical pairing (V = mu' composed with the
 inverse link) the two classes produce identical gradients and Hessians.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
@@ -21,13 +23,12 @@ from .base import LossModel
 class Family:
     """Canonical exponential family: cumulant psi and mean derivatives."""
 
-    def __init__(self, name, psi, mean, dmean, d2mean, d3mean, check_response):
+    def __init__(self, name, psi, mean, dmean, d2mean, check_response):
         self.name = name
         self.psi = psi
         self.mean = mean
         self.dmean = dmean
         self.d2mean = d2mean
-        self.d3mean = d3mean
         self.check_response = check_response
 
 
@@ -41,10 +42,12 @@ def _check_counts(y):
         raise ValueError("poisson responses must be nonnegative")
 
 
-def _logistic_d3(eta):
-    mu = expit(eta)
-    w = mu * (1.0 - mu)
-    return w * (1.0 - 2.0 * mu) ** 2 - 2.0 * w ** 2
+def _checked_scale(scale):
+    # An infinite scale passes "> 0" and divides every derivative to zero.
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+    return scale
 
 
 FAMILIES = {
@@ -54,7 +57,6 @@ FAMILIES = {
         mean=lambda eta: eta,
         dmean=lambda eta: np.ones_like(eta),
         d2mean=lambda eta: np.zeros_like(eta),
-        d3mean=lambda eta: np.zeros_like(eta),
         check_response=lambda y: None,
     ),
     "logistic": Family(
@@ -63,7 +65,6 @@ FAMILIES = {
         mean=expit,
         dmean=lambda eta: expit(eta) * (1.0 - expit(eta)),
         d2mean=lambda eta: expit(eta) * (1.0 - expit(eta)) * (1.0 - 2.0 * expit(eta)),
-        d3mean=_logistic_d3,
         check_response=_check_binary,
     ),
     "poisson": Family(
@@ -72,7 +73,6 @@ FAMILIES = {
         mean=np.exp,
         dmean=np.exp,
         d2mean=np.exp,
-        d3mean=np.exp,
         check_response=_check_counts,
     ),
 }
@@ -94,11 +94,15 @@ class GlmLoss(LossModel):
         self.response = np.asarray(response, dtype=float).ravel()
         if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
             raise ValueError("design and response shapes are inconsistent")
-        self.family = FAMILIES[family] if isinstance(family, str) else family
+        if isinstance(family, str):
+            if family not in FAMILIES:
+                raise ValueError(
+                    f"unknown glm family {family!r}; expected one of {sorted(FAMILIES)}"
+                )
+            family = FAMILIES[family]
+        self.family = family
         self.family.check_response(self.response)
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
+        self.scale = _checked_scale(scale)
         # psi'' is constant only for the built-in normal family
         self.constant_hessian = self.family is FAMILIES["normal"]
 
@@ -119,20 +123,12 @@ class GlmLoss(LossModel):
         w = self.family.dmean(eta) / self.scale
         return (self.design * w[:, None]).T @ self.design
 
-    def dhessian(self, x, v):
-        x = self._as_param(x)
-        v = np.asarray(v, dtype=float)
-        eta = self.design @ x
-        w = self.family.d2mean(eta) * (self.design @ v) / self.scale
-        return (self.design * w[:, None]).T @ self.design
-
 
 class QuasiLoss(LossModel):
     """Negative quasi-likelihood with user mean and variance functions.
 
-    mean_fn is a tuple (mu, dmu, d2mu, d3mu) of vectorized functions of the
-    linear predictor; variance_fn is (V, dV, d2V) of vectorized functions of
-    the mean.  Convexity is not guaranteed for arbitrary pairings.
+    mean_fn is a tuple (mu, dmu, d2mu) of vectorized functions of the linear
+    predictor; variance_fn is (V, dV) of vectorized functions of the mean.  Convexity is not guaranteed for arbitrary pairings.
     """
 
     def __init__(self, design, response, mean_fn, variance_fn, scale=1.0):
@@ -140,11 +136,9 @@ class QuasiLoss(LossModel):
         self.response = np.asarray(response, dtype=float).ravel()
         if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
             raise ValueError("design and response shapes are inconsistent")
-        self.mu, self.dmu, self.d2mu, self.d3mu = mean_fn
-        self.var, self.dvar, self.d2var = variance_fn
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
+        self.mu, self.dmu, self.d2mu = mean_fn
+        self.var, self.dvar = variance_fn
+        self.scale = _checked_scale(scale)
 
     @property
     def dim(self):
@@ -174,19 +168,7 @@ class QuasiLoss(LossModel):
         d2 = self.d2mu(eta)
         dv = self.dvar(mu)
         g1 = d2 * resid / v - d1 ** 2 / v - d1 ** 2 * resid * dv / v ** 2
-        if order == 2:
-            return -g1
-        d3 = self.d3mu(eta)
-        d2v = self.d2var(mu)
-        g2 = (
-            d3 * resid / v
-            - 3.0 * d1 * d2 / v
-            - 3.0 * d1 * d2 * resid * dv / v ** 2
-            + 2.0 * d1 ** 3 * dv / v ** 2
-            - d1 ** 3 * resid * d2v / v ** 2
-            + 2.0 * d1 ** 3 * resid * dv ** 2 / v ** 3
-        )
-        return -g2
+        return -g1
 
     def gradient(self, x):
         eta = self.design @ self._as_param(x)
@@ -197,12 +179,6 @@ class QuasiLoss(LossModel):
         w = self._weights(eta, 2) / self.scale
         return (self.design * w[:, None]).T @ self.design
 
-    def dhessian(self, x, v):
-        x = self._as_param(x)
-        eta = self.design @ x
-        w = self._weights(eta, 3) * (self.design @ np.asarray(v, dtype=float))
-        return (self.design * (w / self.scale)[:, None]).T @ self.design
-
 
 # Named links and variance functions for spec-file construction.
 LINKS = {
@@ -210,31 +186,13 @@ LINKS = {
         lambda eta: eta,
         lambda eta: np.ones_like(eta),
         lambda eta: np.zeros_like(eta),
-        lambda eta: np.zeros_like(eta),
     ),
-    "logit": (
-        expit,
-        FAMILIES["logistic"].dmean,
-        FAMILIES["logistic"].d2mean,
-        FAMILIES["logistic"].d3mean,
-    ),
-    "log": (np.exp, np.exp, np.exp, np.exp),
+    "logit": (expit, FAMILIES["logistic"].dmean, FAMILIES["logistic"].d2mean),
+    "log": (np.exp, np.exp, np.exp),
 }
 
 VARIANCES = {
-    "constant": (
-        lambda mu: np.ones_like(mu),
-        lambda mu: np.zeros_like(mu),
-        lambda mu: np.zeros_like(mu),
-    ),
-    "identity": (
-        lambda mu: mu,
-        lambda mu: np.ones_like(mu),
-        lambda mu: np.zeros_like(mu),
-    ),
-    "binomial": (
-        lambda mu: mu * (1.0 - mu),
-        lambda mu: 1.0 - 2.0 * mu,
-        lambda mu: np.full_like(mu, -2.0),
-    ),
+    "constant": (lambda mu: np.ones_like(mu), lambda mu: np.zeros_like(mu)),
+    "identity": (lambda mu: mu, lambda mu: np.ones_like(mu)),
+    "binomial": (lambda mu: mu * (1.0 - mu), lambda mu: 1.0 - 2.0 * mu),
 }

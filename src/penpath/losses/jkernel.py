@@ -1,18 +1,18 @@
 """Moment integrals of log-linear segments.
 
 J_ab(r, s) = integral_0^1 (1-t)^a t^b exp((1-t) r + t s) dt, for orders
-a + b <= 3.  These are the building blocks of piecewise log-linear density
-losses: J_00 integrates the density over a knot interval, higher orders give
-the derivative tensors.
+a + b <= 2.  These are the building blocks of piecewise log-linear density
+losses: J_00 integrates the density over a knot interval, orders 1 and 2
+give its gradient and Hessian.
 
 Two branches, split at u = |s - r| = 0.5 after exploiting the symmetry
 J_ab(r, s) = J_ba(s, r) so that u >= 0:
 
 * u <= 0.5: the series e^r a! sum_k (b+k)!/(a+b+k+1)! u^k/k!, whose terms
   are all positive, so no cancellation at any u in range.
-* u > 0.5: closed forms for orders up to (1, 1) and upward recurrences in
-  the first index (valid only from a >= 2) and second index (b >= 2).  The
-  recurrences divide by u, which is safe away from the series region.
+* u > 0.5: closed forms for orders up to (1, 1) and upward recurrences for
+  (2, 0) and (0, 2).  The recurrences divide by u, which is safe away from
+  the series region.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 SERIES_SPLIT = 0.5
 
-ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _series_value(a, b, lo, u):
@@ -47,10 +47,6 @@ def _closed_table(lo, hi, u):
     j[1, 1] = ((es + er) - 2.0 * d / u) / u ** 2
     j[2, 0] = ((2.0 + u) * j[1, 0] - j[0, 0]) / u
     j[0, 2] = ((u - 2.0) * j[0, 1] + j[0, 0]) / u
-    j[2, 1] = ((3.0 + u) * j[1, 1] - j[0, 1]) / u
-    j[1, 2] = ((u - 3.0) * j[1, 1] + j[1, 0]) / u
-    j[3, 0] = ((3.0 + u) * j[2, 0] - 2.0 * j[1, 0]) / u
-    j[0, 3] = ((u - 3.0) * j[0, 2] + 2.0 * j[0, 1]) / u
     return j
 
 
@@ -59,7 +55,7 @@ def _series_table(lo, u):
 
 
 def j_table(r, s):
-    """All J_ab with a + b <= 3 at elementwise argument pairs.
+    """All J_ab with a + b <= 2 at elementwise argument pairs.
 
     Returns a dict keyed by (a, b) of arrays broadcast to the common shape
     of r and s.
@@ -88,8 +84,8 @@ def j_table(r, s):
 
 
 def j_kernel(a, b, r, s):
-    """Scalar J_ab(r, s) for integer orders with a + b <= 3."""
-    if a < 0 or b < 0 or a + b > 3:
-        raise ValueError(f"orders must satisfy a, b >= 0 and a + b <= 3, got ({a}, {b})")
+    """Scalar J_ab(r, s) for integer orders with a + b <= 2."""
+    if (a, b) not in ORDERS:
+        raise ValueError(f"orders must satisfy a, b >= 0 and a + b <= 2, got ({a}, {b})")
     table = j_table(np.array([r]), np.array([s]))
     return float(table[a, b][0])

@@ -76,25 +76,6 @@ class LogConcaveLoss(LossModel):
         h[np.arange(n), np.arange(n)] = diag
         return h
 
-    def dhessian(self, x, v):
-        phi = self._as_param(x)
-        v = np.asarray(v, dtype=float)
-        tab = self._pairs(phi)
-        n = self.dim
-        vl, vr = v[:-1], v[1:]
-        d_left = self.delta * (tab[3, 0] * vl + tab[2, 1] * vr)
-        d_off = self.delta * (tab[2, 1] * vl + tab[1, 2] * vr)
-        d_right = self.delta * (tab[1, 2] * vl + tab[0, 3] * vr)
-        dh = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        dh[idx, idx + 1] = d_off
-        dh[idx + 1, idx] = d_off
-        diag = np.zeros(n)
-        diag[:-1] += d_left
-        diag[1:] += d_right
-        dh[np.arange(n), np.arange(n)] = diag
-        return dh
-
     def newton_start(self):
         # Histogram-style log density: mass divided by the local gap.
         width = np.empty(self.dim)

@@ -46,7 +46,3 @@ class QuadraticLoss(LossModel):
     def hessian(self, x):
         self._as_param(x)
         return self.a_mat.copy()
-
-    def dhessian(self, x, v):
-        self._as_param(x)
-        return np.zeros_like(self.a_mat)

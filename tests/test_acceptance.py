@@ -19,6 +19,7 @@ from penpath import (
 )
 from penpath.constraints import equalities, fused_lasso, isotone, lasso, shape
 from penpath.losses import j_kernel
+from penpath.losses.jkernel import ORDERS
 from penpath.oracles import glasso_coordinate, pava, quadrature_j, solve_fixed_rho
 from penpath.path import MODES, degrees_of_freedom, stationarity_residual
 from penpath.sweeplin import inverse_sweep, sweep
@@ -162,10 +163,9 @@ def test_log_concave_density_fit():
 
 def test_j_kernel_agrees_with_quadrature():
     rng = np.random.default_rng(123)
-    pairs = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
     worst = 0.0
     for i in range(1000):
-        a, b = pairs[rng.integers(len(pairs))]
+        a, b = ORDERS[rng.integers(len(ORDERS))]
         r = rng.uniform(-3.0, 3.0)
         if i % 10 == 0:
             # near-equal arguments exercise the series branch
@@ -198,11 +198,6 @@ def fd_hessian(model, x):
     return np.column_stack(cols)
 
 
-def fd_dhessian(model, x, v):
-    h = 1e-5
-    return (model.hessian(x + h * v) - model.hessian(x - h * v)) / (2.0 * h)
-
-
 def test_derivative_stack_all_families():
     rng = np.random.default_rng(8)
 
@@ -224,24 +219,18 @@ def test_derivative_stack_all_families():
         "ggm": (ggm, ggm.from_matrix(np.eye(3) * 2.0)),
         "logconcave": (logconcave, -np.ones(logconcave.dim)),
     }
-    worst = {"grad": 0.0, "hess": 0.0, "dh": 0.0}
+    worst = {"grad": 0.0, "hess": 0.0}
     ok = True
     for model, x in points.values():
         g = model.gradient(x)
         g_err = np.max(np.abs(g - fd_gradient(model, x))) / (1.0 + np.abs(g).max())
         h = model.hessian(x)
         h_err = np.max(np.abs(h - fd_hessian(model, x))) / (1.0 + np.abs(h).max())
-        v = rng.standard_normal(x.size)
-        v /= np.linalg.norm(v)
-        dh = model.dhessian(x, v)
-        dh_err = np.max(np.abs(dh - fd_dhessian(model, x, v))) / (1.0 + np.abs(dh).max())
         worst["grad"] = max(worst["grad"], g_err)
         worst["hess"] = max(worst["hess"], h_err)
-        worst["dh"] = max(worst["dh"], dh_err)
-        ok &= g_err < 1e-5 and h_err < 1e-5 and dh_err < 1e-4
+        ok &= g_err < 1e-5 and h_err < 1e-5
     verdict(8, "derivative stack, four loss families", ok,
-            f"grad {worst['grad']:.1e}, hess {worst['hess']:.1e}, "
-            f"dh {worst['dh']:.1e}")
+            f"grad {worst['grad']:.1e}, hess {worst['hess']:.1e}")
 
 
 def test_three_modes_agree_on_logistic_fused_lasso():

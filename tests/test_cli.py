@@ -190,6 +190,10 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
          "quadratic loss: linear term does not match"),
         (dict(GLM_LOSS, scale="abc"), {}, "glm loss: could not convert string to float"),
         (dict(GLM_LOSS, scale=[1]), {}, "glm loss: float() argument"),
+        (dict(GLM_LOSS, scale=math.inf), {}, "glm loss: scale must be finite and positive, got inf"),
+        ({"kind": "quasi", "link": "logit", "variance": "binomial", "design": GLM_LOSS["design"],
+          "response": GLM_LOSS["response"], "scale": math.nan}, {},
+         "quasi loss: scale must be finite and positive, got nan"),
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {"direction": "backward", "rho_start": "x"},
          '"options": could not convert string to float'),
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {"residual_tol": "x"},
@@ -204,6 +208,7 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
          '"options": max_step must be finite and positive, got -1.0'),
     ],
     ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
+         "scale_inf", "quasi_scale_nan",
          "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
          "residual_tol_nan", "max_step_negative"],
 )

@@ -39,9 +39,6 @@ class OdeOnly(LossModel):
     def hessian(self, x):
         return self.inner.hessian(x)
 
-    def dhessian(self, x, v):
-        return self.inner.dhessian(x, v)
-
     def newton_start(self):
         return self.inner.newton_start()
 
@@ -70,6 +67,37 @@ def assert_engines_agree(model, cs, **options):
             gap = exact.coefficients_at(rho).r_z - ode.coefficients_at(rho).r_z
             assert np.abs(gap).max(initial=0.0) <= COEF_TOL
     return exact
+
+
+class TargetLoss(LossModel):
+    """A user loss with only the required members: ||x - target||^2 / 2."""
+
+    def __init__(self, target, constant_hessian):
+        self.target = np.asarray(target, dtype=float)
+        self.constant_hessian = constant_hessian
+
+    @property
+    def dim(self):
+        return self.target.size
+
+    def value(self, x):
+        return 0.5 * float(np.sum((x - self.target) ** 2))
+
+    def gradient(self, x):
+        return x - self.target
+
+    def hessian(self, x):
+        return np.eye(self.dim)
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["exact", "ode"])
+def test_user_loss_needs_only_value_gradient_hessian(constant):
+    # event_tol as in test_soft_threshold_kinks_are_exact, for the ODE engine
+    solution = run_path(TargetLoss([2.0, -1.0], constant), lasso(2), event_tol=1e-12)
+    assert solution.status == "terminated"
+    assert [k.index for k in solution.kinks] == [1, 0]
+    np.testing.assert_allclose([k.rho for k in solution.kinks], [1.0, 2.0], atol=1e-9)
+    np.testing.assert_allclose(solution.terminal_beta, 0.0, atol=1e-9)
 
 
 def test_constant_hessian_flags():

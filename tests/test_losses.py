@@ -36,12 +36,7 @@ def fd_hessian(model, x):
     return np.column_stack(cols)
 
 
-def fd_dhessian(model, x, v):
-    h = 1e-5
-    return (model.hessian(x + h * v) - model.hessian(x - h * v)) / (2.0 * h)
-
-
-def check_derivative_stack(model, x, rng, grad_rtol=1e-5, hess_rtol=1e-5, dh_rtol=1e-4):
+def check_derivative_stack(model, x, grad_rtol=1e-5, hess_rtol=1e-5):
     g = model.gradient(x)
     scale = 1.0 + np.abs(g).max()
     np.testing.assert_allclose(g, fd_gradient(model, x), atol=grad_rtol * scale)
@@ -54,20 +49,13 @@ def check_derivative_stack(model, x, rng, grad_rtol=1e-5, hess_rtol=1e-5, dh_rto
         h, fd_hessian(model, x), atol=hess_rtol * (1.0 + np.abs(h).max())
     )
 
-    v = rng.standard_normal(x.size)
-    v /= np.linalg.norm(v)
-    dh = model.dhessian(x, v)
-    np.testing.assert_allclose(
-        dh, fd_dhessian(model, x, v), atol=dh_rtol * (1.0 + np.abs(dh).max())
-    )
-
 
 def test_quadratic_stack():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 4))
     model = QuadraticLoss(a.T @ a + np.eye(4), rng.standard_normal(4), 0.3)
     for _ in range(3):
-        check_derivative_stack(model, rng.standard_normal(4), rng)
+        check_derivative_stack(model, rng.standard_normal(4))
 
 
 def test_quadratic_from_target():
@@ -99,7 +87,7 @@ def test_glm_stack(family):
         y = rng.standard_normal(n)
     model = GlmLoss(x_mat, y, family=family)
     for _ in range(3):
-        check_derivative_stack(model, 0.3 * rng.standard_normal(p), rng)
+        check_derivative_stack(model, 0.3 * rng.standard_normal(p))
 
 
 def test_glm_normal_matches_least_squares():
@@ -119,6 +107,21 @@ def test_glm_response_validation():
         GlmLoss(x_mat, np.array([0.0, 2.0, 1.0]), family="logistic")
     with pytest.raises(ValueError):
         GlmLoss(x_mat, np.array([0.0, -1.0, 1.0]), family="poisson")
+
+
+def test_glm_unknown_family_names_the_valid_ones():
+    with pytest.raises(ValueError, match=r"unknown glm family 'probit'; expected one of "
+                       r"\['logistic', 'normal', 'poisson'\]"):
+        GlmLoss(np.ones((3, 1)), np.array([0.0, 1.0, 1.0]), family="probit")
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+def test_glm_and_quasi_scale_must_be_finite_and_positive(scale):
+    x_mat, y = np.ones((3, 1)), np.array([0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        GlmLoss(x_mat, y, family="logistic", scale=scale)
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        QuasiLoss(x_mat, y, LINKS["logit"], VARIANCES["binomial"], scale=scale)
 
 
 @pytest.mark.parametrize(
@@ -141,14 +144,10 @@ def test_quasi_matches_canonical(family, link, variance):
     canonical = GlmLoss(x_mat, y, family=family)
     quasi = QuasiLoss(x_mat, y, LINKS[link], VARIANCES[variance])
     beta = 0.2 * rng.standard_normal(p)
-    v = rng.standard_normal(p)
     np.testing.assert_allclose(
         quasi.gradient(beta), canonical.gradient(beta), atol=1e-10
     )
     np.testing.assert_allclose(quasi.hessian(beta), canonical.hessian(beta), atol=1e-10)
-    np.testing.assert_allclose(
-        quasi.dhessian(beta, v), canonical.dhessian(beta, v), atol=1e-10
-    )
 
 
 def test_quasi_noncanonical_stack():
@@ -162,19 +161,13 @@ def test_quasi_noncanonical_stack():
     mu = lambda eta: 0.1 + 0.8 * np.atleast_1d(np.exp(eta) / (1 + np.exp(eta)))
     dmu = lambda eta: 0.8 * LINKS["logit"][1](eta)
     d2mu = lambda eta: 0.8 * LINKS["logit"][2](eta)
-    d3mu = lambda eta: 0.8 * LINKS["logit"][3](eta)
-    model = QuasiLoss(x_mat, y, (mu, dmu, d2mu, d3mu), VARIANCES["binomial"])
+    model = QuasiLoss(x_mat, y, (mu, dmu, d2mu), VARIANCES["binomial"])
 
     x = 0.2 * rng.standard_normal(p)
     g = model.gradient(x)
     np.testing.assert_allclose(g, fd_gradient(model, x), atol=1e-5 * (1 + np.abs(g).max()))
     h = model.hessian(x)
     np.testing.assert_allclose(h, fd_hessian(model, x), atol=1e-5 * (1 + np.abs(h).max()))
-    v = rng.standard_normal(p)
-    dh = model.dhessian(x, v)
-    np.testing.assert_allclose(
-        dh, fd_dhessian(model, x, v), atol=1e-4 * (1 + np.abs(dh).max())
-    )
 
 
 def random_spd(rng, p):
@@ -188,7 +181,7 @@ def test_ggm_stack():
     for _ in range(3):
         b = rng.standard_normal((4, 4)) * 0.2
         omega = b @ b.T + np.eye(4)
-        check_derivative_stack(model, model.from_matrix(omega), rng)
+        check_derivative_stack(model, model.from_matrix(omega))
 
 
 def test_ggm_gradient_zero_at_inverse_covariance():
@@ -226,7 +219,7 @@ def test_logconcave_stack():
     freq /= freq.sum()
     model = LogConcaveLoss(support, freq)
     for _ in range(3):
-        check_derivative_stack(model, rng.standard_normal(7) * 0.5, rng)
+        check_derivative_stack(model, rng.standard_normal(7) * 0.5)
 
 
 def test_logconcave_two_point_hessian():

@@ -271,10 +271,6 @@ class RankOneLoss(LossModel):
         self._as_param(x)
         return np.outer(self.v, self.v)
 
-    def dhessian(self, x, v):
-        self._as_param(x)
-        return np.zeros((2, 2))
-
 
 def test_direct_mode_switches_to_nullspace_on_singular_hessian():
     # Penalize the first coordinate only; the active row's null space is
