@@ -226,11 +226,18 @@ def _run_solve(args):
 
 
 # A forked slice must hold at least this many path.csv cells to pay for its
-# fork.  Measured on a 2-CPU host with one BLAS thread, timing `solve` after
-# its path is solved (medians of 40 calls, serial against two slices): the
-# 8-coefficient lasso of tests/golden/lasso_direct (13 cells a row) breaks
-# even at about 11,000 cells (201 rows: 13 ms serially, 21 ms forked), and
-# fused_fsa's 150-coefficient rows (155 cells) at about 30,000 (299 rows:
+# fork, so a table forks from 30,000 cells.  Measured on a 2-CPU host with
+# one BLAS thread, timing `solve` after its path is solved (medians of 40
+# calls, serial against two slices; cells of the whole table).  Lasso rows
+# hold exact zeros, and "%.17g" formats a 0 in about 0.18 us against 0.9 us
+# for the rounding residue they held before, so their serial time fell and
+# their break-even rose.  The 8-coefficient lasso of tests/golden/lasso_direct
+# (13 cells a row) breaks even at 12,000-16,000 cells (800 rows: 17-26 ms
+# serially, 21-38 ms forked; 1,600 rows: 45-50 against 34-39).  lasso_ls's
+# 80-coefficient rows (85 cells) break even at about 30,000 (180 rows: 11-12
+# ms against 13-18; 360 rows: 21-25 against 20-28; 720 rows: 43 against 33),
+# where they broke even at 15,000-30,000 before.  fused_fsa's
+# 150-coefficient rows (155 cells) broke even at about 30,000 (299 rows:
 # 69 ms against 57 ms; 150 rows: 39 against 43).
 _SLICE_MIN_CELLS = 15000
 

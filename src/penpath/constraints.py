@@ -4,14 +4,58 @@ A ConstraintSystem holds equality rows (V, d), entering the objective as
 rho * ||V beta - d||_1, and inequality rows (W, e), entering as
 rho * sum(max(0, W beta - e)).  Inequalities are oriented so that feasible
 means W beta <= e.
+
+Most rows the structured builders emit have one of two simple shapes, which
+the path solver eliminates instead of treating as general rows (RowShapes):
+a pin, one nonzero a at column j, holds beta_j = offset / a while active;
+a tie, a at column j and -a at column j + 1 with offset 0, holds beta_j =
+beta_{j+1}.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .errors import DimensionTooSmall, InvalidEdge, NonIncreasingGrid, OverlapError
+
+# Row shapes (RowShapes.kind).
+GENERAL, PIN, TIE = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class RowShapes:
+    """The shape of each row of [V; W] (equality rows first).
+
+    kind is PIN for a row with one nonzero, coef, at column first: it pins
+    beta_first to value = offset / coef.  It is TIE for a row with offset 0
+    and two nonzeros at adjacent columns, coef at first and -coef at second
+    = first + 1: it ties beta_first to beta_second.  Every other row is
+    GENERAL, also a two-term row on columns further apart.
+    """
+
+    kind: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    coef: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def of(cls, rows, offsets):
+        nonzero = rows != 0.0
+        count = nonzero.sum(axis=1)
+        first = nonzero.argmax(axis=1)
+        second = rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+        at = np.arange(rows.shape[0])
+        coef = rows[at, first]
+        pin = count == 1
+        tie = (count == 2) & (offsets == 0.0) & (second == first + 1) & (rows[at, second] == -coef)
+        kind = np.where(pin, PIN, np.where(tie, TIE, GENERAL))
+        # + 0.0 turns the -0.0 of a zero offset over a negative coefficient
+        # into 0.0.
+        value = np.where(pin, offsets / coef, 0.0) + 0.0
+        return cls(kind, first, second, coef, value)
 
 
 @dataclass(frozen=True)
@@ -71,6 +115,11 @@ class ConstraintSystem:
     def stacked(self):
         """All rows [V; W] and offsets [d; e] as one (m, p) system."""
         return np.vstack([self.v_mat, self.w_mat]), np.concatenate([self.d, self.e])
+
+    @cached_property
+    def row_shapes(self):
+        """RowShapes of the stacked rows, classified once per system."""
+        return RowShapes.of(*self.stacked())
 
 
 def equalities(v_mat, d=None):

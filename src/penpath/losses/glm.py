@@ -23,12 +23,11 @@ from .base import LossModel
 class Family:
     """Canonical exponential family: cumulant psi and mean derivatives."""
 
-    def __init__(self, name, psi, mean, dmean, d2mean, check_response):
+    def __init__(self, name, psi, mean, dmean, check_response):
         self.name = name
         self.psi = psi
         self.mean = mean
         self.dmean = dmean
-        self.d2mean = d2mean
         self.check_response = check_response
 
 
@@ -56,7 +55,6 @@ FAMILIES = {
         psi=lambda eta: 0.5 * eta ** 2,
         mean=lambda eta: eta,
         dmean=lambda eta: np.ones_like(eta),
-        d2mean=lambda eta: np.zeros_like(eta),
         check_response=lambda y: None,
     ),
     "logistic": Family(
@@ -64,7 +62,6 @@ FAMILIES = {
         psi=lambda eta: np.logaddexp(0.0, eta),
         mean=expit,
         dmean=lambda eta: expit(eta) * (1.0 - expit(eta)),
-        d2mean=lambda eta: expit(eta) * (1.0 - expit(eta)) * (1.0 - 2.0 * expit(eta)),
         check_response=_check_binary,
     ),
     "poisson": Family(
@@ -72,7 +69,6 @@ FAMILIES = {
         psi=np.exp,
         mean=np.exp,
         dmean=np.exp,
-        d2mean=np.exp,
         check_response=_check_counts,
     ),
 }
@@ -187,7 +183,11 @@ LINKS = {
         lambda eta: np.ones_like(eta),
         lambda eta: np.zeros_like(eta),
     ),
-    "logit": (expit, FAMILIES["logistic"].dmean, FAMILIES["logistic"].d2mean),
+    "logit": (
+        expit,
+        FAMILIES["logistic"].dmean,
+        lambda eta: expit(eta) * (1.0 - expit(eta)) * (1.0 - 2.0 * expit(eta)),
+    ),
     "log": (np.exp, np.exp, np.exp),
 }
 

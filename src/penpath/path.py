@@ -34,12 +34,25 @@ Cholesky factor of the Hessian and of the Schur complement of the active
 rows (once per point in the ODE engine, once per segment from a per-path
 Hessian factor in the exact one), and "nullspace" works in the active rows'
 null space (usable when the Hessian is singular, and Hessian-free for the
-coefficients).  Either way the ODE state is beta itself.  One segment
-context per segment holds the formulation's per-point factor and the one
-coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with its limit
-H dbeta/drho + u below RHO_FLOOR, which the events, the exact engine's
-closed form and every lookup on a finished path use.  Both engines end a
-segment through one step, which checks the beta_bound guard, picks the
+coefficients).  Either way the ODE state is beta itself.
+
+Active pins (one-entry rows such as the lasso's) and ties (two adjacent
+coordinates held equal, as by the fused lasso and isotone rows) are
+eliminated before either formulation runs (sweeplin.Elimination): with
+beta = c + Z gamma the formulation sees only the remaining general rows,
+and with none active the direction is one Cholesky solve on Z^T H Z, with
+no QR and no Schur complement.  That direction is exactly 0 on pinned
+coordinates and exactly equal across a tied group, and each segment starts
+with its active pins and ties held exactly, so the kink that activates a
+row moves its coordinates onto it: a newly pinned group to the pin's value,
+two merged groups to their mean.  Sampled paths therefore hold exact pin
+values and exact ties.
+
+One segment context per segment holds the formulation's per-point factor
+and the one coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with its
+limit H dbeta/drho + u below RHO_FLOOR, which the events, the exact
+engine's closed form and every lookup on a finished path use.  Both engines
+end a segment through one step, which checks the beta_bound guard, picks the
 first event of a cluster, records the segment and applies the kink.
 """
 
@@ -51,6 +64,7 @@ from typing import Optional
 
 import numpy as np
 
+from .constraints import GENERAL
 from .errors import (
     NoConvergence,
     NotStrictlyConvex,
@@ -60,7 +74,14 @@ from .errors import (
 )
 from .losses.newton import minimize_smooth, unconstrained_minimum
 from .odeint import EVENT_CLUSTER_TOL, FiringRule, integrate
-from .sweeplin import KKTFactor, NullspaceFactor, hessian_factor, null_basis
+from .sweeplin import (
+    EliminatedFactor,
+    Elimination,
+    KKTFactor,
+    NullspaceFactor,
+    hessian_factor,
+    null_basis,
+)
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
 RHO_FLOOR = 1e-12
@@ -237,15 +258,16 @@ class ActiveCoefficients:
         return bool(ok_s and ok_t)
 
 
-def active_coefficients(model, cs, config, beta, rho):
+def active_coefficients(model, cs, config, beta, rho, mode="direct"):
     """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first)
-    in the direct formulation at beta, by the segment context's evaluator
+    in the given formulation at beta, by the segment context's evaluator
     (_SegmentContext.coefficients), which takes the rho -> 0 limit below
-    RHO_FLOOR.
+    RHO_FLOOR.  The direct formulation needs a positive definite Hessian at
+    beta; the nullspace one needs no Hessian above RHO_FLOOR.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    ctx = _SegmentContext(model, cs, config, beta)
+    ctx = _SegmentContext(model, cs, config, beta, mode=mode)
     return ActiveCoefficients.of(config, ctx.coefficients(rho, ctx.beta0))
 
 
@@ -253,14 +275,15 @@ def stationarity_residual(model, cs, config, beta, rho):
     """Normalized violation of the subgradient stationarity condition.
 
     Returns ||grad f + rho (u + U_Z^T r_Z)||_inf / (1 + ||grad f||_inf)
-    with r_Z chosen by the active-coefficient formula; on the exact path
-    this is zero up to integration error.
+    with r_Z the least-squares coefficients of the nullspace formulation,
+    which need no Hessian above RHO_FLOOR, so the residual exists wherever
+    the path does; on the exact path it is zero up to integration error.
     """
     grad = model.gradient(beta)
     pull = config.inactive_subgradient(cs)
     active = config.active_rows(cs)
     if active.shape[0]:
-        coef = active_coefficients(model, cs, config, beta, rho)
+        coef = active_coefficients(model, cs, config, beta, rho, mode="nullspace")
         pull = pull + active.T @ coef.r_z
     res = grad + rho * pull
     return np.abs(res).max() / (1.0 + np.abs(grad).max())
@@ -348,7 +371,10 @@ class _SegmentTrace:
             result = self.results[i]
             lo, hi = sorted((result.steps[0].t_start, result.steps[-1].t_end))
             if lo - 1e-9 <= t <= hi + 1e-9:
-                return result.interpolate(t)
+                beta = result.interpolate(t)
+                # The Runge-Kutta sums keep pinned coordinates exactly but may
+                # round tied ones apart.
+                return beta if self.ctx is None else self.ctx.snap(beta)
         raise ValueError(f"t={t} outside the segment trace")
 
     def coefficients(self, t, beta):
@@ -629,6 +655,11 @@ class _SegmentContext:
     in direct mode, its NullspaceFactor in nullspace mode) and the
     coefficient evaluator.
 
+    When pins or ties are among the active rows, elim (a sweeplin
+    Elimination) removes them first: the mode's factor then sees only the
+    remaining general rows, in the reduced coordinates, and an
+    EliminatedFactor completes the direction and the multipliers.
+
     hessian is the loss's constant Hessian when it has one, else None, and
     h_factor its Cholesky factor for the direct mode, computed once per
     path by the runner.
@@ -640,11 +671,22 @@ class _SegmentContext:
         self.config = config
         self.p = cs.dim
         self.t_sign = t_sign
+        self.mode = mode
         self.hessian = hessian
         self.h_factor = h_factor
         self.u = config.inactive_subgradient(cs)
         self.active = config.active_rows(cs)
-        self.qr = null_basis(self.active, self.p) if mode == "nullspace" else None
+        rows = np.concatenate([config.zero_eq, np.add(config.zero_ineq, cs.n_eq)]).astype(int)
+        self.elim = None
+        if (cs.row_shapes.kind[rows] != GENERAL).any():
+            self.elim = Elimination(self.p, cs.row_shapes, rows)
+            self.general_rows = self.active[self.elim.general]
+            self.reduced_rows = self.elim.reduce_rows(self.general_rows)
+        # The null-space method needs a QR only of the rows it sees.
+        seen = self.active if self.elim is None else self.reduced_rows
+        self.qr = None
+        if mode == "nullspace" and seen.shape[0]:
+            self.qr = null_basis(seen, seen.shape[1])
         self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
         self.release()
@@ -652,6 +694,12 @@ class _SegmentContext:
     def release(self):
         """Drop per-point state once the segment is recorded."""
         self._point = self._point_factor = self._point_hessian = None
+
+    def snap(self, beta):
+        """A copy of beta with the active pins and ties held exactly (see
+        Elimination.snap)."""
+        beta = np.array(beta, dtype=float)
+        return beta if self.elim is None else self.elim.snap(beta)
 
     def interpolate(self, t):
         # The whole solution of a point segment, which keeps only its context.
@@ -665,14 +713,31 @@ class _SegmentContext:
         point = (float(t), beta.tobytes())
         if point != self._point:
             self._point, self._point_hessian = point, self.hessian
-            if self.qr is not None:
-                self._point_factor = NullspaceFactor(self.qr, lambda: self._hessian_at(beta))
+            hessian = lambda: self._hessian_at(beta)
+            if self.elim is not None:
+                self._point_factor = self._eliminated_factor(hessian)
+            elif self.mode == "nullspace":
+                self._point_factor = NullspaceFactor(self.qr, hessian)
             else:
                 h_factor = self.h_factor
                 if h_factor is None:
-                    h_factor = hessian_factor(self._hessian_at(beta))
+                    h_factor = hessian_factor(hessian())
                 self._point_factor = KKTFactor(h_factor, self.active)
         return self._point_factor
+
+    def _eliminated_factor(self, hessian):
+        elim = self.elim
+        if self.mode == "nullspace":
+            reduced = lambda: elim.reduce_hessian(hessian())
+            return EliminatedFactor(elim, NullspaceFactor(self.qr, reduced), self.general_rows)
+        # The exact engine checked once per path that H is positive definite,
+        # as the range-space method needs.
+        if self.h_factor is None:
+            reduced = elim.hessian_factor(hessian())
+        else:
+            reduced = hessian_factor(elim.reduce_hessian(hessian()))
+        inner = KKTFactor(reduced, self.reduced_rows)
+        return EliminatedFactor(elim, inner, self.general_rows, hessian)
 
     def _hessian_at(self, beta):
         # The Hessian at the current point, evaluated at most once there.
@@ -870,10 +935,17 @@ class _PathRunner:
                 self.h_factor = hessian_factor(self.hessian)
             except NotStrictlyConvex:
                 self._switch_to_nullspace()
-        return _SegmentContext(
+        ctx = _SegmentContext(
             self.model, self.cs, self.cfg, self.beta, self.t_sign, self.mode,
             self.hessian, self.h_factor,
         )
+        # The kink rule: a segment starts with its active pins and ties held
+        # exactly, which moves only the coordinates of the row that just
+        # became active (a newly pinned run to its pin's value, two merged
+        # runs to their mean).
+        ctx.beta0 = ctx.snap(ctx.beta0)
+        self.beta = ctx.beta0.copy()
+        return ctx
 
     def _switch_to_nullspace(self):
         if self.mode == "nullspace":
@@ -1044,7 +1116,7 @@ class _PathRunner:
         if rows is not None:
             info = self._first([table.info(j) for j in rows], rho_b)
             termination = info.describe()
-        beta_b = np.asarray(beta_end, dtype=float).copy()
+        beta_b = ctx.snap(beta_end)
         self._record_segment(ctx.config, evaluator, rho_b, beta_b, termination)
         ctx.release()
         self.rho, self.beta = rho_b, beta_b

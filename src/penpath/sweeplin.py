@@ -7,7 +7,19 @@ here, behind the same two methods, direction(u) and multipliers(vec): the
 range-space method (KKTFactor: Cholesky factors of H and of the Schur
 complement U H^-1 U^T) and the null-space method (NullspaceFactor: a QR
 factorization of the active rows, NullBasis, and the Cholesky factor of the
-reduced Hessian Y^T H Y).  The sweep operator acts on a symmetric matrix and is its own inverse up to
+reduced Hessian Y^T H Y).
+
+Active pins and ties (constraints.RowShapes) are eliminated before either
+method runs (Elimination): with beta = c + Z gamma, pinned coordinates are
+constants in c and each run of tied coordinates is one coordinate of gamma,
+so the method sees only the remaining general rows, Z^T H Z and Z^T u.  With
+no general row active that is one Cholesky factor of Z^T H Z, with no QR and
+no Schur complement.  The direction Z dgamma is exactly 0 on pinned
+coordinates and exactly equal across a run.  The pins' and ties'
+multipliers then follow from stationarity, by a leaf-to-root sum along each
+run (EliminatedFactor).
+
+The sweep operator acts on a symmetric matrix and is its own inverse up to
 sign bookkeeping; sweeping every diagonal position of a positive definite
 matrix yields its negated inverse.  Symmetric matrices are plain numpy
 arrays, validated on entry and kept exactly symmetric by construction.
@@ -18,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from .constraints import PIN, TIE
 from .errors import (
     NonFiniteDerivative,
     NotStrictlyConvex,
@@ -85,6 +98,10 @@ def _factor_hessian(mat, singular_error, message):
     """
     if not np.all(np.isfinite(mat)):
         raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
+    diagonal = np.diagonal(mat)
+    if np.count_nonzero(mat) == np.count_nonzero(diagonal) and (diagonal > 0.0).all():
+        # The factor that cho_factor computes, without its O(n^3) work.
+        return np.diag(np.sqrt(diagonal)), False
     try:
         return cho_factor(mat, check_finite=False)
     except np.linalg.LinAlgError:
@@ -115,8 +132,8 @@ class KKTFactor:
     def __init__(self, h_factor, u_active):
         p = h_factor[0].shape[0]
         u_active = np.asarray(u_active, dtype=float)
-        if u_active.size == 0:
-            u_active = u_active.reshape(0, p)
+        if u_active.ndim != 2:
+            u_active = u_active.reshape(-1, p)
         if u_active.ndim != 2 or u_active.shape[1] != p:
             raise ValueError("active rows do not match state dimension")
         m = u_active.shape[0]
@@ -212,10 +229,8 @@ def null_basis(u_active, p=None):
     for identical input.
     """
     u_active = np.asarray(u_active, dtype=float)
-    if u_active.size == 0:
-        if p is None:
-            p = u_active.shape[1] if u_active.ndim == 2 else 0
-        u_active = u_active.reshape(0, p)
+    if u_active.ndim != 2:
+        u_active = u_active.reshape(-1, p or 0)
     m, p = u_active.shape
     if m == 0:
         return NullBasis(u_active, np.eye(p), np.zeros((p, 0)), np.zeros((0, 0)))
@@ -226,8 +241,9 @@ def null_basis(u_active, p=None):
 class NullspaceFactor:
     """The bordered KKT matrix by the null-space method.
 
-    Built from the active rows' NullBasis (U^T = [Q_1 Q_2] R, Y = Q_2) and
-    a zero-argument callable giving the Hessian H, which is evaluated only
+    Built from the active rows' NullBasis (U^T = [Q_1 Q_2] R, Y = Q_2), or
+    None when no row is active (Y = I, and no QR is formed), and a
+    zero-argument callable giving the Hessian H, which is evaluated only
     when direction() is first asked for; multipliers() needs no Hessian.
     """
 
@@ -239,19 +255,228 @@ class NullspaceFactor:
     def direction(self, u):
         """-Y (Y^T H Y)^-1 Y^T u, the -P u of KKTFactor.direction; raises
         ReducedHessianSingular when Y^T H Y is not positive definite."""
-        y_b = self.qr.basis
-        if y_b.shape[1] == 0:
+        y_b = None if self.qr is None else self.qr.basis
+        if y_b is not None and y_b.shape[1] == 0:
             return np.zeros(np.shape(u))
         if self._reduced is None:
-            reduced = y_b.T @ self.hessian() @ y_b
+            reduced = self.hessian()
+            if y_b is not None:
+                reduced = y_b.T @ reduced @ y_b
             self._reduced = _factor_hessian(
                 0.5 * (reduced + reduced.T),
                 ReducedHessianSingular,
                 "Hessian restricted to the active null space is singular",
             )
         # u is a sum of validated constraint rows, so finite.
+        if y_b is None:
+            return -cho_solve(self._reduced, u, check_finite=False)
         return -(y_b @ cho_solve(self._reduced, y_b.T @ u, check_finite=False))
 
     def multipliers(self, vec):
         """The r with U^T r = -vec (see NullBasis.multipliers)."""
+        if self.qr is None:
+            _require_finite(vec)
+            return np.zeros((0,) + np.shape(vec)[1:])
         return self.qr.multipliers(vec)
+
+
+class Elimination:
+    """beta = c + Z gamma for the pins and ties among one segment's active rows.
+
+    rows are the active rows' indices into shapes (a constraints.RowShapes),
+    in active order.  Ties join adjacent coordinates, so the tied groups are
+    runs of coordinates.  A run with a pin is pinned: each of its
+    coordinates is a constant in c, at the pin's value.  Every other run, a
+    single free coordinate included, is one coordinate of gamma.  Z is the
+    run indicator with column g scaled by 1 / sqrt(n_g), so Z^T Z = I and
+    the null-space method's least-squares multipliers carry over.
+
+    The pins and ties form a forest, rooted at each free run's first
+    coordinate and at a ground node that joins each pin.  A row that would
+    close a cycle depends on the others and stays general: a second tie of
+    the same pair, and a second pin in a run (the first in active order
+    stays).  general holds the positions (in active order) of the rows that
+    stay general, structured those of the eliminated ones, each after the
+    edge above it.
+    """
+
+    def __init__(self, p, shapes, rows):
+        self.p = p
+        kind, first = shapes.kind[rows], shapes.first[rows]
+        pins = (kind == PIN).nonzero()[0]
+        ties = (kind == TIE).nonzero()[0]
+        left = first[ties]
+        # linked[j]: coordinate j is tied to j - 1, so continues a run.
+        linked = np.zeros(p, dtype=bool)
+        linked[left + 1] = True
+        if np.count_nonzero(linked) < ties.size:
+            left, keep = np.unique(left, return_index=True)
+            ties = ties[keep]
+        run = np.cumsum(~linked) - 1
+        # Each run's root: its pin, else its first coordinate.
+        anchor = (~linked).nonzero()[0]
+        pin_runs = run[first[pins]]
+        pinned = np.zeros(anchor.size, dtype=bool)
+        pinned[pin_runs] = True
+        if np.count_nonzero(pinned) < pins.size:
+            pin_runs, keep = np.unique(pin_runs, return_index=True)
+            pins = pins[keep]
+        anchor[pin_runs] = first[pins]
+        run_value = np.zeros(anchor.size)
+        run_value[pin_runs] = shapes.value[rows[pins]]
+
+        # Every edge hangs its child, the end away from the root, from the
+        # node next to it on the root's side (the ground for a pin).  In
+        # order of the child's distance from the root, each edge comes after
+        # the edge above it.
+        child = np.concatenate([first[pins], left + 1 - (anchor[run[left]] > left)])
+        offset = child - anchor[run[child]]
+        order = np.abs(offset).argsort(kind="stable")
+        self.child, offset = child[order], offset[order]
+        self.structured = np.concatenate([pins, ties])[order]
+        edge_of = np.full(p, -1)
+        edge_of[self.child] = np.arange(order.size)
+        above = edge_of[self.child - np.sign(offset)]
+        above[offset == 0] = -1
+        # Leaf-to-root sums x = M^-1 y: x_k = y_k + the x of the edges below.
+        self.tree = None
+        below = (above >= 0).nonzero()[0]
+        if below.size:
+            self.tree = np.eye(above.size)
+            self.tree[above[below], below] = -1.0
+
+        general = np.ones(rows.size, dtype=bool)
+        general[self.structured] = False
+        self.general = general.nonzero()[0]
+        # Each eliminated row's entry at its child: coef at first, -coef at
+        # a tie's second.
+        self.child_coef = shapes.coef[rows[self.structured]]
+        self.child_coef[self.child != first[self.structured]] *= -1.0
+
+        on_pinned = pinned[run]
+        groups = run[~on_pinned]
+        first_of_group = np.ones(groups.size, dtype=bool)
+        first_of_group[1:] = groups[1:] != groups[:-1]
+        self.pinned = on_pinned.nonzero()[0]
+        self.pin_values = run_value[run[self.pinned]]
+        self.order = (~on_pinned).nonzero()[0]
+        self.starts = first_of_group.nonzero()[0]
+        self.sizes = np.concatenate((self.starts[1:], [groups.size])) - self.starts
+        self.size = self.starts.size
+        # Z itself once some group has more than one coordinate; until then
+        # Z only selects the free coordinates.
+        self.z = None
+        if self.size < groups.size:
+            group = np.cumsum(first_of_group) - 1
+            self.z = np.zeros((p, self.size))
+            self.z[self.order, group] = 1.0 / np.sqrt(self.sizes[group])
+
+    def reduce(self, x):
+        """Z^T x, for a vector or for each column of x."""
+        return x[self.order] if self.z is None else self.z.T @ x
+
+    def expand(self, g):
+        """Z g: exactly 0 on pinned coordinates and one value across a
+        group, since each row of Z has at most one nonzero."""
+        if self.z is not None:
+            return self.z @ g
+        out = np.zeros((self.p,) + np.shape(g)[1:])
+        out[self.order] = g
+        return out
+
+    def reduce_hessian(self, h):
+        """Z^T H Z: H on the free coordinates, summed over each group, and
+        diagonal when H is (a signal approximator's)."""
+        if self.z is None:
+            return h.take(self.order, 0).take(self.order, 1)
+        diagonal = np.diagonal(h)
+        if np.count_nonzero(h) == np.count_nonzero(diagonal):
+            return np.diag((self.z * self.z).T @ diagonal)
+        return self.z.T @ h @ self.z
+
+    def hessian_factor(self, h):
+        """The Cholesky factor of Z^T H Z, for the range-space method, which
+        needs H itself positive definite (else NotStrictlyConvex).  With pins
+        only, it is the leading block of H's factor with the free coordinates
+        first, so one factorization does both."""
+        if self.z is not None:
+            hessian_factor(h)
+            return hessian_factor(self.reduce_hessian(h))
+        first = np.concatenate([self.order, self.pinned])
+        factor, lower = hessian_factor(h.take(first, 0).take(first, 1))
+        return factor[: self.size, : self.size], lower
+
+    def reduce_rows(self, rows):
+        """U Z for rows U (one per row)."""
+        return rows[:, self.order] if self.z is None else rows @ self.z
+
+    def snap(self, beta):
+        """beta, in place, with the pins and ties held exactly: each pinned
+        coordinate at its pin's value, and each group whose values differ at
+        their mean."""
+        beta[self.pinned] = self.pin_values
+        if self.z is not None:
+            values = beta[self.order]
+            lo = np.minimum.reduceat(values, self.starts)
+            hi = np.maximum.reduceat(values, self.starts)
+            if (lo != hi).any():
+                mean = np.add.reduceat(values, self.starts) / self.sizes
+                beta[self.order] = np.repeat(np.where(lo == hi, lo, mean), self.sizes)
+        return beta
+
+    def multipliers(self, r_general, w):
+        """All active multipliers (in active order), given the general rows'
+        r_general and w = vec + U_G^T r_general + H dbeta, which sums to 0
+        over each group: the eliminated rows' r solves U_S^T r = -w, and the
+        r of the edge above coordinate c is minus the sum of w over c's
+        subtree divided by its entry at c."""
+        sums = w[self.child]
+        if self.tree is not None:
+            sums = solve_triangular(self.tree, sums, unit_diagonal=True, check_finite=False)
+        r = np.empty((self.general.size + self.structured.size,) + np.shape(w)[1:])
+        r[self.general] = r_general
+        r[self.structured] = -sums / self.child_coef.reshape((-1,) + (1,) * (np.ndim(w) - 1))
+        return r
+
+
+class EliminatedFactor:
+    """The bordered KKT matrix of every active row through an Elimination.
+
+    inner is the mode's own factor (KKTFactor or NullspaceFactor) of the
+    reduced system: Z^T H Z, the general rows U_G Z and vectors Z^T v.
+    general_rows are U_G themselves.  hessian, a zero-argument callable
+    giving H, selects the range-space multipliers (those of KKTFactor on
+    every row); without it they are the null-space method's least-squares
+    ones, which need no Hessian.
+    """
+
+    def __init__(self, elim, inner, general_rows, hessian=None):
+        self.elim = elim
+        self.inner = inner
+        self.general_rows = general_rows
+        self.hessian = hessian
+
+    def direction(self, u):
+        """-P u (see KKTFactor.direction), from the reduced system."""
+        return self.elim.expand(self.inner.direction(self.elim.reduce(u)))
+
+    def multipliers(self, vec):
+        """The r of KKTFactor.multipliers (with hessian) or of
+        NullBasis.multipliers (without) for every active row.
+
+        The general rows' r comes from the reduced system.  The rest of
+        stationarity, H delta + U^T r = -vec with delta the reduced step,
+        gives the eliminated rows' r: delta is the reduced direction of vec
+        in the range-space method, and minus the projection of vec + U_G^T
+        r_general onto the range of Z in the null-space one.
+        """
+        _require_finite(vec)
+        elim = self.elim
+        reduced = elim.reduce(vec)
+        r_general = self.inner.multipliers(reduced)
+        w = vec + self.general_rows.T @ r_general
+        if self.hessian is None:
+            w = w - elim.expand(elim.reduce(w))
+        else:
+            w = w + self.hessian() @ elim.expand(self.inner.direction(reduced))
+        return elim.multipliers(r_general, w)

@@ -23,7 +23,13 @@ from penpath.losses import (
 )
 from penpath.losses.newton import unconstrained_minimum
 from penpath.oracles import glasso_coordinate, pava, solve_fixed_rho
-from penpath.path import MODES, PathOptions, run_path
+from penpath.path import (
+    MODES,
+    PathOptions,
+    active_coefficients,
+    run_path,
+    stationarity_residual,
+)
 
 
 def logistic_model(seed, n=40, p=5):
@@ -316,6 +322,27 @@ def test_coefficients_on_a_singular_hessian_path():
     assert points
     for seg in points:
         assert np.all(np.isfinite(seg.coefficients_at(seg.rho_start).r_z))
+
+
+def test_stationarity_residual_on_a_singular_hessian_path():
+    # The path switches to nullspace mode; the residual and the
+    # coefficients at a point of it need no positive definite Hessian.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 8))
+    model = QuadraticLoss.from_least_squares(x, rng.normal(size=5))
+    cs = fused_lasso(8)
+    sol = run_path(model, cs, direction="backward", rho_min=0.05, mode="nullspace")
+    checked = 0
+    for seg in sol.segments:
+        if seg.rho_span == 0.0 or not seg.config.n_active:
+            continue
+        rho = 0.5 * (seg.rho_start + seg.rho_end)
+        beta = seg.beta_at(rho)
+        assert stationarity_residual(model, cs, seg.config, beta, rho) < 1e-10
+        coef = active_coefficients(model, cs, seg.config, beta, rho, mode="nullspace")
+        assert np.abs(coef.r_z - sol.coefficients_at(rho).r_z).max() < 1e-10
+        checked += 1
+    assert checked >= 3
 
 
 def test_singular_hessian_path_without_a_segment_switches_to_nullspace():
