@@ -113,14 +113,13 @@ def _path_csv_header(p):
 
 
 def _sample_rows(spec, solution, rhos, part):
-    """Sample the path at rhos, writing each row (rho, beta, df, negloglik,
-    aic, bic) to the binary file part as path.csv holds it, formatted as it
-    is sampled.  Returns the rows' (rho, aic, bic)."""
+    """Sample the path at rhos (PathSolution.sample), writing each row (rho,
+    beta, df, negloglik, aic, bic) to the binary file part as path.csv holds
+    it.  Returns the rows' (rho, aic, bic)."""
     template = _row_template("g" * (spec.dimension + 1) + "dggg")
     points = []
-    for rho in rhos:
-        beta = solution.beta_at(rho)
-        df = solution.df_at(rho)
+    betas, dfs = solution.sample(rhos)
+    for rho, beta, df in zip(rhos, betas, dfs):
         value = spec.model.value(beta)
         aic, bic = information_criteria(-value, df, spec.n_observations)
         rho = float(rho)

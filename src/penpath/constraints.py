@@ -117,9 +117,16 @@ class ConstraintSystem:
         return np.vstack([self.v_mat, self.w_mat]), np.concatenate([self.d, self.e])
 
     @cached_property
+    def stacked_rows(self):
+        """stacked(), formed once per system and read-only, for the solver."""
+        rows, offsets = self.stacked()
+        rows.flags.writeable = offsets.flags.writeable = False
+        return rows, offsets
+
+    @cached_property
     def row_shapes(self):
         """RowShapes of the stacked rows, classified once per system."""
-        return RowShapes.of(*self.stacked())
+        return RowShapes.of(*self.stacked_rows)
 
 
 def equalities(v_mat, d=None):

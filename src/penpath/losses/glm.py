@@ -49,6 +49,16 @@ def _checked_scale(scale):
     return scale
 
 
+def _logistic_dmean(mu):
+    """The logistic mean's derivative, from the mean mu = expit(eta)."""
+    return mu * (1.0 - mu)
+
+
+def _logistic_d2mean(mu):
+    """The logistic mean's second derivative, from the mean mu = expit(eta)."""
+    return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
+
+
 FAMILIES = {
     "normal": Family(
         "normal",
@@ -61,7 +71,7 @@ FAMILIES = {
         "logistic",
         psi=lambda eta: np.logaddexp(0.0, eta),
         mean=expit,
-        dmean=lambda eta: expit(eta) * (1.0 - expit(eta)),
+        dmean=lambda eta: _logistic_dmean(expit(eta)),
         check_response=_check_binary,
     ),
     "poisson": Family(
@@ -186,7 +196,7 @@ LINKS = {
     "logit": (
         expit,
         FAMILIES["logistic"].dmean,
-        lambda eta: expit(eta) * (1.0 - expit(eta)) * (1.0 - 2.0 * expit(eta)),
+        lambda eta: _logistic_d2mean(expit(eta)),
     ),
     "log": (np.exp, np.exp, np.exp),
 }

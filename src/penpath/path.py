@@ -54,12 +54,26 @@ limit H dbeta/drho + u below RHO_FLOOR, which the events, the exact
 engine's closed form and every lookup on a finished path use.  Both engines
 end a segment through one step, which checks the beta_bound guard, picks the
 first event of a cluster, records the segment and applies the kink.
+
+What a kink does not change is carried across it.  The system's stacked
+rows [V; W] and their shapes are formed once per system, and the constant
+Hessian, its factor and whether it is diagonal once per path.  The runner
+carries one set state (_SetState): the configuration, u, the active rows
+and the residual events' signed rows.  A kink moves one row, so it splices
+that row out of one sorted tuple and into another, between the active rows
+and the residual rows, and recomputes u on that row's columns only; a
+segment reads its residual events from the carried rows, without a copy.
+Still built per segment: the event table's index arrays, the elimination
+(its runs, Z, and the walks along which the eliminated rows' multipliers
+are summed), the formulation's factor of Z^T H Z (a QR or a Schur factor
+too when general rows are active), the snap and the closed-form events.
 """
 
 import math
 import warnings as _pywarnings
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -176,16 +190,28 @@ class SetConfiguration:
         raise ValueError(f"{row_kind} row {index} is not classified")
 
     def move(self, row_kind, index, to_set):
-        """New configuration with one row moved to `to_set`."""
+        """New configuration with one row moved to `to_set`: the row leaves
+        its set's sorted tuple and is spliced into the target's, and the
+        other sets are shared."""
         if row_kind not in ("eq", "ineq"):
             raise ValueError(f"unknown row kind {row_kind!r}")
         if to_set not in (f"neg_{row_kind}", f"zero_{row_kind}", f"pos_{row_kind}"):
             raise ValueError(f"bad target set {to_set!r} for {row_kind} row")
-        source = self.locate(row_kind, index)
-        groups = {name: set(getattr(self, name)) for name in _SET_FIELDS}
-        groups[source].discard(index)
-        groups[to_set].add(index)
-        return SetConfiguration(**groups)
+        return self._spliced(self.locate(row_kind, index), int(index), to_set)
+
+    def _spliced(self, source, index, to_set):
+        # move() once the row's set is known.
+        members = getattr(self, source)
+        at = members.index(index)
+        changed = {source: members[:at] + members[at + 1:]}
+        members = changed.get(to_set, getattr(self, to_set))
+        at = bisect_left(members, index)
+        changed[to_set] = members[:at] + (index,) + members[at:]
+        # The fields are valid, so __init__'s sorting and checks are skipped.
+        moved = object.__new__(SetConfiguration)
+        moved.__dict__.update(self.__dict__)
+        moved.__dict__.update(changed)
+        return moved
 
 
 def classify(residuals_eq, residuals_ineq, tol):
@@ -203,6 +229,103 @@ def classify(residuals_eq, residuals_ineq, tol):
     neg_eq, zero_eq, pos_eq = split(residuals_eq)
     neg_ineq, zero_ineq, pos_ineq = split(residuals_ineq)
     return SetConfiguration(neg_eq, zero_eq, pos_eq, neg_ineq, zero_ineq, pos_ineq)
+
+
+# The residual events' rows, set by set (_EventTable).
+_RESIDUAL_SETS = ("neg_eq", "pos_eq", "neg_ineq", "pos_ineq")
+
+
+class _SetState:
+    """A set configuration with what each of its segments reads from it.
+
+    - pull: each stacked row's weight in u, the rows being the system's
+      [V; W]: -1 for neg_eq, +1 for pos_eq and pos_ineq, else 0;
+    - u: the inactive rows' subgradient direction, bitwise that of
+      SetConfiguration.inactive_subgradient;
+    - active: the active rows' stacked indices, ascending, which is active
+      order (equality rows first);
+    - res_rows: the inactive rows set by set (_RESIDUAL_SETS), each times
+      its sign, the residual events' rows (_EventTable).
+
+    of() builds one from a configuration.  The runner carries one across
+    kinks instead: a kink moves one row, so move() splices that row between
+    active and res_rows and recomputes u only on its columns.
+    """
+
+    def __init__(self, cs, config, pull, u, active, res_rows):
+        self.cs = cs
+        self.config = config
+        self.pull = pull
+        self.u = u
+        self.active = active
+        self.res_rows = res_rows
+
+    @classmethod
+    def of(cls, cs, config):
+        rows = cs.stacked_rows[0]
+        res = [np.array(getattr(config, name), dtype=int) for name in _RESIDUAL_SETS]
+        res[2] += cs.n_eq
+        res[3] += cs.n_eq
+        active = np.ones(rows.shape[0], dtype=bool)
+        pull = np.zeros(rows.shape[0])
+        for index, sign in zip(res, (-1.0, 1.0, 0.0, 1.0)):
+            active[index] = False
+            pull[index] = sign
+        res_sign = np.repeat([-1.0, 1.0, -1.0, 1.0], [index.size for index in res])
+        res = np.concatenate(res)
+        return cls(cs, config, pull, config.inactive_subgradient(cs), active.nonzero()[0],
+                   res_sign[:, None] * rows[res])
+
+    def move(self, row_kind, index, to_set):
+        """The set the row leaves, and the state once it is in to_set."""
+        old, index = self.config, int(index)
+        from_set = old.locate(row_kind, index)
+        config = old._spliced(from_set, index, to_set)
+        cs = self.cs
+        rows = cs.stacked_rows[0]
+        row = index + (0 if row_kind == "eq" else cs.n_eq)
+        active, res_rows = self.active, self.res_rows
+        if from_set.startswith("zero"):
+            at = active.searchsorted(row)
+            active = np.concatenate((active[:at], active[at + 1:]))
+        else:
+            at = _residual_position(old, from_set, index)
+            res_rows = np.concatenate((res_rows[:at], res_rows[at + 1:]))
+        if to_set.startswith("zero"):
+            at = active.searchsorted(row)
+            active = np.concatenate((active[:at], [row], active[at:]))
+        else:
+            at = _residual_position(config, to_set, index)
+            signed = rows[row] if to_set.startswith("pos") else -rows[row]
+            res_rows = np.concatenate((res_rows[:at], signed[None], res_rows[at:]))
+        pull, u = self.pull, self.u
+        weight = -1.0 if to_set == "neg_eq" else float(to_set.startswith("pos"))
+        if weight != pull[row]:
+            pull = pull.copy()
+            pull[row] = weight
+            # Only the row's columns change.  There u is the sum of the
+            # pulling rows that touch them, each times its weight, added in
+            # inactive_subgradient's order: neg_eq rows, then the others
+            # ascending (zero entries add nothing).
+            cols = rows[row].nonzero()[0]
+            touch = rows[:, cols].any(axis=1).nonzero()[0]
+            touch = touch[pull[touch] != 0.0]
+            touch = touch[pull[touch].argsort(kind="stable")]
+            u = u.copy()
+            u[cols] = 0.0
+            if touch.size:
+                terms = pull[touch, None] * rows[touch[:, None], cols]
+                # inactive_subgradient adds from +0.0, accumulate from the
+                # first term: + 0.0 turns the -0.0 that gives into +0.0.
+                u[cols] = np.add.accumulate(terms)[-1] + 0.0
+        return from_set, _SetState(cs, config, pull, u, active, res_rows)
+
+
+def _residual_position(config, name, index):
+    """Where row `index` of set `name` of config sits among the residual
+    events' rows."""
+    before = _RESIDUAL_SETS[: _RESIDUAL_SETS.index(name)]
+    return sum(len(getattr(config, other)) for other in before) + getattr(config, name).index(index)
 
 
 def degrees_of_freedom(config, p):
@@ -449,6 +572,23 @@ class PathSegment:
         lo, hi = sorted((self._t_sign * self.rho_start, self._t_sign * self.rho_end))
         return self._eval.interpolate(min(max(self._t_sign * rho, lo), hi))
 
+    def betas_at(self, rhos, forward):
+        """beta_at(rho) for each of rhos inside this segment's padded range
+        (contains), and outside it the beta the path keeps beyond its end:
+        beta_end on a forward path, else beta_start."""
+        lo, hi = sorted((self.rho_start, self.rho_end))
+        pad = 1e-9 * (1.0 + np.abs(rhos))
+        inside = (lo - pad <= rhos) & (rhos <= hi + pad)
+        out = np.empty((rhos.size, self.beta_end.size))
+        out[~inside] = self.beta_end if forward else self.beta_start
+        lo, hi = sorted((self._t_sign * self.rho_start, self._t_sign * self.rho_end))
+        t = np.minimum(np.maximum(self._t_sign * rhos[inside], lo), hi)
+        if isinstance(self._eval, _LinearSegment):
+            out[inside] = self._eval.interpolate(t[:, None])
+        elif t.size:
+            out[inside] = [self._eval.interpolate(t_k) for t_k in t]
+        return out
+
     def coefficients_at(self, rho):
         """Active subgradient coefficients at a point of this segment."""
         return self._coefficients(rho, self.beta_at(rho))
@@ -515,6 +655,26 @@ class PathSolution:
             return (seg.beta_end if self.direction == "forward" else seg.beta_start).copy()
         return seg.beta_at(rho)
 
+    def sample(self, rhos):
+        """beta_at and df_at at each of rhos, bitwise, as an (n, p) array
+        and a list of n ints.  Each rho costs one segment lookup, and the
+        betas of consecutive rhos on one exact-engine segment are one
+        broadcast of its line."""
+        rhos = np.asarray(rhos, dtype=float)
+        betas = np.empty((rhos.size, self.p))
+        dfs = []
+        segments = [self._segment_for(rho) for rho in rhos]
+        i = 0
+        while i < rhos.size:
+            seg = segments[i]
+            j = i + 1
+            while j < rhos.size and segments[j] is seg:
+                j += 1
+            dfs += [degrees_of_freedom(seg.config, self.p)] * (j - i)
+            betas[i:j] = seg.betas_at(rhos[i:j], self.direction == "forward")
+            i = j
+        return betas, dfs
+
     def config_at(self, rho):
         return self._segment_for(rho).config
 
@@ -574,6 +734,14 @@ _EVENT_TYPES = (
 )
 
 
+# Per group of table entries (the residual sets, then the coefficient
+# events of the active equality and inequality rows by boundary): its type
+# code and its sign; and the coefficient events' boundaries by code - 2.
+_GROUP_CODES = np.array([0, 0, 1, 1, 2, 3, 4, 5])
+_GROUP_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+_BOUNDARIES = np.array([event[2] for event in _EVENT_TYPES[2:]])
+
+
 class _EventTable:
     """Every event of one segment, in the layout both engines read.
 
@@ -583,40 +751,28 @@ class _EventTable:
     sign class.  The others are coefficient events g = sign_j (r_Z[pos_j]
     - boundary_j), where pos_j is the row's position in r_Z (eq rows
     first) and the sign is -1 at an upper boundary and +1 at a lower one.
-    An event fires when its g falls through zero.
+    An event fires when its g falls through zero.  The residual rows are
+    the set state's (_SetState.res_rows).
     """
 
-    def __init__(self, cs, cfg):
-        codes, rows, res_rows, res_offsets = [], [], [], []
-        for code, (mat, offsets, neg, pos) in enumerate((
-            (cs.v_mat, cs.d, cfg.neg_eq, cfg.pos_eq),
-            (cs.w_mat, cs.e, cfg.neg_ineq, cfg.pos_ineq),
-        )):
-            idx = np.array(neg + pos, dtype=int)
-            sign = np.repeat([-1.0, 1.0], [len(neg), len(pos)])
-            res_rows.append(sign[:, None] * mat[idx])
-            res_offsets.append(sign * offsets[idx])
-            codes.append(np.full(idx.size, code))
-            rows.append(idx)
-        self.res_rows = np.vstack(res_rows)
-        self.res_offsets = np.concatenate(res_offsets)
-        self.n_res = self.res_offsets.size
-        positions, signs, bounds = [], [], []
-        for code in range(2, len(_EVENT_TYPES)):
-            _, row_kind, boundary, to_set = _EVENT_TYPES[code]
-            eq = row_kind == "eq"
-            idx = np.array(cfg.zero_eq if eq else cfg.zero_ineq, dtype=int)
-            positions.append(np.arange(idx.size) + (0 if eq else len(cfg.zero_eq)))
-            signs.append(np.full(idx.size, -1.0 if to_set.startswith("pos") else 1.0))
-            bounds.append(np.full(idx.size, boundary))
-            codes.append(np.full(idx.size, code))
-            rows.append(idx)
-        self.coef_pos = np.concatenate(positions)
-        self.coef_sign = np.concatenate(signs)
-        self.coef_bound = np.concatenate(bounds)
-        self.codes = np.concatenate(codes)
-        self.rows = np.concatenate(rows)
+    def __init__(self, sets):
+        cfg = sets.config
+        groups = [getattr(cfg, name) for name in _RESIDUAL_SETS]
+        groups += [cfg.zero_eq, cfg.zero_eq, cfg.zero_ineq, cfg.zero_ineq]
+        sizes = [len(group) for group in groups]
+        self.n_res = n_res = sum(sizes[:4])
+        self.codes = _GROUP_CODES.repeat(sizes)
+        self.rows = np.fromiter(chain.from_iterable(groups), dtype=int, count=sum(sizes))
         self.size = self.codes.size
+        # -1 for the negative sets and at upper boundaries, else +1.
+        signs = _GROUP_SIGNS.repeat(sizes)
+        self.res_rows = sets.res_rows
+        res = self.rows[:n_res] + np.where(self.codes[:n_res] == 1, sets.cs.n_eq, 0)
+        self.res_offsets = signs[:n_res] * sets.cs.stacked_rows[1][res]
+        eq, ineq = np.arange(sizes[4]), np.arange(sizes[4], sizes[4] + sizes[6])
+        self.coef_pos = np.concatenate([eq, eq, ineq, ineq])
+        self.coef_sign = signs[n_res:]
+        self.coef_bound = _BOUNDARIES[self.codes[n_res:] - 2]
 
     def info(self, j):
         kind, row_kind, boundary, to_set = _EVENT_TYPES[self.codes[j]]
@@ -650,40 +806,48 @@ class _EventTable:
 # The segment context, shared by both engines and both formulations.
 
 class _SegmentContext:
-    """Per-segment state: the active rows U, the inactive rows' subgradient
-    direction u, the formulation's per-point factor (sweeplin's KKTFactor
-    in direct mode, its NullspaceFactor in nullspace mode) and the
-    coefficient evaluator.
+    """Per-segment state: the inactive rows' subgradient direction u and the
+    active rows of the set state, the formulation's per-point factor
+    (sweeplin's KKTFactor in direct mode, its NullspaceFactor in nullspace
+    mode) and the coefficient evaluator.
 
     When pins or ties are among the active rows, elim (a sweeplin
     Elimination) removes them first: the mode's factor then sees only the
     remaining general rows, in the reduced coordinates, and an
     EliminatedFactor completes the direction and the multipliers.
 
-    hessian is the loss's constant Hessian when it has one, else None, and
-    h_factor its Cholesky factor for the direct mode, computed once per
-    path by the runner.
+    hessian is the loss's constant Hessian when it has one, else None,
+    h_factor its Cholesky factor for the direct mode and h_diagonal its
+    diagonal when it is diagonal (else None), computed once per path by the
+    runner.  sets is the runner's _SetState of config; without it, one is
+    built from config.
     """
 
     def __init__(self, model, cs, config, beta0, t_sign=1.0, mode="direct",
-                 hessian=None, h_factor=None):
+                 hessian=None, h_factor=None, h_diagonal=None, sets=None):
+        self.sets = _SetState.of(cs, config) if sets is None else sets
         self.model = model
-        self.config = config
+        self.config = self.sets.config
         self.p = cs.dim
         self.t_sign = t_sign
         self.mode = mode
         self.hessian = hessian
         self.h_factor = h_factor
-        self.u = config.inactive_subgradient(cs)
-        self.active = config.active_rows(cs)
-        rows = np.concatenate([config.zero_eq, np.add(config.zero_ineq, cs.n_eq)]).astype(int)
+        self.h_diagonal = h_diagonal
+        self.u = self.sets.u
+        rows = self.sets.active
+        self.n_active = rows.size
+        stacked = cs.stacked_rows[0]
+        # The mode's formulation sees the active rows, or the general ones
+        # among them in the reduced coordinates, and the null-space method
+        # needs a QR only of those.
         self.elim = None
         if (cs.row_shapes.kind[rows] != GENERAL).any():
             self.elim = Elimination(self.p, cs.row_shapes, rows)
-            self.general_rows = self.active[self.elim.general]
-            self.reduced_rows = self.elim.reduce_rows(self.general_rows)
-        # The null-space method needs a QR only of the rows it sees.
-        seen = self.active if self.elim is None else self.reduced_rows
+            self.general_rows = stacked[rows[self.elim.general]]
+            seen = self.reduced_rows = self.elim.reduce_rows(self.general_rows)
+        else:
+            seen = self.active = stacked[rows]
         self.qr = None
         if mode == "nullspace" and seen.shape[0]:
             self.qr = null_basis(seen, seen.shape[1])
@@ -727,15 +891,20 @@ class _SegmentContext:
 
     def _eliminated_factor(self, hessian):
         elim = self.elim
+        # Z^T H Z, by its diagonal when H is diagonal.
+        if self.h_diagonal is None:
+            reduced_hessian = lambda: elim.reduce_hessian(hessian())
+        else:
+            reduced_hessian = lambda: elim.reduce_diagonal(self.h_diagonal)
         if self.mode == "nullspace":
-            reduced = lambda: elim.reduce_hessian(hessian())
-            return EliminatedFactor(elim, NullspaceFactor(self.qr, reduced), self.general_rows)
+            inner = NullspaceFactor(self.qr, reduced_hessian)
+            return EliminatedFactor(elim, inner, self.general_rows)
         # The exact engine checked once per path that H is positive definite,
         # as the range-space method needs.
         if self.h_factor is None:
             reduced = elim.hessian_factor(hessian())
         else:
-            reduced = hessian_factor(elim.reduce_hessian(hessian()))
+            reduced = hessian_factor(reduced_hessian())
         inner = KKTFactor(reduced, self.reduced_rows)
         return EliminatedFactor(elim, inner, self.general_rows, hessian)
 
@@ -765,7 +934,7 @@ class _SegmentContext:
         if r_z is None:
             beta = np.asarray(beta, dtype=float)
             rho = t * self.t_sign
-            if not self.active.shape[0]:
+            if not self.n_active:
                 r_z = np.zeros(0)
             else:
                 if rho < RHO_FLOOR:
@@ -815,6 +984,7 @@ class _PathRunner:
         self.exact = model.constant_hessian
         self.hessian = None
         self.h_factor = None
+        self.h_diagonal = None
         self.segments = []
         self.kinks = []
         self.warnings = []
@@ -831,11 +1001,17 @@ class _PathRunner:
             self.beta, self.rho = self._backward_start()
         if self.exact:
             self.hessian = self.model.hessian(self.beta)
+            # A view, as Elimination.reduce_hessian reads it: a strided
+            # vector takes its own BLAS kernel, with its own rounding.
+            diagonal = np.diagonal(self.hessian)
+            if np.count_nonzero(self.hessian) == np.count_nonzero(diagonal):
+                self.h_diagonal = diagonal
         self.cfg = classify(
             self.cs.eq_residuals(self.beta),
             self.cs.ineq_residuals(self.beta),
             self.residual_tol,
         )
+        self.sets = _SetState.of(self.cs, self.cfg)
 
     def _backward_start(self):
         opts = self.opts
@@ -902,7 +1078,7 @@ class _PathRunner:
             self._switch_to_nullspace()
 
     def _advance_ode(self, ctx):
-        table = _EventTable(self.cs, ctx.config)
+        table = _EventTable(ctx.sets)
         events = table.vector(ctx, self.opts.beta_bound)
         start = events(self.t_sign * self.rho, ctx.beta0)
         crossed = self._crossed_at_start(table, start[: table.size])
@@ -914,7 +1090,7 @@ class _PathRunner:
 
     def _advance_exact(self, ctx):
         line = self._line(ctx)
-        table = _EventTable(self.cs, ctx.config)
+        table = _EventTable(ctx.sets)
         start, times = self._exact_events(table, line)
         crossed = self._crossed_at_start(table, start)
         if crossed is not None:
@@ -937,7 +1113,7 @@ class _PathRunner:
                 self._switch_to_nullspace()
         ctx = _SegmentContext(
             self.model, self.cs, self.cfg, self.beta, self.t_sign, self.mode,
-            self.hessian, self.h_factor,
+            self.hessian, self.h_factor, self.h_diagonal, self.sets,
         )
         # The kink rule: a segment starts with its active pins and ties held
         # exactly, which moves only the coordinates of the row that just
@@ -1013,7 +1189,7 @@ class _PathRunner:
         t0 = self.t_sign * rho0
         d = self.t_sign * ctx.rhs(t0, ctx.beta0)
         a = c = np.zeros(0)
-        if ctx.active.shape[0]:
+        if ctx.n_active:
             # At a forward start grad f vanishes up to Newton's rounding;
             # dropping it keeps that noise out of c / rho at tiny rho.
             g_lin = np.zeros(self.p)
@@ -1064,7 +1240,7 @@ class _PathRunner:
         if moving.any():
             reach = (np.sign(dt[moving]) * self.opts.beta_bound - line.beta0[moving]) / dt[moving]
             t_guard = t0 + reach.min()
-        return start, np.append(times, t_guard)
+        return start, np.concatenate((times, [t_guard]))
 
     def _t_max(self):
         return self.t_sign * (self.opts.rho_max if self.forward else self.opts.rho_min)
@@ -1168,9 +1344,8 @@ class _PathRunner:
         self._record_segment(self.cfg, ctx, self.rho, self.beta, termination)
 
     def _apply_kink(self, info, rho):
-        from_set = self.cfg.locate(info.row_kind, info.index)
-        new_cfg = self.cfg.move(info.row_kind, info.index, info.to_set)
-        self.cfg = new_cfg
+        from_set, self.sets = self.sets.move(info.row_kind, info.index, info.to_set)
+        self.cfg = new_cfg = self.sets.config
         self.kinks.append(
             Kink(
                 rho=rho,

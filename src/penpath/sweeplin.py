@@ -86,22 +86,47 @@ def inverse_sweep(a, k):
 
 
 def _require_finite(vec):
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NonFiniteDerivative("gradient has non-finite entries at the current point")
 
 
+class _DiagonalFactor(tuple):
+    """The Cholesky factor (np.diag(s), False) that cho_factor computes for
+    the diagonal matrix diag(s**2), with 1 / s kept: _solve applies it in
+    O(n) by multiplying twice by 1 / s, the arithmetic of OpenBLAS's
+    triangular solves, so it gives cho_solve's bits without its O(n^2)
+    work."""
+
+    def __new__(cls, root):
+        factor = super().__new__(cls, (np.diag(root), False))
+        factor.inverse = 1.0 / root
+        return factor
+
+
+def _solve(factor, b):
+    """cho_solve(factor, b) for a Cholesky factor from _factor_hessian."""
+    if isinstance(factor, _DiagonalFactor):
+        inverse = factor.inverse.reshape((-1,) + (1,) * (np.ndim(b) - 1))
+        return b * inverse * inverse
+    return cho_solve(factor, b, check_finite=False)
+
+
 def _factor_hessian(mat, singular_error, message):
-    """Cholesky factor of a Hessian or its null-space restriction.
+    """Cholesky factor of a Hessian or its null-space restriction, or of the
+    diagonal matrix whose diagonal the 1-D mat holds.
 
     Non-finite entries raise NonFiniteDerivative (a loss evaluated where
     its derivatives overflow), a failed factorization `singular_error`.
     """
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
-    diagonal = np.diagonal(mat)
-    if np.count_nonzero(mat) == np.count_nonzero(diagonal) and (diagonal > 0.0).all():
+    diagonal = mat if mat.ndim == 1 else np.diagonal(mat)
+    if mat.ndim == 1 or np.count_nonzero(mat) == np.count_nonzero(diagonal):
         # The factor that cho_factor computes, without its O(n^3) work.
-        return np.diag(np.sqrt(diagonal)), False
+        if (diagonal > 0.0).all():
+            return _DiagonalFactor(np.sqrt(diagonal))
+        if mat.ndim == 1:
+            raise singular_error(message)
     try:
         return cho_factor(mat, check_finite=False)
     except np.linalg.LinAlgError:
@@ -109,8 +134,9 @@ def _factor_hessian(mat, singular_error, message):
 
 
 def hessian_factor(h):
-    """Cholesky factor of the Hessian h; raises NotStrictlyConvex unless h
-    is positive definite."""
+    """Cholesky factor of the Hessian h (or of the diagonal matrix whose
+    diagonal the 1-D h holds); raises NotStrictlyConvex unless h is positive
+    definite."""
     return _factor_hessian(
         h, NotStrictlyConvex, "Hessian is not positive definite at the current point"
     )
@@ -143,7 +169,7 @@ class KKTFactor:
         if m == 0:
             return
         # Constraint rows are validated finite, and so is H's factor.
-        self.h_inv_ut = cho_solve(h_factor, u_active.T, check_finite=False)
+        self.h_inv_ut = _solve(h_factor, u_active.T)
         s = u_active @ self.h_inv_ut
         s = 0.5 * (s + s.T)
         try:
@@ -169,7 +195,7 @@ class KKTFactor:
 
         P projects onto directions feasible for the active rows (P U^T = 0).
         """
-        h_inv_u = cho_solve(self.h_factor, u, check_finite=False)
+        h_inv_u = _solve(self.h_factor, u)
         if self.s_factor is None:
             return -h_inv_u
         coef = cho_solve(self.s_factor, self.h_inv_ut.T @ u, check_finite=False)
@@ -243,8 +269,9 @@ class NullspaceFactor:
 
     Built from the active rows' NullBasis (U^T = [Q_1 Q_2] R, Y = Q_2), or
     None when no row is active (Y = I, and no QR is formed), and a
-    zero-argument callable giving the Hessian H, which is evaluated only
-    when direction() is first asked for; multipliers() needs no Hessian.
+    zero-argument callable giving the Hessian H (or, for a diagonal H, its
+    diagonal), which is evaluated only when direction() is first asked for;
+    multipliers() needs no Hessian.
     """
 
     def __init__(self, qr, hessian):
@@ -261,7 +288,7 @@ class NullspaceFactor:
         if self._reduced is None:
             reduced = self.hessian()
             if y_b is not None:
-                reduced = y_b.T @ reduced @ y_b
+                reduced = y_b.T @ (np.diag(reduced) if reduced.ndim == 1 else reduced) @ y_b
             self._reduced = _factor_hessian(
                 0.5 * (reduced + reduced.T),
                 ReducedHessianSingular,
@@ -269,8 +296,8 @@ class NullspaceFactor:
             )
         # u is a sum of validated constraint rows, so finite.
         if y_b is None:
-            return -cho_solve(self._reduced, u, check_finite=False)
-        return -(y_b @ cho_solve(self._reduced, y_b.T @ u, check_finite=False))
+            return -_solve(self._reduced, u)
+        return -(y_b @ _solve(self._reduced, y_b.T @ u))
 
     def multipliers(self, vec):
         """The r with U^T r = -vec (see NullBasis.multipliers)."""
@@ -296,8 +323,10 @@ class Elimination:
     close a cycle depends on the others and stays general: a second tie of
     the same pair, and a second pin in a run (the first in active order
     stays).  general holds the positions (in active order) of the rows that
-    stay general, structured those of the eliminated ones, each after the
-    edge above it.
+    stay general, structured those of the eliminated ones, and child each
+    eliminated row's end away from its run's root (a pin's own coordinate),
+    which the row hangs from the node on the root's side (the ground for a
+    pin).
     """
 
     def __init__(self, p, shapes, rows):
@@ -306,15 +335,18 @@ class Elimination:
         pins = (kind == PIN).nonzero()[0]
         ties = (kind == TIE).nonzero()[0]
         left = first[ties]
-        # linked[j]: coordinate j is tied to j - 1, so continues a run.
-        linked = np.zeros(p, dtype=bool)
-        linked[left + 1] = True
-        if np.count_nonzero(linked) < ties.size:
+        # unlinked[j]: coordinate j is not tied to j - 1, so starts a run.
+        unlinked = np.ones(p, dtype=bool)
+        unlinked[left + 1] = False
+        if p - np.count_nonzero(unlinked) < ties.size:
             left, keep = np.unique(left, return_index=True)
             ties = ties[keep]
-        run = np.cumsum(~linked) - 1
-        # Each run's root: its pin, else its first coordinate.
-        anchor = (~linked).nonzero()[0]
+        run = unlinked.cumsum() - 1
+        # Each run's first and last coordinate, and its root: its pin, else
+        # its first coordinate.
+        start = unlinked.nonzero()[0]
+        end = np.concatenate((start[1:], [p])) - 1
+        anchor = start.copy()
         pin_runs = run[first[pins]]
         pinned = np.zeros(anchor.size, dtype=bool)
         pinned[pin_runs] = True
@@ -325,25 +357,42 @@ class Elimination:
         run_value = np.zeros(anchor.size)
         run_value[pin_runs] = shapes.value[rows[pins]]
 
-        # Every edge hangs its child, the end away from the root, from the
-        # node next to it on the root's side (the ground for a pin).  In
-        # order of the child's distance from the root, each edge comes after
-        # the edge above it.
+        # A pin's child is its coordinate, a tie's the end away from the root.
         child = np.concatenate([first[pins], left + 1 - (anchor[run[left]] > left)])
-        offset = child - anchor[run[child]]
-        order = np.abs(offset).argsort(kind="stable")
-        self.child, offset = child[order], offset[order]
-        self.structured = np.concatenate([pins, ties])[order]
-        edge_of = np.full(p, -1)
-        edge_of[self.child] = np.arange(order.size)
-        above = edge_of[self.child - np.sign(offset)]
-        above[offset == 0] = -1
-        # Leaf-to-root sums x = M^-1 y: x_k = y_k + the x of the edges below.
+        self.structured = np.concatenate([pins, ties])
+        # An eliminated row's multiplier needs the sum of w over its child's
+        # subtree (multipliers).  A run rooted at one of its ends is one
+        # chain of subtrees: walk[i, g] is the coordinate i steps from run
+        # g's leaf, its other end, and the sums so far along the walk are
+        # the subtree sums (at each child's place, at).  A pin inside a run
+        # has two subtrees; their sums go through the leaf-to-root solve of
+        # the rows' tree, whose order of addition for them varies with the
+        # shape of the right-hand side.
         self.tree = None
-        below = (above >= 0).nonzero()[0]
-        if below.size:
+        if ((anchor > start) & (anchor < end)).any():
+            # Each row after the one above it, in order of the child's
+            # distance from the root.
+            offset = child - anchor[run[child]]
+            order = np.abs(offset).argsort(kind="stable")
+            child, offset, self.structured = child[order], offset[order], self.structured[order]
+            edge_of = np.full(p, -1)
+            edge_of[child] = np.arange(order.size)
+            above = edge_of[child - np.sign(offset)]
+            above[offset == 0] = -1
+            below = (above >= 0).nonzero()[0]
             self.tree = np.eye(above.size)
             self.tree[above[below], below] = -1.0
+        else:
+            up = anchor == end
+            leaf, step = np.where(up, start, end), np.where(up, 1, -1)
+            steps = np.arange((end - start).max() + 1)[:, None]
+            # Past a short run's root the walk goes on through other
+            # coordinates (a negative index counts from the end), whose sums
+            # no child reads.
+            self.walk = np.minimum(leaf + steps * step, p - 1)
+            r = run[child]
+            self.at = (child - leaf[r]) * step[r] * anchor.size + r
+        self.child = child
 
         general = np.ones(rows.size, dtype=bool)
         general[self.structured] = False
@@ -351,23 +400,22 @@ class Elimination:
         # Each eliminated row's entry at its child: coef at first, -coef at
         # a tie's second.
         self.child_coef = shapes.coef[rows[self.structured]]
-        self.child_coef[self.child != first[self.structured]] *= -1.0
+        self.child_coef[child != first[self.structured]] *= -1.0
 
+        # gamma has one coordinate per free run: the free coordinates in
+        # order, each group starts[g] .. starts[g] + sizes[g] - 1 of them.
         on_pinned = pinned[run]
-        groups = run[~on_pinned]
-        first_of_group = np.ones(groups.size, dtype=bool)
-        first_of_group[1:] = groups[1:] != groups[:-1]
         self.pinned = on_pinned.nonzero()[0]
         self.pin_values = run_value[run[self.pinned]]
         self.order = (~on_pinned).nonzero()[0]
-        self.starts = first_of_group.nonzero()[0]
-        self.sizes = np.concatenate((self.starts[1:], [groups.size])) - self.starts
-        self.size = self.starts.size
+        self.sizes = (end - start + 1)[~pinned]
+        self.starts = self.sizes.cumsum() - self.sizes
+        self.size = self.sizes.size
         # Z itself once some group has more than one coordinate; until then
         # Z only selects the free coordinates.
         self.z = None
-        if self.size < groups.size:
-            group = np.cumsum(first_of_group) - 1
+        if self.size < self.order.size:
+            group = ((~pinned).cumsum() - 1)[run[self.order]]
             self.z = np.zeros((p, self.size))
             self.z[self.order, group] = 1.0 / np.sqrt(self.sizes[group])
 
@@ -391,8 +439,12 @@ class Elimination:
             return h.take(self.order, 0).take(self.order, 1)
         diagonal = np.diagonal(h)
         if np.count_nonzero(h) == np.count_nonzero(diagonal):
-            return np.diag((self.z * self.z).T @ diagonal)
+            return np.diag(self.reduce_diagonal(diagonal))
         return self.z.T @ h @ self.z
+
+    def reduce_diagonal(self, diagonal):
+        """The diagonal of Z^T H Z for the diagonal H with this diagonal."""
+        return diagonal[self.order] if self.z is None else (self.z * self.z).T @ diagonal
 
     def hessian_factor(self, h):
         """The Cholesky factor of Z^T H Z, for the range-space method, which
@@ -430,9 +482,11 @@ class Elimination:
         over each group: the eliminated rows' r solves U_S^T r = -w, and the
         r of the edge above coordinate c is minus the sum of w over c's
         subtree divided by its entry at c."""
-        sums = w[self.child]
-        if self.tree is not None:
-            sums = solve_triangular(self.tree, sums, unit_diagonal=True, check_finite=False)
+        if self.tree is None:
+            sums = w.take(self.walk, 0).cumsum(0).reshape((-1,) + w.shape[1:])[self.at]
+        else:
+            sums = solve_triangular(self.tree, w[self.child], unit_diagonal=True,
+                                    check_finite=False)
         r = np.empty((self.general.size + self.structured.size,) + np.shape(w)[1:])
         r[self.general] = r_general
         r[self.structured] = -sums / self.child_coef.reshape((-1,) + (1,) * (np.ndim(w) - 1))

@@ -452,16 +452,17 @@ def test_solve_forked_run_shows_a_repeated_warning_as_often_as_a_serial_run(
     tmp_path, monkeypatch, where
 ):
     spec = regression_spec(tmp_path, n=30, p=6)
-    real_df_at = penpath.path.PathSolution.df_at
+    real_lookup = penpath.path.PathSolution._segment_for
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     middle = np.median(read_table(tmp_path / "ok" / "path.csv")[1][:, 0])  # rows ascend in rho
 
-    def df_at(self, rho):
+    def lookup(self, rho):
+        # the one segment lookup of each sampled row
         if where == "every_row" or rho > middle:
             warnings.warn("repeated at one location", UserWarning)
-        return real_df_at(self, rho)
+        return real_lookup(self, rho)
 
-    monkeypatch.setattr(penpath.path.PathSolution, "df_at", df_at)
+    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
     fork_small_tables(monkeypatch, cpus=2)
     forks = count_forks(monkeypatch)
     shown = {}
@@ -480,16 +481,17 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
     bound = rhos[int(0.9 * rhos.size)]  # in the second of two slices
-    real_df_at = penpath.path.PathSolution.df_at
+    real_lookup = penpath.path.PathSolution._segment_for
 
-    def df_at(self, rho):
-        # every row warns, and the rows beyond the bound fail
+    def lookup(self, rho):
+        # every row warns in its segment lookup, and the rows beyond the
+        # bound fail
         if rho > bound:
             raise PenPathError(f"sampling failed beyond rho={bound:g}")
         warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
-        return real_df_at(self, rho)
+        return real_lookup(self, rho)
 
-    monkeypatch.setattr(penpath.path.PathSolution, "df_at", df_at)
+    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
     fork_small_tables(monkeypatch, cpus=2)
     forks = count_forks(monkeypatch)
     capsys.readouterr()

@@ -148,6 +148,60 @@ def test_eliminated_factor_matches_the_full_factors(seed):
     assert d[2] == d[3] == d[4] == d[5]
 
 
+def leaf_to_root_sums(p, pins, ties, w):
+    """Each eliminated row's subtree sum of w, added one coordinate at a time
+    from the leaf: pins (coordinates) at a run's end and ties (left
+    coordinates) of adjacent coordinates."""
+    sums = {}
+    starts = [j for j in range(p) if j - 1 not in ties]
+    for start in starts:
+        end = start
+        while end in ties:
+            end += 1
+        pin = [j for j in pins if start <= j <= end]
+        # Walked from the end away from the root, which is the pin or else
+        # the run's first coordinate.
+        walk = range(start, end + 1) if pin and pin[0] == end else range(end, start - 1, -1)
+        total = None
+        for j in walk:
+            total = w[j] if total is None else total + w[j]
+            if j in pins:
+                sums[("pin", j)] = total
+            elif j - 1 in ties and walk.step < 0:
+                sums[("tie", j - 1)] = total
+            elif j in ties and walk.step > 0:
+                sums[("tie", j)] = total
+    return sums
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_run_sums_add_from_the_leaf(seed):
+    # The multipliers of pins and ties are subtree sums of w, added as the
+    # leaf-to-root solve adds them when each node has one child.
+    rng = np.random.default_rng(seed)
+    p = 30
+    ties = sorted(rng.choice(p - 1, size=18, replace=False).tolist())
+    runs = list(zip([j for j in range(p) if j - 1 not in ties],
+                    [j for j in range(p) if j not in ties]))
+    # One pin at one end of each of some runs.
+    pins = sorted(int(run[rng.integers(2)]) for run in rng.permutation(runs)[:5])
+    fused = fused_lasso(p).v_mat
+    rows = np.vstack([3.0 * np.eye(p)[pins], -2.0 * fused[ties]])
+    cs = ConstraintSystem(rows, np.zeros(len(rows)), np.zeros((0, p)), np.zeros(0))
+    elim = Elimination(p, cs.row_shapes, np.arange(len(rows)))
+    assert elim.tree is None and elim.general.size == 0
+    keys = [("pin", j) for j in pins] + [("tie", j) for j in ties]
+    for w in (rng.normal(size=p) * 10.0 ** rng.integers(-4, 5, size=p), rng.normal(size=(p, 2))):
+        r = elim.multipliers(np.zeros((0,) + w.shape[1:]), w)
+        oracle = leaf_to_root_sums(p, pins, ties, w)
+        for position, key in enumerate(keys):
+            # A row's entry at its child: coef at its first coordinate.
+            coef = cs.row_shapes.coef[position]
+            if elim.child[elim.structured == position] != cs.row_shapes.first[position]:
+                coef = -coef
+            assert np.array_equal(r[position], -oracle[key] / coef), key
+
+
 @pytest.mark.parametrize("rows", [[0, 3], [0, 3, 5]], ids=["pins", "pins_and_a_tie"])
 def test_reduced_hessian_factor_checks_the_whole_hessian(rows):
     # Pins only: one factor of H, free coordinates first, whose leading
