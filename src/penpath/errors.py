@@ -37,6 +37,10 @@ class NonFiniteDerivative(PenPathError):
     """ODE right-hand side returned NaN or infinity."""
 
 
+class EventLocationFailed(PenPathError):
+    """The root search for an event crossing hit its iteration cap."""
+
+
 class PathDivergence(PenPathError):
     """Path iterate left the trust region (objective likely unbounded)."""
 

@@ -14,7 +14,6 @@ inverse link) the two classes produce identical gradients and Hessians.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .base import LossModel
@@ -152,6 +151,10 @@ class QuasiLoss(LossModel):
 
     def value(self, x):
         # -Q_i = -int_{y_i}^{mu_i} (y_i - t) / (scale V(t)) dt, by quadrature.
+        # Imported here, where it is used, so that importing the package
+        # does not load scipy.integrate.
+        from scipy.integrate import quad
+
         eta = self.design @ self._as_param(x)
         mus = self.mu(eta)
         total = 0.0

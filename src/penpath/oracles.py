@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoConvergence
 from .losses.quadratic import QuadraticLoss
@@ -208,6 +207,11 @@ def solve_fixed_rho(model, cs, rho, tol=1e-9, max_iter=100000):
 
 def _glasso_offdiag_update(omega, inv, sigma, i, j, rho):
     """Exact minimizer step for the symmetric pair (i, j), i != j."""
+    # scipy's brentq, not the solver's port, keeps the oracle independent;
+    # imported here so that importing the package does not load
+    # scipy.optimize.
+    from scipy.optimize import brentq
+
     aii, ajj, aij = inv[i, i], inv[j, j], inv[i, j]
     sij = sigma[i, j]
     w = omega[i, j]

@@ -870,10 +870,10 @@ class _SegmentContext:
         return self.beta0.copy()
 
     def _factor(self, t, beta):
-        # One factor per point.  RK45's last stage and the events at the
-        # step end evaluate at the same (t, beta), as do the exact engine's
-        # derivative and coefficient map, so they share it, and the
-        # Hessian there, which is evaluated at most once.
+        # One factor per point.  A Runge-Kutta step's last stage and the
+        # events at the step end evaluate at the same (t, beta), as do the
+        # exact engine's derivative and coefficient map, so they share it,
+        # and the Hessian there, which is evaluated at most once.
         point = (float(t), beta.tobytes())
         if point != self._point:
             self._point, self._point_hessian = point, self.hessian

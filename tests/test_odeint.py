@@ -1,11 +1,18 @@
 """Adaptive integrator: accuracy, events, arming, failure modes."""
 
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import penpath
 import penpath.odeint
-from penpath.errors import NonFiniteDerivative, StepSizeUnderflow
-from penpath.odeint import integrate
+from penpath.errors import EventLocationFailed, NonFiniteDerivative, PenPathError, StepSizeUnderflow
+from penpath.odeint import _locate, integrate
 
 
 def rows_of(*funcs):
@@ -164,3 +171,48 @@ def test_interpolate_outside_range_rejected():
     res = integrate(lambda t, y: -y, 0.0, 1.0, [1.0])
     with pytest.raises(ValueError):
         res.interpolate(1.5)
+
+
+def test_nan_event_value_in_the_root_search_raises_non_finite_derivative():
+    # Finite at every step end, NaN wherever the crossing is searched for.
+    def events(t, y, rows=None):
+        return np.array([y[0] - 0.5 if rows is None else np.nan])
+
+    with pytest.raises(NonFiniteDerivative):
+        integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
+
+
+def test_nan_event_value_at_a_step_end_raises_non_finite_derivative():
+    # A NaN at a step end would otherwise never fire and silently disarm.
+    events = rows_of(lambda t, y: np.nan if t > 0.5 else 1.0)
+    with pytest.raises(NonFiniteDerivative):
+        integrate(lambda t, y: [-1.0], 0.0, 2.0, [1.0], events=events)
+
+
+def test_root_search_iteration_cap_raises_a_solver_error(monkeypatch):
+    with pytest.raises(EventLocationFailed):
+        penpath.odeint.brentq(lambda t: t ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, maxiter=2)
+    assert issubclass(EventLocationFailed, PenPathError)
+    monkeypatch.setattr(penpath.odeint, "brentq", partial(penpath.odeint.brentq, maxiter=1))
+    events = rows_of(lambda t, y: y[0] * (1.0 + y[0] ** 2))
+    with pytest.raises(EventLocationFailed):
+        integrate(lambda t, y: [-1.0], 0.0, 5.0, [1.0], events=events)
+
+
+def test_same_sign_endpoints_whose_product_underflows_keep_the_step_end():
+    # 1e-200 * 1e-200 rounds to zero; the values still share a sign.
+    assert _locate(lambda t: 1e-200, 0.0, 1.0) == 1.0
+    assert _locate(lambda t: -1e-200, 0.0, 1.0) == 1.0
+
+
+def test_importing_the_package_loads_no_scipy_integrate_or_optimize():
+    src = str(Path(penpath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, penpath, penpath.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

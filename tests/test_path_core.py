@@ -435,9 +435,9 @@ def test_divergence_guard_fires_mid_segment(loss, mode):
 
 def test_direct_mode_factors_once_per_point(monkeypatch):
     # One Hessian evaluation per distinct point: the coefficient events at a
-    # step end reuse the factor of RK45's last stage there, so outside rhs
-    # the Hessian is evaluated only at a segment's first point and where
-    # brentq locates an event.
+    # step end reuse the factor of the Runge-Kutta step's last stage there,
+    # so outside rhs the Hessian is evaluated only at a segment's first point
+    # and where brentq locates an event.
     rng = np.random.default_rng(12)
     x = rng.normal(size=(80, 5))
     eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
