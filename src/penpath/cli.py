@@ -292,7 +292,8 @@ def _fold_path(spec, val_idx):
 
 def _held_out_curve(spec, val_idx, solution, grid):
     heldout = spec.split_loss(val_idx)
-    return np.array([heldout.value(solution.beta_at(rho)) / val_idx.size for rho in grid])
+    betas = solution.sample(grid)[0]
+    return np.array([heldout.value(beta) / val_idx.size for beta in betas])
 
 
 def _fork_cpus():

@@ -5,10 +5,6 @@ class PenPathError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PivotTooSmall(PenPathError):
-    """Sweep pivot is numerically zero relative to the matrix scale."""
-
-
 class RankDeficientActiveSet(PenPathError):
     """Active constraint rows are linearly dependent (KKT system singular)."""
 

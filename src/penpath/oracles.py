@@ -1,6 +1,6 @@
 """Independent reference solvers used to certify the path solver.
 
-Nothing here touches the sweep linear algebra, the ODE engine, or
+Nothing here touches the KKT linear algebra, the ODE engine, or
 the path iteration: fixed-penalty solutions come from ADMM with exact
 proximal steps, isotonic projections from pool-adjacent-violators, sparse
 precision matrices from coordinate descent with exact one-dimensional

@@ -36,17 +36,18 @@ Hessian factor in the exact one), and "nullspace" works in the active rows'
 null space (usable when the Hessian is singular, and Hessian-free for the
 coefficients).  Either way the ODE state is beta itself.
 
-Active pins (one-entry rows such as the lasso's) and ties (two adjacent
-coordinates held equal, as by the fused lasso and isotone rows) are
-eliminated before either formulation runs (sweeplin.Elimination): with
-beta = c + Z gamma the formulation sees only the remaining general rows,
-and with none active the direction is one Cholesky solve on Z^T H Z, with
-no QR and no Schur complement.  That direction is exactly 0 on pinned
-coordinates and exactly equal across a tied group, and each segment starts
-with its active pins and ties held exactly, so the kink that activates a
-row moves its coordinates onto it: a newly pinned group to the pin's value,
-two merged groups to their mean.  Sampled paths therefore hold exact pin
-values and exact ties.
+Every segment goes through one elimination (sweeplin.Elimination) before
+either formulation runs.  It removes the active pins (one-entry rows such
+as the lasso's) and ties (two adjacent coordinates held equal, as by the
+fused lasso and isotone rows), and is the identity when none is active:
+with beta = c + Z gamma the formulation sees only the remaining general
+rows, and with none of those active the direction is one Cholesky solve on
+Z^T H Z, with no QR and no Schur complement.  That direction is exactly 0
+on pinned coordinates and exactly equal across a tied group, and each
+segment starts with its active pins and ties held exactly, so the kink that
+activates a row moves its coordinates onto it: a newly pinned group to the
+pin's value, two merged groups to their mean.  Sampled paths therefore hold
+exact pin values and exact ties.
 
 One segment context per segment holds the formulation's per-point factor
 and the one coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with its
@@ -65,11 +66,13 @@ and the residual rows, and recomputes u on that row's columns only; a
 segment reads its residual events from the carried rows, without a copy.
 Still built per segment: the event table's index arrays, the elimination
 (its runs, Z, and the walks along which the eliminated rows' multipliers
-are summed), the formulation's factor of Z^T H Z (a QR or a Schur factor
-too when general rows are active), the snap and the closed-form events.
+are summed), the formulation's factor of Z^T H Z when something is
+eliminated (a QR or a Schur factor too when general rows are active), the
+snap and the closed-form events.
 """
 
 import math
+import numbers
 import warnings as _pywarnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -78,7 +81,6 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import GENERAL
 from .errors import (
     NoConvergence,
     NotStrictlyConvex,
@@ -438,13 +440,18 @@ class PathOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if not 0 <= self.rho_min < self.rho_max:
-            raise ValueError("need 0 <= rho_min < rho_max")
-        if self.max_kinks < 1:
-            raise ValueError("max_kinks must be at least 1")
+        # With rho_max = inf a segment no event ends never ends; a NaN max_kinks disarms the cap.
+        if not 0 <= self.rho_min < self.rho_max < math.inf:
+            raise ValueError("need 0 <= rho_min < rho_max < inf")
+        kinks = self.max_kinks
+        if isinstance(kinks, bool) or not isinstance(kinks, numbers.Integral) or kinks < 1:
+            raise ValueError(f"max_kinks must be an integer of at least 1, got {kinks!r}")
         for name in ("rho_start", "residual_tol", "max_step"):
             if getattr(self, name) is not None:
                 setattr(self, name, float(getattr(self, name)))
+        start = self.rho_start
+        if start is not None and not (math.isfinite(start) and start >= 0):
+            raise ValueError(f"rho_start must be finite and nonnegative, got {start!r}")
         # An infinite or NaN tolerance or bound passes a bare "> 0" test and
         # leaves the path silently wrong (inf event_tol disarms every event).
         for name in ("rel_tol", "abs_tol", "event_tol", "beta_bound", "residual_tol", "max_step"):
@@ -497,7 +504,7 @@ class _SegmentTrace:
                 beta = result.interpolate(t)
                 # The Runge-Kutta sums keep pinned coordinates exactly but may
                 # round tied ones apart.
-                return beta if self.ctx is None else self.ctx.snap(beta)
+                return self.ctx.snap(beta)
         raise ValueError(f"t={t} outside the segment trace")
 
     def coefficients(self, t, beta):
@@ -650,10 +657,7 @@ class PathSolution:
 
     def beta_at(self, rho):
         """Solution at any rho covered by (or fixed beyond) the path."""
-        seg = self._segment_for(rho)
-        if not seg.contains(rho):
-            return (seg.beta_end if self.direction == "forward" else seg.beta_start).copy()
-        return seg.beta_at(rho)
+        return self.sample([rho])[0][0]
 
     def sample(self, rhos):
         """beta_at and df_at at each of rhos, bitwise, as an (n, p) array
@@ -682,12 +686,9 @@ class PathSolution:
         return degrees_of_freedom(self.config_at(rho), self.p)
 
     def coefficients_at(self, rho):
-        seg = self._segment_for(rho)
-        if seg.contains(rho):
-            return seg.coefficients_at(rho)
-        # Extension range: beta is frozen but the coefficients still decay
+        # Beyond a fixed end beta is frozen, but the coefficients still decay
         # with rho, by the segment's own formula.
-        return seg._coefficients(rho, self.beta_at(rho))
+        return self._segment_for(rho)._coefficients(rho, self.beta_at(rho))
 
     def rho_grid(self, per_segment=20):
         """Ascending sample grid: segment endpoints plus interior points."""
@@ -807,14 +808,14 @@ class _EventTable:
 
 class _SegmentContext:
     """Per-segment state: the inactive rows' subgradient direction u and the
-    active rows of the set state, the formulation's per-point factor
-    (sweeplin's KKTFactor in direct mode, its NullspaceFactor in nullspace
-    mode) and the coefficient evaluator.
+    active rows of the set state, the formulation's per-point factor and the
+    coefficient evaluator.
 
-    When pins or ties are among the active rows, elim (a sweeplin
-    Elimination) removes them first: the mode's factor then sees only the
-    remaining general rows, in the reduced coordinates, and an
-    EliminatedFactor completes the direction and the multipliers.
+    elim (a sweeplin Elimination, the identity when no pin or tie is
+    active) removes the active pins and ties first: the mode's factor
+    (sweeplin's KKTFactor in direct mode, its NullspaceFactor in nullspace
+    mode) sees only the remaining general rows, in the reduced coordinates,
+    and an EliminatedFactor completes the direction and the multipliers.
 
     hessian is the loss's constant Hessian when it has one, else None,
     h_factor its Cholesky factor for the direct mode and h_diagonal its
@@ -837,20 +838,15 @@ class _SegmentContext:
         self.u = self.sets.u
         rows = self.sets.active
         self.n_active = rows.size
-        stacked = cs.stacked_rows[0]
-        # The mode's formulation sees the active rows, or the general ones
-        # among them in the reduced coordinates, and the null-space method
-        # needs a QR only of those.
-        self.elim = None
-        if (cs.row_shapes.kind[rows] != GENERAL).any():
-            self.elim = Elimination(self.p, cs.row_shapes, rows)
-            self.general_rows = stacked[rows[self.elim.general]]
-            seen = self.reduced_rows = self.elim.reduce_rows(self.general_rows)
-        else:
-            seen = self.active = stacked[rows]
+        # The mode's formulation sees the general rows among the active ones
+        # in the reduced coordinates, and the null-space method needs a QR
+        # only of those.
+        self.elim = Elimination(self.p, cs.row_shapes, rows)
+        self.general_rows = cs.stacked_rows[0][rows[self.elim.general]]
+        self.reduced_rows = self.elim.reduce_rows(self.general_rows)
         self.qr = None
-        if mode == "nullspace" and seen.shape[0]:
-            self.qr = null_basis(seen, seen.shape[1])
+        if mode == "nullspace" and self.reduced_rows.shape[0]:
+            self.qr = null_basis(self.reduced_rows, self.reduced_rows.shape[1])
         self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
         self.release()
@@ -862,8 +858,7 @@ class _SegmentContext:
     def snap(self, beta):
         """A copy of beta with the active pins and ties held exactly (see
         Elimination.snap)."""
-        beta = np.array(beta, dtype=float)
-        return beta if self.elim is None else self.elim.snap(beta)
+        return self.elim.snap(np.array(beta, dtype=float))
 
     def interpolate(self, t):
         # The whole solution of a point segment, which keeps only its context.
@@ -875,21 +870,10 @@ class _SegmentContext:
         # exact engine's derivative and coefficient map, so they share it,
         # and the Hessian there, which is evaluated at most once.
         point = (float(t), beta.tobytes())
-        if point != self._point:
-            self._point, self._point_hessian = point, self.hessian
-            hessian = lambda: self._hessian_at(beta)
-            if self.elim is not None:
-                self._point_factor = self._eliminated_factor(hessian)
-            elif self.mode == "nullspace":
-                self._point_factor = NullspaceFactor(self.qr, hessian)
-            else:
-                h_factor = self.h_factor
-                if h_factor is None:
-                    h_factor = hessian_factor(hessian())
-                self._point_factor = KKTFactor(h_factor, self.active)
-        return self._point_factor
-
-    def _eliminated_factor(self, hessian):
+        if point == self._point:
+            return self._point_factor
+        self._point, self._point_hessian = point, self.hessian
+        hessian = lambda: self._hessian_at(beta)
         elim = self.elim
         # Z^T H Z, by its diagonal when H is diagonal.
         if self.h_diagonal is None:
@@ -898,15 +882,20 @@ class _SegmentContext:
             reduced_hessian = lambda: elim.reduce_diagonal(self.h_diagonal)
         if self.mode == "nullspace":
             inner = NullspaceFactor(self.qr, reduced_hessian)
-            return EliminatedFactor(elim, inner, self.general_rows)
+            self._point_factor = EliminatedFactor(elim, inner, self.general_rows)
+            return self._point_factor
         # The exact engine checked once per path that H is positive definite,
-        # as the range-space method needs.
+        # as the range-space method needs, and keeps its factor, which is
+        # that of Z^T H Z when nothing is eliminated.
         if self.h_factor is None:
             reduced = elim.hessian_factor(hessian())
+        elif elim.structured.size == 0:
+            reduced = self.h_factor
         else:
             reduced = hessian_factor(reduced_hessian())
         inner = KKTFactor(reduced, self.reduced_rows)
-        return EliminatedFactor(elim, inner, self.general_rows, hessian)
+        self._point_factor = EliminatedFactor(elim, inner, self.general_rows, hessian)
+        return self._point_factor
 
     def _hessian_at(self, beta):
         # The Hessian at the current point, evaluated at most once there.

@@ -9,20 +9,18 @@ complement U H^-1 U^T) and the null-space method (NullspaceFactor: a QR
 factorization of the active rows, NullBasis, and the Cholesky factor of the
 reduced Hessian Y^T H Y).
 
-Active pins and ties (constraints.RowShapes) are eliminated before either
-method runs (Elimination): with beta = c + Z gamma, pinned coordinates are
-constants in c and each run of tied coordinates is one coordinate of gamma,
-so the method sees only the remaining general rows, Z^T H Z and Z^T u.  With
-no general row active that is one Cholesky factor of Z^T H Z, with no QR and
-no Schur complement.  The direction Z dgamma is exactly 0 on pinned
-coordinates and exactly equal across a run.  The pins' and ties'
-multipliers then follow from stationarity, by a leaf-to-root sum along each
-run (EliminatedFactor).
-
-The sweep operator acts on a symmetric matrix and is its own inverse up to
-sign bookkeeping; sweeping every diagonal position of a positive definite
-matrix yields its negated inverse.  Symmetric matrices are plain numpy
-arrays, validated on entry and kept exactly symmetric by construction.
+Every segment's KKT system goes through one Elimination of its active pins
+and ties (constraints.RowShapes) before either method runs: with beta = c +
+Z gamma, pinned coordinates are constants in c and each run of tied
+coordinates is one coordinate of gamma, so the method sees only the
+remaining general rows, Z^T H Z and Z^T u.  With no general row active that
+is one Cholesky factor of Z^T H Z, with no QR and no Schur complement.  The
+direction Z dgamma is exactly 0 on pinned coordinates and exactly equal
+across a run.  The pins' and ties' multipliers then follow from
+stationarity, by a leaf-to-root sum along each run (EliminatedFactor).
+With no pin or tie active the elimination is the identity, and the rows,
+the factors and the multipliers are the method's own, bitwise.  Symmetric
+matrices are plain numpy arrays, validated on entry (check_symmetric).
 """
 
 from dataclasses import dataclass
@@ -34,7 +32,6 @@ from .constraints import PIN, TIE
 from .errors import (
     NonFiniteDerivative,
     NotStrictlyConvex,
-    PivotTooSmall,
     RankDeficientActiveSet,
     ReducedHessianSingular,
 )
@@ -52,37 +49,6 @@ def check_symmetric(a, rtol=SYMMETRY_RTOL, name="matrix"):
     if a.size and np.abs(a - a.T).max() > rtol * scale:
         raise ValueError(f"{name} is not symmetric")
     return a
-
-
-def _sweep(a, k, col_sign):
-    # Shared kernel: sweep and inverse sweep differ only in the sign of the
-    # pivot row/column written back.
-    a = check_symmetric(a)
-    scale = np.abs(np.diag(a)).max() if a.size else 0.0
-    tol = PIVOT_RTOL * (1.0 + scale)
-    piv = a[k, k]
-    if abs(piv) <= tol:
-        raise PivotTooSmall(f"pivot {piv:.3e} at position {k} below tolerance {tol:.3e}")
-    col = a[:, k].copy()
-    out = a - np.outer(col, col) / piv
-    out[k, :] = col_sign * col / piv
-    out[:, k] = col_sign * col / piv
-    out[k, k] = -1.0 / piv
-    return out
-
-
-def sweep(a, k):
-    """Sweep the symmetric matrix `a` on diagonal position `k` (0-based).
-
-    Returns a new array; `a` is not modified.  Raises PivotTooSmall when
-    |a[k, k]| is below 1e-10 relative to the diagonal scale.
-    """
-    return _sweep(a, k, 1.0)
-
-
-def inverse_sweep(a, k):
-    """Undo a sweep on position `k`.  inverse_sweep(sweep(a, k), k) == a."""
-    return _sweep(a, k, -1.0)
 
 
 def _require_finite(vec):
@@ -326,7 +292,7 @@ class Elimination:
     stay general, structured those of the eliminated ones, and child each
     eliminated row's end away from its run's root (a pin's own coordinate),
     which the row hangs from the node on the root's side (the ground for a
-    pin).
+    pin).  With no pin or tie among the rows, structured is empty and Z = I.
     """
 
     def __init__(self, p, shapes, rows):
@@ -455,11 +421,16 @@ class Elimination:
             hessian_factor(h)
             return hessian_factor(self.reduce_hessian(h))
         first = np.concatenate([self.order, self.pinned])
-        factor, lower = hessian_factor(h.take(first, 0).take(first, 1))
-        return factor[: self.size, : self.size], lower
+        factor = hessian_factor(h.take(first, 0).take(first, 1))
+        if isinstance(factor, _DiagonalFactor):
+            return _DiagonalFactor(np.diagonal(factor[0])[: self.size])
+        return factor[0][: self.size, : self.size], factor[1]
 
     def reduce_rows(self, rows):
-        """U Z for rows U (one per row)."""
+        """U Z for rows U (one per row): U itself when nothing is eliminated,
+        as the Schur product's rounding depends on the rows' memory layout."""
+        if self.structured.size == 0:
+            return rows
         return rows[:, self.order] if self.z is None else rows @ self.z
 
     def snap(self, beta):
@@ -528,6 +499,8 @@ class EliminatedFactor:
         elim = self.elim
         reduced = elim.reduce(vec)
         r_general = self.inner.multipliers(reduced)
+        if elim.structured.size == 0:
+            return r_general
         w = vec + self.general_rows.T @ r_general
         if self.hessian is None:
             w = w - elim.expand(elim.reduce(w))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import penpath.path
 from penpath.constraints import (
-    GENERAL,
     equalities,
     fused_lasso,
     graph_guided,
@@ -99,16 +98,13 @@ def check_against_rebuild(cs, sets, ctx):
     assert bitwise(table.res_rows, np.vstack(signed))
     rows = np.concatenate([cfg.zero_eq, np.add(cfg.zero_ineq, cs.n_eq)]).astype(int)
     assert bitwise(sets.active, rows)
-    if ctx.elim is None:
-        assert (cs.row_shapes.kind[rows] == GENERAL).all()
-    else:
-        elim = Elimination(cs.dim, cs.row_shapes, rows)
-        assert vars(ctx.elim).keys() == vars(elim).keys()
-        for name, value in vars(elim).items():
-            if value is None or np.isscalar(value):
-                assert getattr(ctx.elim, name) == value, name
-            else:
-                assert bitwise(getattr(ctx.elim, name), value), name
+    elim = Elimination(cs.dim, cs.row_shapes, rows)
+    assert vars(ctx.elim).keys() == vars(elim).keys()
+    for name, value in vars(elim).items():
+        if value is None or np.isscalar(value):
+            assert getattr(ctx.elim, name) == value, name
+        else:
+            assert bitwise(getattr(ctx.elim, name), value), name
 
 
 def backward_options(model, cs, mode):

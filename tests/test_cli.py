@@ -206,11 +206,13 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
          '"options": residual_tol must be finite and positive, got nan'),
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_step": -1},
          '"options": max_step must be finite and positive, got -1.0'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_kinks": math.nan},
+         '"options": max_kinks must be an integer of at least 1, got nan'),
     ],
     ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
          "scale_inf", "quasi_scale_nan",
          "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
-         "residual_tol_nan", "max_step_negative"],
+         "residual_tol_nan", "max_step_negative", "max_kinks_nan"],
 )
 def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):
     spec = write_spec(
@@ -231,6 +233,20 @@ def test_rel_tol_flag_must_be_finite_and_positive(tmp_path, capsys, value):
     assert main(["solve", lasso_toy(tmp_path), "--out", str(out), "--rel-tol", value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: rel_tol must be finite and positive") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_rho_max_flag_must_be_finite(tmp_path, capsys):
+    # Two copies of one row with different offsets: no rho ends the path.
+    spec = write_spec(tmp_path, {
+        "dimension": 1,
+        "loss": {"kind": "quadratic", "target": [3.0]},
+        "constraints": [{"builder": "matrix", "equalities": [[1.0], [1.0]],
+                         "eq_offsets": [0.0, 1.0]}],
+    })
+    out = tmp_path / "out"
+    assert main(["solve", spec, "--out", str(out), "--rho-max", "inf"]) == 1
+    assert capsys.readouterr().err == "error: need 0 <= rho_min < rho_max < inf\n"
     assert not out.exists()
 
 

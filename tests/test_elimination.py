@@ -21,7 +21,7 @@ from penpath.constraints import (
 from penpath.errors import NotStrictlyConvex, RankDeficientActiveSet
 from penpath.losses import GaussianGraphicalLoss, GlmLoss, QuadraticLoss
 from penpath.oracles import solve_fixed_rho
-from penpath.path import MODES, run_path
+from penpath.path import MODES, SetConfiguration, _SegmentContext, run_path
 from penpath.sweeplin import (
     EliminatedFactor,
     Elimination,
@@ -148,6 +148,56 @@ def test_eliminated_factor_matches_the_full_factors(seed):
     assert d[2] == d[3] == d[4] == d[5]
 
 
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Active rows with no pin or tie among them: three-term curvature rows, the
+# order-2 trend filter's interior rows beside its boundary ties, and dense
+# rows.  At this size a gather of the rows' columns, which changes their
+# memory layout, moves the Schur factor's bits.
+GENERAL_ROWS = {
+    "shape": lambda rng: (shape(40, "convex"), list(range(0, 38, 2))),
+    "trend_interior": lambda rng: (trend_filter(40, order=2), list(range(1, 38, 2))),
+    "dense": lambda rng: (
+        ConstraintSystem(rng.standard_normal((20, 40)), np.zeros(20), np.zeros((0, 40)),
+                         np.zeros(0)),
+        list(range(0, 20, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERAL_ROWS))
+@pytest.mark.parametrize("mode, h_factor", [("direct", True), ("direct", False),
+                                            ("nullspace", False)],
+                         ids=["direct_exact", "direct_ode", "nullspace"])
+def test_identity_elimination_equals_the_unreduced_factors(case, mode, h_factor):
+    # With no pin or tie active the elimination is the identity: a
+    # segment's factor equals, bitwise, the mode's own factor of the
+    # unreduced active rows, built here as the reference.
+    rng = np.random.default_rng(sorted(GENERAL_ROWS).index(case))
+    cs, active = GENERAL_ROWS[case](rng)
+    h = random_problem(rng, cs)
+    kind = "eq" if cs.n_eq else "ineq"
+    n_rows = cs.n_eq + cs.n_ineq
+    config = SetConfiguration(**{f"zero_{kind}": active,
+                                 f"pos_{kind}": sorted(set(range(n_rows)) - set(active))})
+    # The runner hands the exact engine its per-path factor of H.
+    ctx = _SegmentContext(QuadraticLoss(h, np.zeros(cs.dim)), cs, config, np.zeros(cs.dim),
+                          mode=mode, hessian=h, h_factor=hessian_factor(h) if h_factor else None)
+    factor = ctx._factor(0.5, ctx.beta0)
+    assert isinstance(factor, EliminatedFactor) and factor.elim.structured.size == 0
+    rows = config.active_rows(cs)
+    if mode == "direct":
+        reference = KKTFactor(hessian_factor(h), rows)
+    else:
+        reference = NullspaceFactor(null_basis(rows, cs.dim), lambda: h)
+    for vec in (rng.standard_normal(cs.dim), rng.standard_normal((cs.dim, 2))):
+        assert bitwise(factor.direction(vec), reference.direction(vec))
+        assert bitwise(factor.multipliers(vec), reference.multipliers(vec))
+
+
 def leaf_to_root_sums(p, pins, ties, w):
     """Each eliminated row's subtree sum of w, added one coordinate at a time
     from the leaf: pins (coordinates) at a run's end and ties (left
@@ -232,6 +282,14 @@ def test_diagonal_hessian_shortcuts_match_the_dense_algebra():
     cs = mixed_system()
     elim = Elimination(cs.dim, cs.row_shapes, np.arange(cs.n_eq))
     np.testing.assert_allclose(elim.reduce_hessian(h), elim.z.T @ h @ elim.z, atol=1e-14)
+    # With pins only (or nothing) eliminated, the free block of the factor
+    # stays diagonal, with cho_solve's bits.
+    for pins in ([1, 4], []):
+        elim = Elimination(9, lasso(9).row_shapes, np.array(pins, dtype=int))
+        factor, b = elim.hessian_factor(h), np.arange(1.0, elim.size + 1.0)
+        assert isinstance(factor, penpath.sweeplin._DiagonalFactor)
+        assert penpath.sweeplin._solve(factor, b).tobytes() == cho_solve(
+            cho_factor(elim.reduce_hessian(h)), b).tobytes()
 
 
 @pytest.mark.parametrize("pin_all", [False, True], ids=["some_free", "none_free"])
@@ -381,3 +439,28 @@ def test_forward_lasso_direct_path_builds_no_schur_factor(monkeypatch):
     sol = run_path(model, cs, mode="direct")
     assert sol.status == "terminated" and len(sol.kinks) >= 6
     assert schur and not any(schur)
+
+
+def test_general_row_direct_path_factors_the_hessian_once(monkeypatch):
+    # With nothing eliminated, the exact engine's segments reuse the
+    # runner's factor of H, and each takes one direction solve: the general
+    # rows' multipliers need no second.
+    factors, directions = [], []
+    hessian_factor_ = penpath.path.hessian_factor
+    direction = penpath.sweeplin.KKTFactor.direction
+
+    def counted_factor(h):
+        factors.append(h.shape)
+        return hessian_factor_(h)
+
+    def counted_direction(self, u):
+        directions.append(np.shape(u))
+        return direction(self, u)
+
+    monkeypatch.setattr(penpath.path, "hessian_factor", counted_factor)
+    monkeypatch.setattr(penpath.sweeplin.KKTFactor, "direction", counted_direction)
+    target = np.sin(np.linspace(0.0, 6.0, 12)) + 0.3 * np.random.default_rng(4).normal(size=12)
+    sol = run_path(QuadraticLoss.from_target(target), shape(12, "convex"), mode="direct")
+    assert sol.status == "terminated" and len(sol.kinks) >= 4
+    assert factors == [(12, 12)]
+    assert len(directions) <= len(sol.segments)

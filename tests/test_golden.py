@@ -83,12 +83,44 @@ def _fused_backward():
     return spec, ["solve"]
 
 
+def _curve_target(seed, p):
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, p)
+    return (np.sin(6.0 * grid) + 0.3 * rng.normal(size=p)).tolist()
+
+
+def _shape_direct():
+    # Convex curvature rows have three terms, so every active row stays
+    # general: the direct mode's Schur factor on each segment.
+    spec = {
+        "dimension": 10,
+        "loss": {"kind": "quadratic", "target": _curve_target(6, 10)},
+        "constraints": [{"builder": "shape", "kind": "convex"}],
+        "options": {"mode": "direct", "samples_per_segment": 6},
+    }
+    return spec, ["solve"]
+
+
+def _trend_nullspace():
+    # An order-2 trend filter ties the boundary pairs beside the general
+    # three-term interior rows.
+    spec = {
+        "dimension": 10,
+        "loss": {"kind": "quadratic", "target": _curve_target(7, 10)},
+        "constraints": [{"builder": "trend_filter", "order": 2}],
+        "options": {"mode": "nullspace", "samples_per_segment": 6},
+    }
+    return spec, ["solve"]
+
+
 CASES = {
     "lasso_direct": _least_squares_lasso,
     "fused_nullspace": _fused_nullspace,
     "logistic_solve": lambda: (_logistic_spec(), ["solve"]),
     "logistic_crossval": lambda: (_logistic_spec(), ["crossval", "--folds", "2", "--seed", "5"]),
     "fused_backward": _fused_backward,
+    "shape_direct": _shape_direct,
+    "trend_nullspace": _trend_nullspace,
 }
 
 

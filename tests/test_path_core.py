@@ -551,6 +551,25 @@ def test_options_reject_non_finite_or_non_positive_tolerances(name, value):
         PathOptions(**{name: value})
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"rho_max": math.inf}, "rho_max < inf"),
+    ({"rho_start": math.inf}, "rho_start must be finite and nonnegative"),
+    ({"rho_start": math.nan}, "rho_start must be finite and nonnegative"),
+    ({"rho_start": -1.0}, "rho_start must be finite and nonnegative"),
+    ({"max_kinks": math.nan}, "max_kinks must be an integer"),
+    ({"max_kinks": 2.5}, "max_kinks must be an integer"),
+    ({"max_kinks": True}, "max_kinks must be an integer"),
+], ids=["rho_max_inf", "rho_start_inf", "rho_start_nan", "rho_start_negative",
+        "max_kinks_nan", "max_kinks_fraction", "max_kinks_bool"])
+def test_options_reject_unbounded_starts_ends_and_caps(options, message):
+    with pytest.raises(ValueError, match=message):
+        PathOptions(**options)
+
+
+def test_options_accept_integer_caps_and_a_zero_start():
+    assert PathOptions(max_kinks=np.int64(3), rho_start=0).rho_start == 0.0
+
+
 def test_options_leave_optional_tolerances_unset():
     opts = PathOptions(residual_tol=None, max_step=None)
     assert opts.residual_tol is None and opts.max_step is None

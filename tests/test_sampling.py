@@ -17,7 +17,13 @@ from penpath import cli
 from penpath.constraints import fused_lasso, lasso
 from penpath.losses import GlmLoss, QuadraticLoss
 from penpath.odeint import IntegrationResult, StepResult, integrate
-from penpath.path import _SegmentTrace, information_criteria, run_path
+from penpath.path import (
+    SetConfiguration,
+    _SegmentContext,
+    _SegmentTrace,
+    information_criteria,
+    run_path,
+)
 from penpath.problemspec import parse_problem_spec
 
 OFFSETS = (-2.0, -0.5, 0.5, 2.0)
@@ -244,8 +250,11 @@ def test_integration_result_lookup_matches_scan_in_both_directions():
 
 
 def test_chunked_trace_lookup_matches_scan():
-    # chunks end where the runner's geometric chunks would: 1, 8, 20
-    trace = _SegmentTrace(None)
+    # chunks end where the runner's geometric chunks would: 1, 8, 20; with
+    # no active row, the context's snap only copies
+    config = SetConfiguration(pos_eq=(0, 1))
+    trace = _SegmentTrace(_SegmentContext(QuadraticLoss.from_target([0.0, 0.0]), lasso(2),
+                                          config, np.zeros(2)))
     y, t0 = np.array([1.0, -0.5]), 0.0
     for t1 in (1.0, 8.0, 20.0):
         result = integrate(lambda t, y: np.cos(t) - 0.1 * y, t0, t1, y)

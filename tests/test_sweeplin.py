@@ -1,17 +1,11 @@
-"""Sweep operator, KKT factor, and null basis."""
+"""KKT factor and null basis."""
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from penpath.errors import NonFiniteDerivative, PivotTooSmall, RankDeficientActiveSet
-from penpath.sweeplin import (
-    KKTFactor,
-    NullBasis,
-    inverse_sweep,
-    null_basis,
-    sweep,
-)
+from penpath.errors import NonFiniteDerivative, RankDeficientActiveSet
+from penpath.sweeplin import KKTFactor, NullBasis, null_basis
 
 
 def random_spd(rng, p, scale=1.0):
@@ -36,59 +30,6 @@ def dense_blocks(kkt, p):
     direction(e_j) = -P e_j and multipliers(e_j) = -Q^T e_j."""
     eye = np.eye(p)
     return -kkt.direction(eye), -kkt.multipliers(eye).T
-
-
-def test_sweep_scalar():
-    out = sweep(np.array([[2.0]]), 0)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_sweep_known_2x2():
-    # Sweeping both positions of an SPD matrix must give its negated inverse.
-    a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    swept = sweep(sweep(a, 0), 1)
-    np.testing.assert_allclose(swept, -np.linalg.inv(a), atol=1e-14)
-
-
-def test_sweep_inverse_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a = random_spd(rng, 5)
-        k = rng.integers(5)
-        back = inverse_sweep(sweep(a, k), k)
-        np.testing.assert_allclose(back, a, atol=1e-10 * np.abs(a).max())
-
-
-def test_full_sweep_is_negated_inverse():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        p = int(rng.integers(2, 8))
-        a = random_spd(rng, p)
-        out = a
-        for k in range(p):
-            out = sweep(out, k)
-        np.testing.assert_allclose(out, -np.linalg.inv(a), atol=1e-9)
-
-
-def test_sweep_order_irrelevant():
-    rng = np.random.default_rng(2)
-    a = random_spd(rng, 6)
-    ab = sweep(sweep(a, 1), 4)
-    ba = sweep(sweep(a, 4), 1)
-    np.testing.assert_allclose(ab, ba, atol=1e-11)
-
-
-def test_sweep_rejects_tiny_pivot():
-    a = np.diag([1.0, 0.0])
-    with pytest.raises(PivotTooSmall):
-        sweep(a, 1)
-
-
-def test_sweep_rejects_asymmetric():
-    a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        sweep(a, 0)
 
 
 def test_kkt_blocks_against_dense_inverse():
