@@ -10,9 +10,10 @@ active set) and by the subgradient signs of the rest; at a kink exactly
 one row changes sets, either because an inactive residual reached zero or
 because an active row's subgradient coefficient reached the boundary of
 its admissible range ([-1, 1] for equality rows, [0, 1] for inequality
-rows).  Forward runs start at rho = 0 from the unconstrained minimum and
-stop when no row pulls on the solution any more, at which point beta
-solves the constrained program min f subject to V beta = d, W beta <= e.
+rows).  Forward runs start at rho = 0 from the unconstrained minimum, or
+from a given point of the path, and stop when no row pulls on the solution
+any more, at which point beta solves the constrained program min f subject
+to V beta = d, W beta <= e.
 
 Two segment engines, chosen by the loss's constant_hessian attribute, read
 one event table per segment: each inactive row's signed residual, which
@@ -65,10 +66,10 @@ that row out of one sorted tuple and into another, between the active rows
 and the residual rows, and recomputes u on that row's columns only; a
 segment reads its residual events from the carried rows, without a copy.
 Still built per segment: the event table's index arrays, the elimination
-(its runs, Z, and the walks along which the eliminated rows' multipliers
-are summed), the formulation's factor of Z^T H Z when something is
-eliminated (a QR or a Schur factor too when general rows are active), the
-snap and the closed-form events.
+(its runs as index slices, and the two legs of each run along which the
+eliminated rows' multipliers are summed), the formulation's factor of
+Z^T H Z when something is eliminated (a QR or a Schur factor too when
+general rows are active), the snap and the closed-form events.
 """
 
 import math
@@ -576,8 +577,7 @@ class PathSegment:
         """Solution on this segment: the exact line or the ODE dense output."""
         if not self.contains(rho):
             raise ValueError(f"rho={rho} outside segment [{self.rho_start}, {self.rho_end}]")
-        lo, hi = sorted((self._t_sign * self.rho_start, self._t_sign * self.rho_end))
-        return self._eval.interpolate(min(max(self._t_sign * rho, lo), hi))
+        return self.betas_at(np.array([rho], dtype=float), True)[0]
 
     def betas_at(self, rhos, forward):
         """beta_at(rho) for each of rhos inside this segment's padded range
@@ -983,15 +983,19 @@ class _PathRunner:
     # -- setup ------------------------------------------------------------
 
     def _start(self):
-        if self.forward:
-            self.beta = unconstrained_minimum(self.model)
-            self.rho = 0.0
-        else:
+        opts = self.opts
+        if opts.start_beta is not None:  # a given start, in either direction
+            if opts.rho_start is None:
+                raise ValueError("start_beta requires an explicit rho_start")
+            self.beta, self.rho = np.asarray(opts.start_beta, dtype=float).copy(), opts.rho_start
+        elif not self.forward:
             self.beta, self.rho = self._backward_start()
+        elif opts.rho_start:
+            raise ValueError("a forward run from rho_start > 0 needs start_beta")
+        else:
+            self.beta, self.rho = unconstrained_minimum(self.model), 0.0
         if self.exact:
             self.hessian = self.model.hessian(self.beta)
-            # A view, as Elimination.reduce_hessian reads it: a strided
-            # vector takes its own BLAS kernel, with its own rounding.
             diagonal = np.diagonal(self.hessian)
             if np.count_nonzero(self.hessian) == np.count_nonzero(diagonal):
                 self.h_diagonal = diagonal
@@ -1004,10 +1008,6 @@ class _PathRunner:
 
     def _backward_start(self):
         opts = self.opts
-        if opts.start_beta is not None:
-            if opts.rho_start is None:
-                raise ValueError("start_beta requires an explicit rho_start")
-            return np.asarray(opts.start_beta, dtype=float).copy(), float(opts.rho_start)
         if self.cs.n_ineq:
             raise ValueError(
                 "automatic backward start handles equality-only systems; "

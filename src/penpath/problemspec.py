@@ -102,6 +102,15 @@ def _take(mapping, key, what, required=True, default=None):
     return mapping[key]
 
 
+def _integer(value, what, least=1):
+    """value, when it is an integer of at least `least` (1 or 0): a JSON
+    boolean or fraction is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        sign = "positive" if least else "nonnegative"
+        _fail(f"{what} must be a {sign} integer, got {json.dumps(value)}")
+    return value
+
+
 def _check_keys(mapping, allowed, what):
     extra = set(mapping) - set(allowed)
     if extra:
@@ -143,8 +152,8 @@ def _build_loss(entry, dim, base_dir):
     if kind not in _LOSS_KINDS:
         _fail(f'unknown loss kind {kind!r}; expected one of {_LOSS_KINDS}')
     declared_n = entry.get("n_observations")
-    if declared_n is not None and (not isinstance(declared_n, int) or declared_n < 1):
-        _fail('"n_observations" must be a positive integer')
+    if declared_n is not None:
+        _integer(declared_n, '"n_observations"')
     try:
         model, n, design, response, factory = _loss_of_kind(kind, entry, base_dir)
     except (TypeError, ValueError) as exc:
@@ -233,9 +242,7 @@ def _widen(cs, p):
 def _build_block(entry, default_dim, base_dir, model):
     entry = _expect_mapping(entry, "constraint block")
     builder = _take(entry, "builder", "constraint block")
-    width = entry.get("dimension", default_dim)
-    if not isinstance(width, int) or width < 1:
-        _fail('constraint block "dimension" must be a positive integer')
+    width = _integer(entry.get("dimension", default_dim), 'constraint block "dimension"')
     plain = {"builder", "dimension", "column"}
     try:
         if builder == "lasso":
@@ -246,7 +253,7 @@ def _build_block(entry, default_dim, base_dir, model):
             return fused_lasso(width)
         if builder == "trend_filter":
             _check_keys(entry, plain | {"order"}, "trend_filter block")
-            return trend_filter(width, order=int(entry.get("order", 3)))
+            return trend_filter(width, order=_integer(entry.get("order", 3), '"order"', 0))
         if builder == "isotone":
             _check_keys(entry, plain | {"direction"}, "isotone block")
             return isotone(width, direction=entry.get("direction", "nondecreasing"))
@@ -265,13 +272,16 @@ def _build_block(entry, default_dim, base_dir, model):
             for item in edges:
                 if not isinstance(item, list) or len(item) != 3:
                     _fail('"edges" must be a list of [i, j, correlation] triples')
-                triples.append((int(item[0]), int(item[1]), float(item[2])))
+                i, j = (_integer(k, '"edges" coordinate', 0) for k in item[:2])
+                triples.append((i, j, float(item[2])))
             return graph_guided(width, triples, ratio=float(entry.get("ratio", 1.0)))
         if builder == "coordinate_lasso":
             _check_keys(entry, plain | {"coordinates"}, "coordinate_lasso block")
             coords = _take(entry, "coordinates", "coordinate_lasso block")
-            idx = np.asarray(coords, dtype=int).ravel()
-            if idx.size == 0 or idx.min() < 0 or idx.max() >= width:
+            if not isinstance(coords, list):
+                _fail('"coordinates" must be nonempty indices inside the block')
+            idx = np.array([_integer(k, '"coordinates" entry', 0) for k in coords], dtype=int)
+            if idx.size == 0 or idx.max() >= width:
                 _fail('"coordinates" must be nonempty indices inside the block')
             return equalities(np.eye(width)[idx])
         if builder == "offdiagonal_lasso":
@@ -313,10 +323,7 @@ def _build_constraints(entries, dim, base_dir, model):
         block = _build_block(entry, dim, base_dir, model)
         blocks.append(block)
         if explicit:
-            col = entry.get("column", 0)
-            if not isinstance(col, int) or col < 0:
-                _fail('constraint block "column" must be a nonnegative integer')
-            columns.append(col)
+            columns.append(_integer(entry.get("column", 0), 'constraint block "column"', 0))
     try:
         combined = concat(blocks, offsets=columns if explicit else None)
     except Exception as exc:
@@ -340,9 +347,7 @@ def parse_problem_spec(path):
         _fail(f"spec is not valid JSON: {exc}")
     raw = _expect_mapping(raw, "spec")
     _check_keys(raw, _TOP_KEYS, "spec")
-    dim = _take(raw, "dimension", "spec")
-    if not isinstance(dim, int) or dim < 1:
-        _fail('"dimension" must be a positive integer')
+    dim = _integer(_take(raw, "dimension", "spec"), '"dimension"')
     base_dir = spec_path.parent
 
     model, kind, n_obs, design, response, factory = _build_loss(
@@ -351,9 +356,7 @@ def parse_problem_spec(path):
     cs = _build_constraints(_take(raw, "constraints", "spec"), dim, base_dir, model)
 
     options = dict(_expect_mapping(raw.get("options", {}), '"options"'))
-    samples = options.pop("samples_per_segment", 20)
-    if not isinstance(samples, int) or samples < 1:
-        _fail('"samples_per_segment" must be a positive integer')
+    samples = _integer(options.pop("samples_per_segment", 20), '"samples_per_segment"')
     try:
         path_options = PathOptions(**options)
     except TypeError as exc:

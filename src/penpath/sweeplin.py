@@ -13,12 +13,13 @@ Every segment's KKT system goes through one Elimination of its active pins
 and ties (constraints.RowShapes) before either method runs: with beta = c +
 Z gamma, pinned coordinates are constants in c and each run of tied
 coordinates is one coordinate of gamma, so the method sees only the
-remaining general rows, Z^T H Z and Z^T u.  With no general row active that
-is one Cholesky factor of Z^T H Z, with no QR and no Schur complement.  The
-direction Z dgamma is exactly 0 on pinned coordinates and exactly equal
-across a run.  The pins' and ties' multipliers then follow from
-stationarity, by a leaf-to-root sum along each run (EliminatedFactor).
-With no pin or tie active the elimination is the identity, and the rows,
+remaining general rows, Z^T H Z and Z^T u; Z is held as index slices,
+never as a matrix.  With no general row active that is one Cholesky factor
+of Z^T H Z, with no QR and no Schur complement.  The direction Z dgamma is
+exactly 0 on pinned coordinates and exactly equal across a run.  The pins'
+and ties' multipliers then follow from stationarity, by running sums along
+the two legs of each run that end at its root (EliminatedFactor).  With no
+pin or tie active the elimination is the identity, and the rows,
 the factors and the multipliers are the method's own, bitwise.  Symmetric
 matrices are plain numpy arrays, validated on entry (check_symmetric).
 """
@@ -278,20 +279,27 @@ class Elimination:
 
     rows are the active rows' indices into shapes (a constraints.RowShapes),
     in active order.  Ties join adjacent coordinates, so the tied groups are
-    runs of coordinates.  A run with a pin is pinned: each of its
-    coordinates is a constant in c, at the pin's value.  Every other run, a
-    single free coordinate included, is one coordinate of gamma.  Z is the
-    run indicator with column g scaled by 1 / sqrt(n_g), so Z^T Z = I and
-    the null-space method's least-squares multipliers carry over.
+    runs, slices of consecutive coordinates.  A pinned run (one with a pin)
+    is constant in c, at the pin's value.  Every other run, a single free
+    coordinate included, is one coordinate of gamma, in coordinate order:
+    group g starts at heads[g], and Z holds 1 / sqrt(n) at each of its n
+    coordinates, so Z^T Z = I and the null-space method's least-squares
+    multipliers carry over.  Z is never formed.  A one-coordinate group is
+    its head, gathered and scattered with its bits.  The longer groups,
+    multi, are slices of spans: group multi[i] is spans[span_starts[i] :
+    span_starts[i] + span_sizes[i]].  Only they are summed, as reduceat
+    costs about as much per group as a gather does per entry, and only
+    when there are some: with pins alone, numpy calls on their empty
+    slices made the logistic_cv benchmark 8-14% slower end to end.
 
     The pins and ties form a forest, rooted at each free run's first
     coordinate and at a ground node that joins each pin.  A row that would
     close a cycle depends on the others and stays general: a second tie of
     the same pair, and a second pin in a run (the first in active order
-    stays).  general holds the positions (in active order) of the rows that
-    stay general, structured those of the eliminated ones, and child each
-    eliminated row's end away from its run's root (a pin's own coordinate),
-    which the row hangs from the node on the root's side (the ground for a
+    stays).  general and structured hold the positions (in active order)
+    of the rows that stay general and of the eliminated ones.  Each
+    eliminated row hangs by its child, its end away from the root (a pin's
+    own coordinate), from the node on the root's side (the ground for a
     pin).  With no pin or tie among the rows, structured is empty and Z = I.
     """
 
@@ -312,53 +320,39 @@ class Elimination:
         # its first coordinate.
         start = unlinked.nonzero()[0]
         end = np.concatenate((start[1:], [p])) - 1
-        anchor = start.copy()
+        root = start.copy()
         pin_runs = run[first[pins]]
-        pinned = np.zeros(anchor.size, dtype=bool)
+        pinned = np.zeros(start.size, dtype=bool)
         pinned[pin_runs] = True
         if np.count_nonzero(pinned) < pins.size:
             pin_runs, keep = np.unique(pin_runs, return_index=True)
             pins = pins[keep]
-        anchor[pin_runs] = first[pins]
-        run_value = np.zeros(anchor.size)
+        root[pin_runs] = first[pins]
+        run_value = np.zeros(start.size)
         run_value[pin_runs] = shapes.value[rows[pins]]
 
         # A pin's child is its coordinate, a tie's the end away from the root.
-        child = np.concatenate([first[pins], left + 1 - (anchor[run[left]] > left)])
+        child = np.concatenate([first[pins], left + 1 - (root[run[left]] > left)])
         self.structured = np.concatenate([pins, ties])
         # An eliminated row's multiplier needs the sum of w over its child's
-        # subtree (multipliers).  A run rooted at one of its ends is one
-        # chain of subtrees: walk[i, g] is the coordinate i steps from run
-        # g's leaf, its other end, and the sums so far along the walk are
-        # the subtree sums (at each child's place, at).  A pin inside a run
-        # has two subtrees; their sums go through the leaf-to-root solve of
-        # the rows' tree, whose order of addition for them varies with the
-        # shape of the right-hand side.
-        self.tree = None
-        if ((anchor > start) & (anchor < end)).any():
-            # Each row after the one above it, in order of the child's
-            # distance from the root.
-            offset = child - anchor[run[child]]
-            order = np.abs(offset).argsort(kind="stable")
-            child, offset, self.structured = child[order], offset[order], self.structured[order]
-            edge_of = np.full(p, -1)
-            edge_of[child] = np.arange(order.size)
-            above = edge_of[child - np.sign(offset)]
-            above[offset == 0] = -1
-            below = (above >= 0).nonzero()[0]
-            self.tree = np.eye(above.size)
-            self.tree[above[below], below] = -1.0
-        else:
-            up = anchor == end
-            leaf, step = np.where(up, start, end), np.where(up, 1, -1)
-            steps = np.arange((end - start).max() + 1)[:, None]
-            # Past a short run's root the walk goes on through other
-            # coordinates (a negative index counts from the end), whose sums
-            # no child reads.
-            self.walk = np.minimum(leaf + steps * step, p - 1)
-            r = run[child]
-            self.at = (child - leaf[r]) * step[r] * anchor.size + r
-        self.child = child
+        # subtree (multipliers).  Each run is two legs of subtrees ending at
+        # its root: up from its first coordinate to the root, and down from
+        # its last to just past the root.  walk[i, leg] is the coordinate i
+        # steps along a leg (the n up legs first), so the running sums down
+        # walk's columns are the subtree sums, read at `at`.  A pin's subtree
+        # is its run: it adds the down leg's sum (at past_at) to the up leg's.
+        # Past a leg's end the walk runs on through coordinates (a negative
+        # index counts from the end) whose sums no child reads.
+        n = start.size
+        leaf = np.concatenate((start, end))
+        steps = np.arange((end - start).max() + 1)[:, None]
+        self.walk = np.minimum(np.concatenate((start + steps, end - steps), 1), p - 1)
+        leg = run[child]
+        leg += n * (child > root[leg])
+        self.at = np.abs(child - leaf[leg]) * (2 * n) + leg
+        self.past = (root[pin_runs] < end[pin_runs]).nonzero()[0]
+        r = pin_runs[self.past]
+        self.past_at = (end[r] - root[r] - 1) * (2 * n) + r + n
 
         general = np.ones(rows.size, dtype=bool)
         general[self.structured] = False
@@ -368,83 +362,83 @@ class Elimination:
         self.child_coef = shapes.coef[rows[self.structured]]
         self.child_coef[child != first[self.structured]] *= -1.0
 
-        # gamma has one coordinate per free run: the free coordinates in
-        # order, each group starts[g] .. starts[g] + sizes[g] - 1 of them.
         on_pinned = pinned[run]
         self.pinned = on_pinned.nonzero()[0]
         self.pin_values = run_value[run[self.pinned]]
-        self.order = (~on_pinned).nonzero()[0]
-        self.sizes = (end - start + 1)[~pinned]
-        self.starts = self.sizes.cumsum() - self.sizes
-        self.size = self.sizes.size
-        # Z itself once some group has more than one coordinate; until then
-        # Z only selects the free coordinates.
-        self.z = None
-        if self.size < self.order.size:
-            group = ((~pinned).cumsum() - 1)[run[self.order]]
-            self.z = np.zeros((p, self.size))
-            self.z[self.order, group] = 1.0 / np.sqrt(self.sizes[group])
+        free = ~pinned
+        self.heads = start[free]
+        self.size = self.heads.size
+        sizes = (end - start + 1)[free]
+        self.multi = (sizes > 1).nonzero()[0]
+        self.spans = (free & (end > start))[run].nonzero()[0]
+        self.span_sizes = sizes[self.multi]
+        self.span_starts = self.span_sizes.cumsum() - self.span_sizes
+        self.span_scale = 1.0 / np.sqrt(self.span_sizes)
 
-    def reduce(self, x):
-        """Z^T x, for a vector or for each column of x."""
-        return x[self.order] if self.z is None else self.z.T @ x
+    def _sums(self, x, axis, scale):
+        # Each group's entry as it is, or a longer group's sum times scale.
+        sums = x.take(self.heads, axis)
+        if self.multi.size:
+            scale = scale.reshape((-1,) + (1,) * (x.ndim - 1 - axis))
+            sums[(slice(None),) * axis + (self.multi,)] = scale * np.add.reduceat(
+                x.take(self.spans, axis), self.span_starts, axis)
+        return sums
+
+    def reduce(self, x, axis=0):
+        """Z^T x for a vector or for each column of x; along axis 1, x Z
+        for each row of x."""
+        return self._sums(x, axis, self.span_scale)
 
     def expand(self, g):
         """Z g: exactly 0 on pinned coordinates and one value across a
-        group, since each row of Z has at most one nonzero."""
-        if self.z is not None:
-            return self.z @ g
-        out = np.zeros((self.p,) + np.shape(g)[1:])
-        out[self.order] = g
+        group."""
+        out = np.zeros((self.p,) + g.shape[1:])
+        out[self.heads] = g
+        if self.multi.size:
+            scale = self.span_scale.reshape((-1,) + (1,) * (g.ndim - 1))
+            out[self.spans] = (scale * g[self.multi]).repeat(self.span_sizes, 0)
         return out
 
     def reduce_hessian(self, h):
-        """Z^T H Z: H on the free coordinates, summed over each group, and
-        diagonal when H is (a signal approximator's)."""
-        if self.z is None:
-            return h.take(self.order, 0).take(self.order, 1)
-        diagonal = np.diagonal(h)
-        if np.count_nonzero(h) == np.count_nonzero(diagonal):
-            return np.diag(self.reduce_diagonal(diagonal))
-        return self.z.T @ h @ self.z
+        """Z^T H Z: H on the free coordinates, summed over each group."""
+        return self.reduce(self.reduce(h), 1)
 
     def reduce_diagonal(self, diagonal):
-        """The diagonal of Z^T H Z for the diagonal H with this diagonal."""
-        return diagonal[self.order] if self.z is None else (self.z * self.z).T @ diagonal
+        """The diagonal of Z^T H Z for the diagonal H with this diagonal:
+        each group's mean."""
+        return self._sums(diagonal, 0, 1.0 / self.span_sizes)
 
     def hessian_factor(self, h):
         """The Cholesky factor of Z^T H Z, for the range-space method, which
-        needs H itself positive definite (else NotStrictlyConvex).  With pins
-        only, it is the leading block of H's factor with the free coordinates
-        first, so one factorization does both."""
-        if self.z is not None:
+        needs H itself positive definite (else NotStrictlyConvex)."""
+        if self.multi.size:
             hessian_factor(h)
             return hessian_factor(self.reduce_hessian(h))
-        first = np.concatenate([self.order, self.pinned])
+        # With no group of more than one coordinate, Z^T H Z is H's free
+        # block, the leading block of H's factor with the free coordinates
+        # first, so one factorization both checks H and factors Z^T H Z.
+        first = np.concatenate([self.heads, self.pinned])
         factor = hessian_factor(h.take(first, 0).take(first, 1))
         if isinstance(factor, _DiagonalFactor):
             return _DiagonalFactor(np.diagonal(factor[0])[: self.size])
         return factor[0][: self.size, : self.size], factor[1]
 
     def reduce_rows(self, rows):
-        """U Z for rows U (one per row): U itself when nothing is eliminated,
-        as the Schur product's rounding depends on the rows' memory layout."""
-        if self.structured.size == 0:
-            return rows
-        return rows[:, self.order] if self.z is None else rows @ self.z
+        """U Z for rows U (one per row)."""
+        return self.reduce(rows, 1)
 
     def snap(self, beta):
         """beta, in place, with the pins and ties held exactly: each pinned
         coordinate at its pin's value, and each group whose values differ at
         their mean."""
         beta[self.pinned] = self.pin_values
-        if self.z is not None:
-            values = beta[self.order]
-            lo = np.minimum.reduceat(values, self.starts)
-            hi = np.maximum.reduceat(values, self.starts)
+        if self.multi.size:
+            values = beta[self.spans]
+            lo = np.minimum.reduceat(values, self.span_starts)
+            hi = np.maximum.reduceat(values, self.span_starts)
             if (lo != hi).any():
-                mean = np.add.reduceat(values, self.starts) / self.sizes
-                beta[self.order] = np.repeat(np.where(lo == hi, lo, mean), self.sizes)
+                mean = np.add.reduceat(values, self.span_starts) / self.span_sizes
+                beta[self.spans] = np.where(lo == hi, lo, mean).repeat(self.span_sizes)
         return beta
 
     def multipliers(self, r_general, w):
@@ -453,11 +447,9 @@ class Elimination:
         over each group: the eliminated rows' r solves U_S^T r = -w, and the
         r of the edge above coordinate c is minus the sum of w over c's
         subtree divided by its entry at c."""
-        if self.tree is None:
-            sums = w.take(self.walk, 0).cumsum(0).reshape((-1,) + w.shape[1:])[self.at]
-        else:
-            sums = solve_triangular(self.tree, w[self.child], unit_diagonal=True,
-                                    check_finite=False)
+        legs = w.take(self.walk, 0).cumsum(0).reshape((-1,) + w.shape[1:])
+        sums = legs[self.at]
+        sums[self.past] += legs[self.past_at]
         r = np.empty((self.general.size + self.structured.size,) + np.shape(w)[1:])
         r[self.general] = r_general
         r[self.structured] = -sums / self.child_coef.reshape((-1,) + (1,) * (np.ndim(w) - 1))

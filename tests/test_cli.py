@@ -227,6 +227,69 @@ def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, 
     assert not out.exists()
 
 
+def spec_with(**changes):
+    """A four-coordinate quadratic spec with a lasso block, changed as given:
+    top-level keys, and loss, block and options keys by prefix."""
+    spec = {"dimension": 4, "loss": {"kind": "quadratic", "target": [2.3, -1.1, 0.7, 1.6]},
+            "constraints": [{"builder": "lasso"}], "options": {}}
+    for key, value in changes.items():
+        part, _, name = key.partition("__")
+        if name:
+            target = spec["constraints"][0] if part == "block" else spec[part]
+            target[name] = value
+        else:
+            spec[key] = value
+    return spec
+
+
+# JSON booleans and fractions where the spec takes an integer: each used to
+# pass, as 1 or rounded down ("column": true solved the lasso on beta_2, and
+# the edge [0.9, 1.7] tied beta_1 and beta_2).
+@pytest.mark.parametrize("spec, message", [
+    (spec_with(dimension=True), '"dimension" must be a positive integer, got true'),
+    (spec_with(dimension=4.0), '"dimension" must be a positive integer, got 4.0'),
+    (spec_with(loss__n_observations=True), '"n_observations" must be a positive integer, got true'),
+    (spec_with(options__samples_per_segment=True),
+     '"samples_per_segment" must be a positive integer, got true'),
+    (spec_with(options__samples_per_segment=2.5),
+     '"samples_per_segment" must be a positive integer, got 2.5'),
+    (spec_with(block__dimension=True), 'constraint block "dimension" must be a positive integer'),
+    (spec_with(block__dimension=3, block__column=True),
+     'constraint block "column" must be a nonnegative integer, got true'),
+    (spec_with(block__dimension=3, block__column=0.5),
+     'constraint block "column" must be a nonnegative integer, got 0.5'),
+    (spec_with(block__builder="trend_filter", block__order=1.9),
+     '"order" must be a nonnegative integer, got 1.9'),
+    (spec_with(block__builder="trend_filter", block__order=True),
+     '"order" must be a nonnegative integer, got true'),
+    (spec_with(block__builder="graph_guided", block__edges=[[0.9, 1.7, 1.0]]),
+     '"edges" coordinate must be a nonnegative integer, got 0.9'),
+    (spec_with(block__builder="coordinate_lasso", block__coordinates=[1.7, True]),
+     '"coordinates" entry must be a nonnegative integer, got 1.7'),
+], ids=["dimension_true", "dimension_float", "n_observations_true", "samples_true",
+        "samples_fraction", "block_dimension_true", "column_true", "column_fraction",
+        "order_fraction", "order_true", "edge_fraction", "coordinate_fraction"])
+def test_spec_integers_reject_booleans_and_fractions(tmp_path, capsys, spec, message):
+    out = tmp_path / "out"
+    assert main(["solve", write_spec(tmp_path, spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::penpath.errors.SimultaneousEventWarning")
+@pytest.mark.parametrize("block", [
+    {"builder": "trend_filter", "order": 1, "dimension": 3, "column": 1},
+    {"builder": "graph_guided", "edges": [[0, 1, 1.0], [2, 3, -0.5]]},
+    {"builder": "coordinate_lasso", "coordinates": [0, 2]},
+], ids=["trend_filter", "graph_guided", "coordinate_lasso"])
+def test_spec_integers_accept_integers(tmp_path, block):
+    spec = spec_with(options__samples_per_segment=2)
+    spec["constraints"] = [block]
+    assert main(["solve", write_spec(tmp_path, spec), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])
 def test_rel_tol_flag_must_be_finite_and_positive(tmp_path, capsys, value):
     out = tmp_path / "out"

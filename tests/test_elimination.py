@@ -82,15 +82,28 @@ def mixed_system(p=9):
     return ConstraintSystem(np.array(rows), np.zeros(len(rows)), np.zeros((0, p)), np.zeros(0))
 
 
+def dense_z(elim):
+    """The p x groups matrix Z that an Elimination holds as index slices:
+    group g's coordinates, heads[g] alone or, for g = multi[i], the slice
+    of spans from span_starts[i] of span_sizes[i], each with entry one over
+    the square root of their number."""
+    z = np.zeros((elim.p, elim.size))
+    z[elim.heads, np.arange(elim.size)] = 1.0
+    for g, start, size in zip(elim.multi, elim.span_starts, elim.span_sizes):
+        z[elim.spans[start:start + size], g] = 1.0 / np.sqrt(size)
+    return z
+
+
 def test_elimination_structure():
     cs = mixed_system()
     elim = Elimination(cs.dim, cs.row_shapes, np.arange(cs.n_eq))
     assert elim.general.tolist() == [4, 5, 6]
     assert sorted(elim.structured.tolist()) == [0, 1, 2, 3]
     assert elim.pinned.tolist() == [1, 2]
-    assert elim.order.tolist() == [0, 3, 4, 5, 6, 7, 8]
-    assert elim.sizes.tolist() == [1, 1, 3, 1, 1]
-    z = elim.z
+    assert elim.heads.tolist() == [0, 3, 4, 7, 8]
+    assert elim.multi.tolist() == [2] and elim.spans.tolist() == [4, 5, 6]
+    assert elim.span_sizes.tolist() == [3]
+    z = dense_z(elim)
     np.testing.assert_allclose(z.T @ z, np.eye(5), atol=1e-15)
     beta = np.arange(9.0)
     snapped = elim.snap(beta.copy())
@@ -122,7 +135,7 @@ def test_eliminated_factor_matches_the_full_factors(seed):
     cs = ConstraintSystem(rows, np.zeros(len(rows)), np.zeros((0, p)), np.zeros(0))
     h = random_problem(rng, cs)
     elim = Elimination(p, cs.row_shapes, np.arange(len(rows)))
-    assert elim.general.size == 2 and elim.z is not None
+    assert elim.general.size == 2 and elim.multi.size
     general = rows[elim.general]
     reduced = elim.reduce_rows(general)
     vec = rng.standard_normal((p, 3))
@@ -199,57 +212,102 @@ def test_identity_elimination_equals_the_unreduced_factors(case, mode, h_factor)
 
 
 def leaf_to_root_sums(p, pins, ties, w):
-    """Each eliminated row's subtree sum of w, added one coordinate at a time
-    from the leaf: pins (coordinates) at a run's end and ties (left
-    coordinates) of adjacent coordinates."""
+    """Each eliminated row's child (its end away from its run's root) and
+    the sum of w over the child's subtree, added one coordinate at a time
+    from a leaf: pins (coordinates, at most one per run) and ties (left
+    coordinates) of adjacent coordinates.  A run's root is its pin, else its
+    first coordinate; the coordinates before the root are added from the
+    run's first, those after it from its last, and a pin's subtree is the
+    whole run, the first of these sums plus the second."""
     sums = {}
-    starts = [j for j in range(p) if j - 1 not in ties]
-    for start in starts:
+    for start in [j for j in range(p) if j - 1 not in ties]:
         end = start
         while end in ties:
             end += 1
-        pin = [j for j in pins if start <= j <= end]
-        # Walked from the end away from the root, which is the pin or else
-        # the run's first coordinate.
-        walk = range(start, end + 1) if pin and pin[0] == end else range(end, start - 1, -1)
-        total = None
-        for j in walk:
-            total = w[j] if total is None else total + w[j]
-            if j in pins:
-                sums[("pin", j)] = total
-            elif j - 1 in ties and walk.step < 0:
-                sums[("tie", j - 1)] = total
-            elif j in ties and walk.step > 0:
-                sums[("tie", j)] = total
+        root = next((j for j in pins if start <= j <= end), start)
+        up, down = {}, {}
+        for leg, coordinates in ((up, range(start, root + 1)), (down, range(end, root, -1))):
+            total = None
+            for j in coordinates:
+                total = w[j] if total is None else total + w[j]
+                leg[j] = total
+        for j in range(start, end):
+            if j in ties:
+                child = j if j < root else j + 1
+                sums[("tie", j)] = child, up[child] if child <= root else down[child]
+        if root in pins:
+            sums[("pin", root)] = root, up[root] + down[root + 1] if root < end else up[root]
     return sums
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_run_sums_add_from_the_leaf(seed):
-    # The multipliers of pins and ties are subtree sums of w, added as the
-    # leaf-to-root solve adds them when each node has one child.
+    # The multipliers of pins and ties are subtree sums of w, added from the
+    # run's ends towards its root, wherever in its run a pin sits.
     rng = np.random.default_rng(seed)
     p = 30
     ties = sorted(rng.choice(p - 1, size=18, replace=False).tolist())
     runs = list(zip([j for j in range(p) if j - 1 not in ties],
                     [j for j in range(p) if j not in ties]))
-    # One pin at one end of each of some runs.
-    pins = sorted(int(run[rng.integers(2)]) for run in rng.permutation(runs)[:5])
+    # One pin anywhere in each of some runs, inside it too.
+    pins = sorted(int(rng.integers(start, end + 1)) for start, end in rng.permutation(runs)[:7])
     fused = fused_lasso(p).v_mat
     rows = np.vstack([3.0 * np.eye(p)[pins], -2.0 * fused[ties]])
     cs = ConstraintSystem(rows, np.zeros(len(rows)), np.zeros((0, p)), np.zeros(0))
     elim = Elimination(p, cs.row_shapes, np.arange(len(rows)))
-    assert elim.tree is None and elim.general.size == 0
+    assert elim.general.size == 0
     keys = [("pin", j) for j in pins] + [("tie", j) for j in ties]
     for w in (rng.normal(size=p) * 10.0 ** rng.integers(-4, 5, size=p), rng.normal(size=(p, 2))):
         r = elim.multipliers(np.zeros((0,) + w.shape[1:]), w)
         oracle = leaf_to_root_sums(p, pins, ties, w)
         for position, key in enumerate(keys):
             # A row's entry at its child: coef at its first coordinate.
+            child, total = oracle[key]
             coef = cs.row_shapes.coef[position]
-            if elim.child[elim.structured == position] != cs.row_shapes.first[position]:
+            if child != cs.row_shapes.first[position]:
                 coef = -coef
-            assert np.array_equal(r[position], -oracle[key] / coef), key
+            assert np.array_equal(r[position], -total / coef), key
+
+
+REDUCTIONS = {
+    "mixed": lambda: (mixed_system(), None),
+    "pins": lambda: (lasso(9), [1, 4, 8]),
+    "identity": lambda: (lasso(9), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCTIONS))
+def test_index_slices_act_as_the_dense_z(case):
+    # Each product of the elimination against the same product with a
+    # dense Z: bitwise when no group has more than one coordinate, whose
+    # sums have one term and whose scale is 1.
+    cs, rows = REDUCTIONS[case]()
+    rows = np.arange(cs.n_eq) if rows is None else np.array(rows, dtype=int)
+    elim = Elimination(cs.dim, cs.row_shapes, rows)
+    z = dense_z(elim)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((cs.dim + 3, cs.dim))
+    h = a.T @ a + 0.5 * np.eye(cs.dim)
+    x, g = rng.standard_normal((cs.dim, 2)), rng.standard_normal((elim.size, 2))
+    u = rng.standard_normal((4, cs.dim))
+    diagonal = rng.random(cs.dim) + 0.5
+    pairs = [
+        (elim.reduce(x), z.T @ x),
+        (elim.reduce(x[:, 0]), z.T @ x[:, 0]),
+        (elim.expand(g), z @ g),
+        (elim.expand(g[:, 0]), z @ g[:, 0]),
+        (elim.reduce_diagonal(diagonal), np.diagonal(z.T @ np.diag(diagonal) @ z)),
+        (elim.reduce_hessian(h), z.T @ h @ z),
+        (elim.reduce_hessian(np.diag(diagonal)), z.T @ np.diag(diagonal) @ z),
+        (elim.reduce_rows(u), u @ z),
+    ]
+    grouped = elim.multi.size > 0
+    assert grouped == (case == "mixed")
+    for ours, dense in pairs:
+        if grouped:
+            np.testing.assert_allclose(ours, dense, rtol=0.0, atol=1e-14)
+        else:
+            assert bitwise(ours, dense)
 
 
 @pytest.mark.parametrize("rows", [[0, 3], [0, 3, 5]], ids=["pins", "pins_and_a_tie"])
@@ -281,7 +339,8 @@ def test_diagonal_hessian_shortcuts_match_the_dense_algebra():
         hessian_factor(np.diag([1.0, 0.0]))
     cs = mixed_system()
     elim = Elimination(cs.dim, cs.row_shapes, np.arange(cs.n_eq))
-    np.testing.assert_allclose(elim.reduce_hessian(h), elim.z.T @ h @ elim.z, atol=1e-14)
+    z = dense_z(elim)
+    np.testing.assert_allclose(elim.reduce_hessian(h), z.T @ h @ z, atol=1e-14)
     # With pins only (or nothing) eliminated, the free block of the factor
     # stays diagonal, with cho_solve's bits.
     for pins in ([1, 4], []):

@@ -170,6 +170,65 @@ def test_backward_start_validation():
         run_path(model, lasso(2), direction="backward", rho_start=0.5)
 
 
+@pytest.mark.filterwarnings("ignore::penpath.errors.SimultaneousEventWarning")
+def test_forward_run_honours_a_given_start():
+    # Both values used to be ignored: the path started at rho = 0 from [2, -1].
+    sol = run_path(QuadraticLoss.from_target([2.0, -1.0]), lasso(2), rho_start=5.0,
+                   start_beta=[9.0, 9.0])
+    first = sol.segments[0]
+    assert first.rho_start == 5.0 and first.beta_start.tolist() == [9.0, 9.0]
+    # Both coordinates fall at unit slope and reach 0 at rho = 14, the
+    # second processed within event_tol of the first.
+    assert [k.rho for k in sol.kinks] == pytest.approx([14.0, 14.0], abs=1e-8)
+    assert sol.status == "terminated" and not sol.terminal_beta.any()
+
+
+def test_forward_start_validation():
+    model = QuadraticLoss.from_target([2.0, -1.0])
+    with pytest.raises(ValueError, match="needs start_beta"):
+        run_path(model, lasso(2), rho_start=5.0)
+    with pytest.raises(ValueError, match="requires an explicit rho_start"):
+        run_path(model, lasso(2), start_beta=[9.0, 9.0])
+    first = run_path(model, lasso(2), rho_start=0).segments[0]
+    assert first.rho_start == 0.0 and first.beta_start.tolist() == [2.0, -1.0]
+
+
+class OdeQuadratic(QuadraticLoss):
+    """A quadratic loss that the ODE engine traces."""
+
+    constant_hessian = False
+
+
+def restart_case(name):
+    rng = np.random.default_rng(4)
+    if name == "lasso":
+        x = rng.normal(size=(30, 6))
+        y = x @ np.array([1.5, 0.0, -1.0, 0.0, 0.5, 0.0]) + 0.5 * rng.normal(size=30)
+        return QuadraticLoss.from_least_squares(x, y), lasso(6)
+    target = np.repeat([1.0, -0.5, 2.0], 3) + 0.3 * rng.normal(size=9)
+    return QuadraticLoss.from_target(target), fused_lasso(9)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("engine", ["exact", "ode"])
+@pytest.mark.parametrize("case", ["lasso", "fused"])
+def test_forward_run_from_a_midpoint_reproduces_the_kinks_after_it(case, engine, mode):
+    model, cs = restart_case(case)
+    if engine == "ode":
+        model = OdeQuadratic(model.a_mat, model.b, model.c)
+    fwd = run_path(model, cs, mode=mode)
+    assert len(fwd.kinks) >= 5
+    for seg in fwd.segments[:-1]:
+        mid = 0.5 * (seg.rho_start + seg.rho_end)
+        rest = run_path(model, cs, mode=mode, start_beta=fwd.beta_at(mid), rho_start=mid)
+        after = [k for k in fwd.kinks if k.rho > mid]
+        assert rest.segments[0].rho_start == mid and rest.status == fwd.status
+        assert ([(k.row_kind, k.index, k.from_set, k.to_set) for k in rest.kinks]
+                == [(k.row_kind, k.index, k.from_set, k.to_set) for k in after])
+        np.testing.assert_allclose([k.rho for k in rest.kinks], [k.rho for k in after],
+                                   rtol=1e-9)
+
+
 # -- oracle equivalence -------------------------------------------------------
 
 def test_quadratic_lasso_matches_admm_oracle():

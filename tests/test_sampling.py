@@ -181,6 +181,42 @@ def test_lookup_on_backward_run():
         sol.df_at(-1.0)
 
 
+class OdeQuadratic(QuadraticLoss):
+    """A quadratic loss that the ODE engine traces."""
+
+    constant_hessian = False
+
+
+def clamped_beta_at(seg, rho):
+    """PathSegment.beta_at with a clamp of its own, as it was before it
+    called betas_at."""
+    lo, hi = sorted((seg._t_sign * seg.rho_start, seg._t_sign * seg.rho_end))
+    return seg._eval.interpolate(min(max(seg._t_sign * rho, lo), hi))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_segment_beta_at_is_betas_at_within_its_slack(loss, direction):
+    target = [3.0, -1.0, 2.0, 0.5, 1.0, -2.0]
+    sol = quiet_path(loss.from_target(target), fused_lasso(6), direction=direction,
+                     rho_min=1e-3)
+    assert len(sol.kinks) >= 3
+    inside = 0
+    for seg in sol.segments:
+        for end in (seg.rho_start, seg.rho_end):
+            for k in (-2.0, -0.5, 0.0, 0.5, 2.0):
+                rho = end + k * 1e-9 * (1.0 + abs(end))
+                if not seg.contains(rho):
+                    with pytest.raises(ValueError, match="outside segment"):
+                        seg.beta_at(rho)
+                    continue
+                inside += 1
+                beta = seg.beta_at(rho)
+                assert beta.tobytes() == clamped_beta_at(seg, rho).tobytes()
+                assert beta.tobytes() == seg.betas_at(np.array([rho]), True)[0].tobytes()
+    assert inside > 0
+
+
 def test_lookup_on_path_stopped_by_rho_max():
     sol = quiet_path(QuadraticLoss.from_target([2.0, -1.0, 0.5]), lasso(3), rho_max=1.5)
     assert sol.status == "rho_max"
