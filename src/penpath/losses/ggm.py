@@ -9,8 +9,8 @@ symmetric pair of entries.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from .._lapack import cho_factor, cho_solve
 from ..errors import DomainError
 from ..sweeplin import check_symmetric
 from .base import LossModel

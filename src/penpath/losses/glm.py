@@ -14,8 +14,8 @@ inverse link) the two classes produce identical gradients and Hessians.
 import math
 
 import numpy as np
-from scipy.special import expit
 
+from .._lapack import expit
 from .base import LossModel
 
 

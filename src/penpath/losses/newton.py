@@ -1,8 +1,8 @@
 """Damped Newton minimization of smooth convex objectives."""
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from .._lapack import cho_factor, cho_solve
 from ..errors import DivergenceError, DomainError
 
 ARMIJO_SLOPE = 1e-4
@@ -15,8 +15,9 @@ def minimize_smooth(value, gradient, hessian, x0, max_iter=MAX_ITER):
     """Newton iteration with Armijo backtracking on callables.
 
     Stops when ||gradient||_inf <= 1e-9 * (1 + |f(x)|).  DomainError from a
-    trial point shortens the step; a failed line search, a singular
-    Hessian, or an exhausted iteration budget raise DivergenceError.
+    trial point shortens the step, and a step shortened until x no longer
+    moves is replaced by the full Newton step; a failed line search, a
+    singular Hessian, or an exhausted iteration budget raise DivergenceError.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx = value(x)
@@ -44,8 +45,15 @@ def minimize_smooth(value, gradient, hessian, x0, max_iter=MAX_ITER):
             t *= BACKTRACK
         else:
             raise DivergenceError("line search failed; objective may be unbounded")
-        x = x + t * step
-        fx = f_new
+        x_new = x + t * step
+        if np.array_equal(x_new, x):
+            # Near the minimum f(x + t step) can exceed f(x) by rounding
+            # alone, and the search then shrinks t until the step vanishes.
+            # A step that does not move repeats until the cap, so take the
+            # full Newton step instead.
+            x_new = x + step
+            f_new = value(x_new)
+        x, fx = x_new, f_new
     raise DivergenceError(f"no convergence in {max_iter} Newton iterations")
 
 

@@ -441,6 +441,11 @@ class PathOptions:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
+        # float(True) is 1.0, so a JSON true would pass every check below.
+        for name in ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event_tol",
+                     "residual_tol", "beta_bound", "max_step"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # With rho_max = inf a segment no event ends never ends; a NaN max_kinks disarms the cap.
         if not 0 <= self.rho_min < self.rho_max < math.inf:
             raise ValueError("need 0 <= rho_min < rho_max < inf")

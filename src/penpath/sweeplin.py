@@ -27,8 +27,8 @@ matrices are plain numpy arrays, validated on entry (check_symmetric).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from ._lapack import cho_factor, cho_solve, solve_triangular
 from .constraints import PIN, TIE
 from .errors import (
     NonFiniteDerivative,

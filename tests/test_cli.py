@@ -178,6 +178,10 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
             "response": [1.0, 0.0]}
 
 
+FLOAT_OPTIONS = ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event_tol",
+                 "residual_tol", "beta_bound", "max_step")
+
+
 @pytest.mark.parametrize(
     "loss, options, message",
     [
@@ -208,11 +212,19 @@ GLM_LOSS = {"kind": "glm", "family": "logistic", "design": [[1.0, 0.0], [0.0, 1.
          '"options": max_step must be finite and positive, got -1.0'),
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {"max_kinks": math.nan},
          '"options": max_kinks must be an integer of at least 1, got nan'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"event_tol": True, "rel_tol": True, "rho_max": True},
+         '"options": rho_max must be a number, got True'),
+    ] + [
+        ({"kind": "quadratic", "target": [2.0, -1.0]}, {name: True},
+         f'"options": {name} must be a number, got True')
+        for name in FLOAT_OPTIONS
     ],
     ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
          "scale_inf", "quasi_scale_nan",
          "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
-         "residual_tol_nan", "max_step_negative", "max_kinks_nan"],
+         "residual_tol_nan", "max_step_negative", "max_kinks_nan", "three_booleans"]
+    + [f"{name}_boolean" for name in FLOAT_OPTIONS],
 )
 def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):
     spec = write_spec(

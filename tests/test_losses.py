@@ -264,6 +264,23 @@ def test_newton_logistic():
     assert np.abs(model.gradient(x)).max() <= 1e-9 * (1.0 + abs(model.value(x)))
 
 
+@pytest.mark.parametrize("seed", [41, 197])
+def test_newton_takes_the_full_step_when_the_line_search_stops_moving(seed):
+    # On these draws the gradient stops just above the threshold, where
+    # f(x + t step) exceeds f(x) by rounding alone: the line search shrinks
+    # t until x + t step == x, and a step that does not move repeated until
+    # the iteration cap raised DivergenceError.
+    rng = np.random.default_rng(seed)
+    x_mat = rng.normal(size=(60, 10))
+    beta_true = np.zeros(10)
+    support = rng.choice(10, 2, replace=False)
+    beta_true[support] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.25, 0.75, 2)
+    y = (rng.random(60) < 1.0 / (1.0 + np.exp(-(x_mat @ beta_true)))).astype(float)
+    model = GlmLoss(x_mat, y, family="logistic")
+    x = unconstrained_minimum(model)
+    assert np.abs(model.gradient(x)).max() <= 1e-9 * (1.0 + abs(model.value(x)))
+
+
 def test_newton_budget_exhaustion():
     # A budget too small to converge must signal rather than return.
     rng = np.random.default_rng(12)
