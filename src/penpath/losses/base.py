@@ -8,9 +8,11 @@ import numpy as np
 class LossModel(abc.ABC):
     """Smooth convex loss f with derivatives used by the path solver.
 
-    Implementations provide dim and the value, gradient and Hessian of f;
-    the path solver calls nothing else.  constant_hessian declares that H
-    does not depend on x; run_path then traces the path with its exact
+    Implementations provide dim and the value, gradient and Hessian of f.
+    The path solver calls these and hessian_columns, whose default takes
+    the columns from hessian; a loss overrides it where a few columns cost
+    less than all of them.  constant_hessian declares that H does not
+    depend on x; run_path then traces the path with its exact
     piecewise-linear engine instead of integrating it.
     """
 
@@ -32,6 +34,11 @@ class LossModel(abc.ABC):
     @abc.abstractmethod
     def hessian(self, x):
         ...
+
+    def hessian_columns(self, x, cols):
+        """H[:, cols], the Hessian's columns at the coordinates cols (an
+        integer array, in any order): a (dim, len(cols)) array."""
+        return self.hessian(x)[:, cols]
 
     def newton_start(self):
         """Starting point for Newton minimization (must be in the domain)."""

@@ -77,22 +77,33 @@ class GaussianGraphicalLoss(LossModel):
         grad_mat = self.sample_cov - inv
         return self._mult * grad_mat[self.rows, self.cols]
 
-    def _gather(self, m):
-        # Row k of the Hessian for basis element E_k: trace(E_k M) with the
-        # symmetric-pair multiplicity.
-        return self._mult * m[self.rows, self.cols]
+    def _rows(self, inv, k):
+        """Rows k (an index array) of the Hessian, a (len(k), dim) array.
+
+        Entry (k, a) is trace(inv E_k inv E_a), with E the coordinates'
+        basis matrices (e_i e_j^T + e_j e_i^T off the diagonal, e_i e_i^T on
+        it): entries of the Kronecker product inv (x) inv, two of them for
+        an off-diagonal k, times 2 for an off-diagonal a (Boyd and
+        Vandenberghe, Convex Optimization, App. A.4).
+        """
+        rk, ck = self.rows[k], self.cols[k]
+        at_rows, at_cols = inv.take(self.rows, 1), inv.take(self.cols, 1)
+        h = at_rows.take(rk, 0) * at_cols.take(ck, 0)
+        off = (rk != ck).nonzero()[0]
+        h[off] += at_cols.take(rk[off], 0) * at_rows.take(ck[off], 0)
+        h *= self._mult
+        return h
 
     def hessian(self, x):
         _, inv, _ = self._inverse(x)
-        q = self.dim
-        h = np.empty((q, q))
-        for k in range(q):
-            i, j = self.rows[k], self.cols[k]
-            m = np.outer(inv[:, i], inv[j, :])
-            if i != j:
-                m = m + m.T
-            h[:, k] = self._gather(m)
+        h = self._rows(inv, np.arange(self.dim))
         return 0.5 * (h + h.T)
+
+    def hessian_columns(self, x, cols):
+        # inv is exactly symmetric, so _rows is too: its rows cols are the
+        # columns cols of hessian's matrix, bit for bit.
+        _, inv, _ = self._inverse(x)
+        return self._rows(inv, np.asarray(cols, dtype=int)).T
 
     def newton_start(self):
         return self.from_matrix(np.diag(1.0 / np.diag(self.sample_cov)))

@@ -48,6 +48,11 @@ def _checked_scale(scale):
     return scale
 
 
+def _weighted_columns(design, w, cols):
+    """X^T diag(w) X[:, cols], the columns cols of X^T diag(w) X."""
+    return design.T @ (w[:, None] * design[:, cols])
+
+
 def _logistic_dmean(mu):
     """The logistic mean's derivative, from the mean mu = expit(eta)."""
     return mu * (1.0 - mu)
@@ -128,6 +133,10 @@ class GlmLoss(LossModel):
         w = self.family.dmean(eta) / self.scale
         return (self.design * w[:, None]).T @ self.design
 
+    def hessian_columns(self, x, cols):
+        eta = self.design @ self._as_param(x)
+        return _weighted_columns(self.design, self.family.dmean(eta) / self.scale, cols)
+
 
 class QuasiLoss(LossModel):
     """Negative quasi-likelihood with user mean and variance functions.
@@ -187,6 +196,10 @@ class QuasiLoss(LossModel):
         eta = self.design @ self._as_param(x)
         w = self._weights(eta, 2) / self.scale
         return (self.design * w[:, None]).T @ self.design
+
+    def hessian_columns(self, x, cols):
+        eta = self.design @ self._as_param(x)
+        return _weighted_columns(self.design, self._weights(eta, 2) / self.scale, cols)
 
 
 # Named links and variance functions for spec-file construction.

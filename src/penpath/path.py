@@ -35,7 +35,13 @@ Cholesky factor of the Hessian and of the Schur complement of the active
 rows (once per point in the ODE engine, once per segment from a per-path
 Hessian factor in the exact one), and "nullspace" works in the active rows'
 null space (usable when the Hessian is singular, and Hessian-free for the
-coefficients).  Either way the ODE state is beta itself.
+coefficients).  Either way the ODE state is beta itself.  The ODE engine
+evaluates the Hessian only in its columns at the coordinates that are not
+pinned (LossModel.hessian_columns), so its direct mode needs only the
+reduced Hessian Z^T H Z of the elimination below to be positive definite.
+The exact engine factors its whole constant Hessian once per path.  A
+Hessian that fails its engine's test switches the direct mode to the
+null-space mode for the rest of the path.
 
 Every segment goes through one elimination (sweeplin.Elimination) before
 either formulation runs.  It removes the active pins (one-entry rows such
@@ -98,6 +104,7 @@ from .sweeplin import (
     NullspaceFactor,
     hessian_factor,
     null_basis,
+    require_finite_hessian,
 )
 
 # Below this rho the coefficient formula switches to its rho -> 0 limit.
@@ -388,8 +395,9 @@ def active_coefficients(model, cs, config, beta, rho, mode="direct"):
     """Subgradient coefficients r_Z = -Q^T (grad f / rho + u) (eq rows first)
     in the given formulation at beta, by the segment context's evaluator
     (_SegmentContext.coefficients), which takes the rho -> 0 limit below
-    RHO_FLOOR.  The direct formulation needs a positive definite Hessian at
-    beta; the nullspace one needs no Hessian above RHO_FLOOR.
+    RHO_FLOOR.  The direct formulation needs Z^T H Z positive definite at
+    beta (H on the coordinates that are not pinned, summed over each tied
+    run); the nullspace one needs no Hessian above RHO_FLOOR.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -825,8 +833,11 @@ class _SegmentContext:
     hessian is the loss's constant Hessian when it has one, else None,
     h_factor its Cholesky factor for the direct mode and h_diagonal its
     diagonal when it is diagonal (else None), computed once per path by the
-    runner.  sets is the runner's _SetState of config; without it, one is
-    built from config.
+    runner.  Without a constant Hessian the context asks the loss for
+    hessian_columns at the coordinates that are not pinned, at most once
+    per point: Z^T H Z and every H v it forms (v is 0 on pinned
+    coordinates) read only those columns.  sets is the runner's _SetState
+    of config; without it, one is built from config.
     """
 
     def __init__(self, model, cs, config, beta0, t_sign=1.0, mode="direct",
@@ -858,7 +869,7 @@ class _SegmentContext:
 
     def release(self):
         """Drop per-point state once the segment is recorded."""
-        self._point = self._point_factor = self._point_hessian = None
+        self._point = self._point_factor = self._point_times = self._point_columns = None
 
     def snap(self, beta):
         """A copy of beta with the active pins and ties held exactly (see
@@ -877,36 +888,41 @@ class _SegmentContext:
         point = (float(t), beta.tobytes())
         if point == self._point:
             return self._point_factor
-        self._point, self._point_hessian = point, self.hessian
-        hessian = lambda: self._hessian_at(beta)
+        self._point, self._point_columns = point, None
         elim = self.elim
-        # Z^T H Z, by its diagonal when H is diagonal.
-        if self.h_diagonal is None:
-            reduced_hessian = lambda: elim.reduce_hessian(hessian())
+        if self.hessian is None:
+            # Only H's columns at the free coordinates F: Z^T H Z takes
+            # their rows F, and each H v taken here has v = 0 off F.
+            self._point_times = lambda v: self._columns(beta) @ v[elim.free]
+            reduced_hessian = lambda: elim.reduce_columns(self._columns(beta))
         else:
-            reduced_hessian = lambda: elim.reduce_diagonal(self.h_diagonal)
+            self._point_times = self.hessian.__matmul__
+            # Z^T H Z, by its diagonal when H is diagonal.
+            if self.h_diagonal is None:
+                reduced_hessian = lambda: elim.reduce_hessian(self.hessian)
+            else:
+                reduced_hessian = lambda: elim.reduce_diagonal(self.h_diagonal)
         if self.mode == "nullspace":
             inner = NullspaceFactor(self.qr, reduced_hessian)
             self._point_factor = EliminatedFactor(elim, inner, self.general_rows)
             return self._point_factor
-        # The exact engine checked once per path that H is positive definite,
-        # as the range-space method needs, and keeps its factor, which is
-        # that of Z^T H Z when nothing is eliminated.
-        if self.h_factor is None:
-            reduced = elim.hessian_factor(hessian())
-        elif elim.structured.size == 0:
+        # The range-space method needs Z^T H Z positive definite.  The exact
+        # engine checked once per path that H is, and keeps H's factor,
+        # which is that of Z^T H Z when nothing is eliminated.
+        if self.h_factor is not None and elim.structured.size == 0:
             reduced = self.h_factor
         else:
             reduced = hessian_factor(reduced_hessian())
         inner = KKTFactor(reduced, self.reduced_rows)
-        self._point_factor = EliminatedFactor(elim, inner, self.general_rows, hessian)
+        self._point_factor = EliminatedFactor(elim, inner, self.general_rows, self._point_times)
         return self._point_factor
 
-    def _hessian_at(self, beta):
-        # The Hessian at the current point, evaluated at most once there.
-        if self._point_hessian is None:
-            self._point_hessian = self.model.hessian(beta)
-        return self._point_hessian
+    def _columns(self, beta):
+        # H[:, F] at the current point, evaluated at most once there.
+        if self._point_columns is None:
+            self._point_columns = require_finite_hessian(
+                self.model.hessian_columns(beta, self.elim.free))
+        return self._point_columns
 
     def rhs(self, t, beta):
         """The path derivative dbeta/dt = t_sign * (-P u)."""
@@ -945,9 +961,9 @@ class _SegmentContext:
         if slope is None:
             slope = self.t_sign * self.rhs(t, beta)
         # A caller's slope was taken at this point too, so the Hessian of
-        # its factor is reused.
+        # its factor is reused; slope is 0 on the pinned coordinates.
         self._factor(t, beta)
-        return self._hessian_at(beta) @ slope + self.u
+        return self._point_times(slope) + self.u
 
 
 # ---------------------------------------------------------------------------

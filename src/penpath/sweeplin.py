@@ -14,9 +14,11 @@ and ties (constraints.RowShapes) before either method runs: with beta = c +
 Z gamma, pinned coordinates are constants in c and each run of tied
 coordinates is one coordinate of gamma, so the method sees only the
 remaining general rows, Z^T H Z and Z^T u; Z is held as index slices,
-never as a matrix.  With no general row active that is one Cholesky factor
-of Z^T H Z, with no QR and no Schur complement.  The direction Z dgamma is
-exactly 0 on pinned coordinates and exactly equal across a run.  The pins'
+never as a matrix.  Z^T H Z reads H only at the free (not pinned)
+coordinates, so H's columns there are all it needs (reduce_columns).  With
+no general row active that is one Cholesky factor of Z^T H Z, with no QR
+and no Schur complement.  The direction Z dgamma is exactly 0 on pinned
+coordinates and exactly equal across a run.  The pins'
 and ties' multipliers then follow from stationarity, by running sums along
 the two legs of each run that end at its root (EliminatedFactor).  With no
 pin or tie active the elimination is the identity, and the rows,
@@ -57,6 +59,15 @@ def _require_finite(vec):
         raise NonFiniteDerivative("gradient has non-finite entries at the current point")
 
 
+def require_finite_hessian(h):
+    """h, a Hessian or some of its entries, checked finite: a non-finite
+    entry (a loss evaluated where its derivatives overflow) raises
+    NonFiniteDerivative."""
+    if not np.isfinite(h).all():
+        raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
+    return h
+
+
 class _DiagonalFactor(tuple):
     """The Cholesky factor (np.diag(s), False) that cho_factor computes for
     the diagonal matrix diag(s**2), with 1 / s kept: _solve applies it in
@@ -82,11 +93,10 @@ def _factor_hessian(mat, singular_error, message):
     """Cholesky factor of a Hessian or its null-space restriction, or of the
     diagonal matrix whose diagonal the 1-D mat holds.
 
-    Non-finite entries raise NonFiniteDerivative (a loss evaluated where
-    its derivatives overflow), a failed factorization `singular_error`.
+    Non-finite entries raise NonFiniteDerivative, a failed factorization
+    `singular_error`.
     """
-    if not np.isfinite(mat).all():
-        raise NonFiniteDerivative("Hessian has non-finite entries at the current point")
+    require_finite_hessian(mat)
     diagonal = mat if mat.ndim == 1 else np.diagonal(mat)
     if mat.ndim == 1 or np.count_nonzero(mat) == np.count_nonzero(diagonal):
         # The factor that cho_factor computes, without its O(n^3) work.
@@ -283,9 +293,10 @@ class Elimination:
     is constant in c, at the pin's value.  Every other run, a single free
     coordinate included, is one coordinate of gamma, in coordinate order:
     group g starts at heads[g], and Z holds 1 / sqrt(n) at each of its n
-    coordinates, so Z^T Z = I and the null-space method's least-squares
-    multipliers carry over.  Z is never formed.  A one-coordinate group is
-    its head, gathered and scattered with its bits.  The longer groups,
+    coordinates (free holds every group's coordinates, in order), so
+    Z^T Z = I and the null-space method's least-squares multipliers carry
+    over.  Z is never formed.  A one-coordinate group is its head,
+    gathered and scattered with its bits.  The longer groups,
     multi, are slices of spans: group multi[i] is spans[span_starts[i] :
     span_starts[i] + span_sizes[i]].  Only they are summed, as reduceat
     costs about as much per group as a gather does per entry, and only
@@ -364,6 +375,7 @@ class Elimination:
 
         on_pinned = pinned[run]
         self.pinned = on_pinned.nonzero()[0]
+        self.free = (~on_pinned).nonzero()[0]
         self.pin_values = run_value[run[self.pinned]]
         free = ~pinned
         self.heads = start[free]
@@ -375,19 +387,20 @@ class Elimination:
         self.span_starts = self.span_sizes.cumsum() - self.span_sizes
         self.span_scale = 1.0 / np.sqrt(self.span_sizes)
 
-    def _sums(self, x, axis, scale):
-        # Each group's entry as it is, or a longer group's sum times scale.
-        sums = x.take(self.heads, axis)
+    def _sums(self, x, axis, scale, heads, spans):
+        # Each group's entry as it is, or a longer group's sum times scale,
+        # for groups that lie at heads and spans along axis.
+        sums = x.take(heads, axis)
         if self.multi.size:
             scale = scale.reshape((-1,) + (1,) * (x.ndim - 1 - axis))
             sums[(slice(None),) * axis + (self.multi,)] = scale * np.add.reduceat(
-                x.take(self.spans, axis), self.span_starts, axis)
+                x.take(spans, axis), self.span_starts, axis)
         return sums
 
     def reduce(self, x, axis=0):
         """Z^T x for a vector or for each column of x; along axis 1, x Z
         for each row of x."""
-        return self._sums(x, axis, self.span_scale)
+        return self._sums(x, axis, self.span_scale, self.heads, self.spans)
 
     def expand(self, g):
         """Z g: exactly 0 on pinned coordinates and one value across a
@@ -406,22 +419,17 @@ class Elimination:
     def reduce_diagonal(self, diagonal):
         """The diagonal of Z^T H Z for the diagonal H with this diagonal:
         each group's mean."""
-        return self._sums(diagonal, 0, 1.0 / self.span_sizes)
+        return self._sums(diagonal, 0, 1.0 / self.span_sizes, self.heads, self.spans)
 
-    def hessian_factor(self, h):
-        """The Cholesky factor of Z^T H Z, for the range-space method, which
-        needs H itself positive definite (else NotStrictlyConvex)."""
-        if self.multi.size:
-            hessian_factor(h)
-            return hessian_factor(self.reduce_hessian(h))
-        # With no group of more than one coordinate, Z^T H Z is H's free
-        # block, the leading block of H's factor with the free coordinates
-        # first, so one factorization both checks H and factors Z^T H Z.
-        first = np.concatenate([self.heads, self.pinned])
-        factor = hessian_factor(h.take(first, 0).take(first, 1))
-        if isinstance(factor, _DiagonalFactor):
-            return _DiagonalFactor(np.diagonal(factor[0])[: self.size])
-        return factor[0][: self.size, : self.size], factor[1]
+    def reduce_columns(self, columns):
+        """Z^T H Z from H's columns at the free coordinates, H[:, free]."""
+        rows = self.reduce(columns)
+        if not self.multi.size:
+            # Every free coordinate is a group, so rows is H_FF.
+            return rows
+        # The groups' positions among the free coordinates.
+        heads, spans = (np.searchsorted(self.free, at) for at in (self.heads, self.spans))
+        return self._sums(rows, 1, self.span_scale, heads, spans)
 
     def reduce_rows(self, rows):
         """U Z for rows U (one per row)."""
@@ -461,24 +469,25 @@ class EliminatedFactor:
 
     inner is the mode's own factor (KKTFactor or NullspaceFactor) of the
     reduced system: Z^T H Z, the general rows U_G Z and vectors Z^T v.
-    general_rows are U_G themselves.  hessian, a zero-argument callable
-    giving H, selects the range-space multipliers (those of KKTFactor on
-    every row); without it they are the null-space method's least-squares
-    ones, which need no Hessian.
+    general_rows are U_G themselves.  hessian_times, a callable giving H v
+    for a v (or each column of a v) that is 0 on the pinned coordinates,
+    selects the range-space multipliers (those of KKTFactor on every row);
+    without it they are the null-space method's least-squares ones, which
+    need no Hessian.
     """
 
-    def __init__(self, elim, inner, general_rows, hessian=None):
+    def __init__(self, elim, inner, general_rows, hessian_times=None):
         self.elim = elim
         self.inner = inner
         self.general_rows = general_rows
-        self.hessian = hessian
+        self.hessian_times = hessian_times
 
     def direction(self, u):
         """-P u (see KKTFactor.direction), from the reduced system."""
         return self.elim.expand(self.inner.direction(self.elim.reduce(u)))
 
     def multipliers(self, vec):
-        """The r of KKTFactor.multipliers (with hessian) or of
+        """The r of KKTFactor.multipliers (with hessian_times) or of
         NullBasis.multipliers (without) for every active row.
 
         The general rows' r comes from the reduced system.  The rest of
@@ -494,8 +503,8 @@ class EliminatedFactor:
         if elim.structured.size == 0:
             return r_general
         w = vec + self.general_rows.T @ r_general
-        if self.hessian is None:
+        if self.hessian_times is None:
             w = w - elim.expand(elim.reduce(w))
         else:
-            w = w + self.hessian() @ elim.expand(self.inner.direction(reduced))
+            w = w + self.hessian_times(elim.expand(self.inner.direction(reduced)))
         return elim.multipliers(r_general, w)

@@ -19,15 +19,18 @@ children (crossval folds, path.csv slices) are not seen.
 
 Compare two recordings, of the same suite on two versions:
 
-    python tests/record_paths.py A.jsonl B.jsonl [--rtol 1e-12]
+    python tests/record_paths.py A.jsonl B.jsonl [--rtol 1e-12] [--ode-rtol 1e-9]
 
 A record is "tied" when some segment's active rows hold a tie (two
 coordinates held equal).  Every untied record must be bitwise equal.  A
 tied record may differ in its floats by at most rtol, relative to
 max(1, |value|), with everything else (statuses, kinks' rows and sets,
-configurations, warnings, raised exceptions) equal.  Records only in B
-(new tests) are counted; the exit status is 1 when a record breaks its
-rule or is missing from B.
+configurations, warnings, raised exceptions) equal.  With --ode-rtol, a
+path of the ODE engine (its record's engine is "ode") may differ in its
+floats by at most that, tied or not, and the summary gives its largest
+change, and that of its kinks' rho.  Records only in B (new tests) are
+counted; the exit status is 1 when a record breaks its rule or is missing
+from B.
 """
 
 import argparse
@@ -79,7 +82,8 @@ def _record_solution(sol):
     kinks = [[_floats([k.rho])[0], k.row_kind, k.index, k.from_set, k.to_set,
               None if k.boundary is None else float(k.boundary).hex(), k.df_after]
              for k in sol.kinks]
-    return {"tied": tied, "status": sol.status, "mode": sol.mode,
+    return {"tied": tied, "engine": "exact" if sol.model.constant_hessian else "ode",
+            "status": sol.status, "mode": sol.mode,
             "warnings": [str(w) for w in sol.warnings], "kinks": kinks, "segments": segments}
 
 
@@ -195,10 +199,11 @@ def _float_gap(a, b):
     return 0.0 if a == b else None
 
 
-def compare(a, b, rtol):
+def compare(a, b, rtol, ode_rtol=None):
     """Lines describing each record that breaks its rule (see the module
     docstring), and a summary."""
     problems, tied, differing, worst = [], 0, 0, 0.0
+    ode, worst_ode, worst_kink = 0, 0.0, 0.0
     for key in sorted(set(a) | set(b), key=lambda k: (k[0] or "", k[1])):
         if key not in b:
             problems.append(f"{key}: missing from B")
@@ -211,10 +216,17 @@ def compare(a, b, rtol):
             continue
         differing += 1
         is_tied = bool(ra.get("tied")) and bool(rb.get("tied"))
+        is_ode = ode_rtol is not None and ra.get("engine") == rb.get("engine") == "ode"
         tied += is_tied
         gap = _float_gap(ra, rb)
         if gap is None:
             problems.append(f"{key}: differs beyond its floats")
+        elif is_ode:
+            ode += 1
+            worst_ode = max(worst_ode, gap)
+            worst_kink = max(worst_kink, _float_gap(ra["kinks"], rb["kinks"]))
+            if gap > ode_rtol:
+                problems.append(f"{key}: ODE path moved by {gap:.3g} > {ode_rtol:g}")
         elif not is_tied:
             problems.append(f"{key}: untied path not bitwise (largest gap {gap:.3g})")
         else:
@@ -224,6 +236,9 @@ def compare(a, b, rtol):
     summary = (f"{len(a)} records in A, {len(set(b) - set(a))} new in B; {tied} tied, "
                f"{differing} not bitwise (largest tied gap {worst:.3g}), "
                f"{len(problems)} breaking their rule")
+    if ode_rtol is not None:
+        summary += (f"; {ode} ODE paths moved, by at most {worst_ode:.3g} "
+                    f"(kink rho {worst_kink:.3g})")
     return problems, summary
 
 
@@ -233,8 +248,11 @@ def main(argv=None):
     parser.add_argument("b")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest change allowed on a tied path (default 0)")
+    parser.add_argument("--ode-rtol", type=float, default=None,
+                        help="largest change allowed on an ODE-engine path "
+                             "(default: the rules above)")
     args = parser.parse_args(argv)
-    problems, summary = compare(_load(args.a), _load(args.b), args.rtol)
+    problems, summary = compare(_load(args.a), _load(args.b), args.rtol, args.ode_rtol)
     for line in problems:
         print(line)
     print(summary)

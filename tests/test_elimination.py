@@ -142,11 +142,14 @@ def test_eliminated_factor_matches_the_full_factors(seed):
     u = rng.standard_normal(p)
 
     full = KKTFactor(cho_factor(h), rows)
-    direct = EliminatedFactor(
-        elim, KKTFactor(cho_factor(elim.reduce_hessian(h)), reduced), general, lambda: h
-    )
-    np.testing.assert_allclose(direct.direction(u), full.direction(u), atol=1e-10)
-    np.testing.assert_allclose(direct.multipliers(vec), full.multipliers(vec), atol=1e-10)
+    # From all of H, as the exact engine has it, and from its columns at
+    # the free coordinates, as the ODE engine evaluates them.
+    columns = h[:, elim.free]
+    for reduced_h, times in [(elim.reduce_hessian(h), h.__matmul__),
+                             (elim.reduce_columns(columns), lambda v: columns @ v[elim.free])]:
+        direct = EliminatedFactor(elim, KKTFactor(cho_factor(reduced_h), reduced), general, times)
+        np.testing.assert_allclose(direct.direction(u), full.direction(u), atol=1e-10)
+        np.testing.assert_allclose(direct.multipliers(vec), full.multipliers(vec), atol=1e-10)
 
     qr = null_basis(rows, p)
     nullspace = EliminatedFactor(
@@ -311,24 +314,29 @@ def test_index_slices_act_as_the_dense_z(case):
 
 
 @pytest.mark.parametrize("rows", [[0, 3], [0, 3, 5]], ids=["pins", "pins_and_a_tie"])
-def test_reduced_hessian_factor_checks_the_whole_hessian(rows):
-    # Pins only: one factor of H, free coordinates first, whose leading
-    # block factors H_FF; with a tie, H is checked on its own.
+def test_reduced_hessian_factor_checks_the_free_block(rows):
+    # Z^T H Z from H's columns at the free coordinates, summed over the
+    # tie, equals it from all of H; the range-space method factors it and
+    # needs only it positive definite.
     p = 6
     cs = ConstraintSystem(np.vstack([np.eye(p)[:5], fused_lasso(p).v_mat[4]]),
                           np.zeros(6), np.zeros((0, p)), np.zeros(0))
     h = random_problem(np.random.default_rng(2), cs)
     elim = Elimination(p, cs.row_shapes, np.array(rows))
+    assert elim.free.tolist() == [1, 2, 4, 5]
+    reduced = elim.reduce_columns(h[:, elim.free])
+    assert bitwise(reduced, elim.reduce_hessian(h))
     b = np.arange(elim.size, dtype=float)
     np.testing.assert_allclose(
-        cho_solve(elim.hessian_factor(h), b), np.linalg.solve(elim.reduce_hessian(h), b), atol=1e-12
+        cho_solve(hessian_factor(reduced), b), np.linalg.solve(elim.reduce_hessian(h), b), atol=1e-12
     )
-    # Indefinite on the pinned coordinates only: the range-space method
-    # still refuses it.
+    # Indefinite on the pinned coordinates only: Z^T H Z never reads them.
     h[0, 0] = -1.0
-    cho_factor(elim.reduce_hessian(h))
+    hessian_factor(elim.reduce_columns(h[:, elim.free]))
+    # Indefinite on a free coordinate: the range-space method refuses it.
+    h[1, 1] = -1.0
     with pytest.raises(NotStrictlyConvex):
-        elim.hessian_factor(h)
+        hessian_factor(elim.reduce_columns(h[:, elim.free]))
 
 
 def test_diagonal_hessian_shortcuts_match_the_dense_algebra():
@@ -345,7 +353,8 @@ def test_diagonal_hessian_shortcuts_match_the_dense_algebra():
     # stays diagonal, with cho_solve's bits.
     for pins in ([1, 4], []):
         elim = Elimination(9, lasso(9).row_shapes, np.array(pins, dtype=int))
-        factor, b = elim.hessian_factor(h), np.arange(1.0, elim.size + 1.0)
+        factor = hessian_factor(elim.reduce_columns(h[:, elim.free]))
+        b = np.arange(1.0, elim.size + 1.0)
         assert isinstance(factor, penpath.sweeplin._DiagonalFactor)
         assert penpath.sweeplin._solve(factor, b).tobytes() == cho_solve(
             cho_factor(elim.reduce_hessian(h)), b).tobytes()

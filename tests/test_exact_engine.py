@@ -194,13 +194,13 @@ def test_coefficient_hits_agree(mode):
 
 
 def test_singular_hessian_falls_back_to_nullspace():
-    # f = (beta_1 - beta_2 - 1)^2 / 2 penalizing beta_1 only: the direct
+    # f = (beta_1 - beta_2 - 1)^2 / 2 penalizing beta_1 + beta_2: the direct
     # mode cannot factor H and both engines continue in nullspace mode.
     v = np.array([1.0, -1.0])
     model = QuadraticLoss(np.outer(v, v), v, 0.5)
-    cs = ConstraintSystem(np.array([[1.0, 0.0]]), np.zeros(1), np.zeros((0, 2)), np.zeros(0))
+    cs = ConstraintSystem(np.array([[1.0, 1.0]]), np.zeros(1), np.zeros((0, 2)), np.zeros(0))
     exact = assert_engines_agree(
-        model, cs, direction="backward", start_beta=[0.0, -1.0], rho_start=1.0, rho_min=0.05
+        model, cs, direction="backward", start_beta=[0.5, -0.5], rho_start=1.0, rho_min=0.05
     )
     assert exact.mode == "nullspace"
     assert any("nullspace" in w for w in exact.warnings)

@@ -320,3 +320,78 @@ def test_newton_logconcave_density_normalizes():
     model = LogConcaveLoss.from_samples(rng.standard_normal(12))
     phi = unconstrained_minimum(model)
     assert model.density_integral(phi) == pytest.approx(1.0, abs=1e-9)
+
+
+def ggm_loop_hessian(model, x):
+    """The GGM Hessian one column at a time: column k is the symmetric-pair
+    gather of d(Omega^-1) along coordinate k's basis matrix."""
+    _, inv, _ = model._inverse(x)
+    q = model.dim
+    h = np.empty((q, q))
+    for k in range(q):
+        i, j = model.rows[k], model.cols[k]
+        m = np.outer(inv[:, i], inv[j, :])
+        if i != j:
+            m = m + m.T
+        h[:, k] = model._mult * m[model.rows, model.cols]
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 14, 20, 30])
+def test_ggm_hessian_equals_the_loop(p):
+    rng = np.random.default_rng(p)
+    draws = rng.standard_normal((200, p))
+    model = GaussianGraphicalLoss(draws.T @ draws / 200)
+    for _ in range(5):
+        b = rng.standard_normal((p, p))
+        x = model.from_matrix(b @ b.T / p + np.eye(p))
+        assert model.hessian(x).tobytes() == ggm_loop_hessian(model, x).tobytes()
+
+
+def parity_models():
+    rng = np.random.default_rng(9)
+    x_mat = rng.standard_normal((30, 6))
+    binary = rng.integers(0, 2, size=30).astype(float)
+    counts = rng.poisson(2.0, size=30).astype(float)
+    support = np.sort(rng.uniform(-2, 2, size=6))
+    a = rng.standard_normal((8, 6))
+    mu = lambda eta: 0.1 + 0.8 * np.atleast_1d(np.exp(eta) / (1 + np.exp(eta)))
+    dmu = lambda eta: 0.8 * LINKS["logit"][1](eta)
+    d2mu = lambda eta: 0.8 * LINKS["logit"][2](eta)
+    spd = random_spd(rng, 4) / 4.0
+    b = rng.standard_normal((4, 4)) * 0.2
+    return {
+        "quadratic": (QuadraticLoss(a.T @ a + np.eye(6), rng.standard_normal(6)),
+                      rng.standard_normal(6)),
+        "normal": (GlmLoss(x_mat, rng.standard_normal(30), family="normal", scale=2.0),
+                   rng.standard_normal(6)),
+        "logistic": (GlmLoss(x_mat, binary, family="logistic"), 0.3 * rng.standard_normal(6)),
+        "poisson": (GlmLoss(x_mat, counts, family="poisson"), 0.1 * rng.standard_normal(6)),
+        "quasi": (QuasiLoss(x_mat, rng.uniform(0.2, 0.8, size=30), (mu, dmu, d2mu),
+                            VARIANCES["binomial"]), 0.2 * rng.standard_normal(6)),
+        "ggm": (GaussianGraphicalLoss(spd), GaussianGraphicalLoss(spd).from_matrix(
+            b @ b.T + np.eye(4))),
+        "logconcave": (LogConcaveLoss(support, np.full(6, 1.0 / 6.0)),
+                       0.5 * rng.standard_normal(6)),
+    }
+
+
+PARITY_MODELS = ["quadratic", "normal", "logistic", "poisson", "quasi", "ggm", "logconcave"]
+
+
+@pytest.mark.parametrize("name", PARITY_MODELS)
+def test_hessian_columns_match_the_hessian(name):
+    # The default, and the GGM's Kronecker gather, are hessian(x)[:, cols]
+    # bit for bit; the GLM and quasi-likelihood columns weight X[:, cols]
+    # instead of X, which rounds differently.
+    model, x = parity_models()[name]
+    h = model.hessian(x)
+    q = model.dim
+    for cols in (np.array([], dtype=int), np.array([0, 2, q - 1]), np.array([q - 1, 1, 3, 0]),
+                 np.arange(q)):
+        ours, reference = model.hessian_columns(x, cols), h[:, cols]
+        assert ours.shape == reference.shape == (q, cols.size)
+        if name in ("normal", "logistic", "poisson", "quasi"):
+            assert np.abs(ours - reference).max(initial=0.0) <= 1e-14 * np.abs(h).max()
+        else:
+            assert ours.tobytes() == reference.tobytes()

@@ -1,6 +1,7 @@
 """Path solver core: set bookkeeping, analytic toy paths, invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,10 +382,12 @@ def row_system(row):
     return ConstraintSystem(np.array([row]), np.zeros(1), np.zeros((0, len(row))), np.zeros(0))
 
 
+# beta_2 pinned and beta_1 free: the non-finite entries lie in H's column
+# at the free coordinate, the negative one on the free coordinate.
 @pytest.mark.parametrize(
     "hessian, error",
     [(np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteDerivative),
-     (np.diag([1.0, -1.0]), NotStrictlyConvex)],
+     (np.diag([-1.0, 1.0]), NotStrictlyConvex)],
     ids=["non_finite", "indefinite"],
 )
 def test_direct_factor_error_types(hessian, error):
@@ -400,15 +403,51 @@ def test_direct_factor_error_types(hessian, error):
         active_coefficients(model, cs, cfg, beta, 0.5)
 
 
+def test_direct_factor_needs_no_hessian_on_pinned_coordinates():
+    # The range-space method needs Z^T H Z positive definite, and Z^T H Z
+    # never reads H on the pinned beta_2: a Hessian indefinite only there
+    # gives the direction and coefficients of the one that is not.
+    cs = lasso(2)
+    cfg = SetConfiguration(zero_eq=(1,), pos_eq=(0,))
+    beta = np.array([0.5, 0.0])
+    answers = []
+    for hessian in (np.diag([1.0, -1.0]), np.eye(2)):
+        model = OdeQuadratic(np.eye(2), [2.0, -1.0])
+        model.hessian = lambda x, hessian=hessian: hessian
+        ctx = _SegmentContext(model, cs, cfg, beta)
+        answers.append((ctx.rhs(0.5, beta), active_coefficients(model, cs, cfg, beta, 0.5).r_z))
+    (rhs, coef), (rhs_pd, coef_pd) = answers
+    assert rhs.tolist() == rhs_pd.tolist() == [-1.0, 0.0]
+    np.testing.assert_allclose(coef, coef_pd, rtol=1e-15)
+
+
 @pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
 def test_indefinite_hessian_switches_to_nullspace(loss):
-    # f = ((x_2 - 1)^2 - x_1^2) / 2 with x_1 penalized: the Hessian is
-    # indefinite, but positive on the active row's null space.
-    model = loss(np.diag([-1.0, 1.0]), [0.0, 1.0])
+    # f = (3 x_2^2 - x_1^2) / 2 - x_1 - 3 x_2 with x_1 + x_2 penalized: the
+    # Hessian is indefinite, but positive on the active row's null space,
+    # and the saddle point (-1, 1) lies on the row, with coefficient 0.
+    model = loss(np.diag([-1.0, 3.0]), [1.0, 3.0])
     with pytest.warns(UserWarning, match="nullspace"):
+        sol = run_path(model, row_system([1.0, 1.0]), direction="backward",
+                       start_beta=[-1.0, 1.0], rho_start=1.0, rho_min=0.05)
+    assert sol.mode == "nullspace" and sol.status == "rho_min"
+    assert np.abs(sol.beta_at(0.1) - [-1.0, 1.0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_hessian_indefinite_on_pinned_coordinates_only(loss):
+    # f = ((x_2 - 1)^2 - x_1^2) / 2 with x_1 pinned: H is indefinite only on
+    # x_1.  The exact engine checks all of its constant H once per path and
+    # switches; the ODE engine's direct mode needs only Z^T H Z = H_22 and
+    # keeps going.
+    model = loss(np.diag([-1.0, 1.0]), [0.0, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sol = run_path(model, row_system([1.0, 0.0]), direction="backward",
                        start_beta=[0.0, 1.0], rho_start=1.0, rho_min=0.05)
-    assert sol.mode == "nullspace" and sol.status == "rho_min"
+    switched = loss is QuadraticLoss
+    assert sol.mode == ("nullspace" if switched else "direct") and sol.status == "rho_min"
+    assert any("nullspace" in str(w.message) for w in caught) == switched
     assert np.abs(sol.beta_at(0.1) - [0.0, 1.0]).max() < 1e-12
 
 
@@ -433,25 +472,29 @@ def test_divergence_guard_fires_mid_segment(loss, mode):
                  start_beta=[0.0, 0.0], rho_start=3.0, beta_bound=1.5)
 
 
+def logistic_lasso_model():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(80, 5))
+    eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
+    y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return GlmLoss(x, y, family="logistic")
+
+
 def test_direct_mode_factors_once_per_point(monkeypatch):
     # One Hessian evaluation per distinct point: the coefficient events at a
     # step end reuse the factor of the Runge-Kutta step's last stage there,
     # so outside rhs the Hessian is evaluated only at a segment's first point
     # and where brentq locates an event.
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(80, 5))
-    eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
-    y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    model = GlmLoss(x, y, family="logistic")
+    model = logistic_lasso_model()
     calls = {"hessian": 0, "outside_rhs": 0, "rhs": 0, "brentq": 0}
     in_rhs = []
 
-    hessian = model.hessian
+    hessian_columns = model.hessian_columns
 
-    def counted_hessian(beta):
+    def counted_hessian(beta, cols):
         calls["hessian"] += 1
         calls["outside_rhs"] += not in_rhs
-        return hessian(beta)
+        return hessian_columns(beta, cols)
 
     rhs = _SegmentContext.rhs
 
@@ -471,43 +514,70 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
             return f(t)
         return brentq(g, *args, **kwargs)
 
-    start = penpath.path.unconstrained_minimum
-
-    def counted_start(loss):
-        before = calls["hessian"]
-        beta = start(loss)
-        calls["start"] = calls["hessian"] - before
-        return beta
-
-    monkeypatch.setattr(model, "hessian", counted_hessian)
+    monkeypatch.setattr(model, "hessian_columns", counted_hessian)
     monkeypatch.setattr(_SegmentContext, "rhs", counted_rhs)
     monkeypatch.setattr(penpath.odeint, "brentq", counted_brentq)
-    monkeypatch.setattr(penpath.path, "unconstrained_minimum", counted_start)
     sol = run_path(model, lasso(5), mode="direct")
     assert sol.mode == "direct" and sol.status == "terminated" and len(sol.kinks) >= 5
-    assert calls["hessian"] <= calls["rhs"] + calls["brentq"]
-    outside = calls["outside_rhs"] - calls["start"]
-    assert outside <= len(sol.segments) + calls["brentq"]
+    assert 0 < calls["hessian"] <= calls["rhs"] + calls["brentq"]
+    assert calls["outside_rhs"] <= len(sol.segments) + calls["brentq"]
 
 
-def test_nullspace_coefficients_need_no_hessian(monkeypatch):
-    # The null-space coefficients are Hessian-free: outside the Newton
-    # start the Hessian is evaluated only for the path derivative (rhs) and
-    # the rho -> 0 limit.
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(80, 5))
-    eta = x @ np.array([1.0, -1.0, 0.5, 0.0, 0.25])
-    y = (rng.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    model = GlmLoss(x, y, family="logistic")
-    calls = {"hessian": 0, "outside": 0}
-    inside = []
+def test_segments_evaluate_only_the_free_columns(monkeypatch):
+    # Inside a segment the ODE engine asks for H's columns at the free
+    # coordinates alone; the whole Hessian is evaluated by the Newton start
+    # and nowhere else, also not by lookups on the finished path.
+    model = logistic_lasso_model()
+    calls = {"hessian": 0, "in_start": 0}
+    widths = []
+    in_start = []
 
-    hessian = model.hessian
+    hessian, hessian_columns = model.hessian, model.hessian_columns
 
     def counted_hessian(beta):
         calls["hessian"] += 1
-        calls["outside"] += not inside
+        calls["in_start"] += bool(in_start)
         return hessian(beta)
+
+    def counted_columns(beta, cols):
+        widths.append(len(cols))
+        return hessian_columns(beta, cols)
+
+    start = penpath.path.unconstrained_minimum
+
+    def marked_start(loss):
+        in_start.append(True)
+        try:
+            return start(loss)
+        finally:
+            in_start.pop()
+
+    monkeypatch.setattr(model, "hessian", counted_hessian)
+    monkeypatch.setattr(model, "hessian_columns", counted_columns)
+    monkeypatch.setattr(penpath.path, "unconstrained_minimum", marked_start)
+    sol = run_path(model, lasso(5), mode="direct")
+    assert sol.mode == "direct" and sol.status == "terminated" and len(sol.kinks) >= 5
+    for a, b in zip(sol.kinks[:-1], sol.kinks[1:]):
+        sol.coefficients_at(0.5 * (a.rho + b.rho))
+    assert calls["hessian"] > 0 and calls["hessian"] == calls["in_start"]
+    # The path starts with every coordinate free and pins them one by one.
+    assert max(widths) == 5 and set(range(1, 5)) <= set(widths)
+
+
+def test_nullspace_coefficients_need_no_hessian(monkeypatch):
+    # The null-space coefficients are Hessian-free: inside the segments the
+    # Hessian is evaluated only for the path derivative (rhs) and the
+    # rho -> 0 limit.
+    model = logistic_lasso_model()
+    calls = {"hessian": 0, "outside": 0}
+    inside = []
+
+    hessian_columns = model.hessian_columns
+
+    def counted_hessian(beta, cols):
+        calls["hessian"] += 1
+        calls["outside"] += not inside
+        return hessian_columns(beta, cols)
 
     def marked(fn):
         def run(*args, **kwargs):
@@ -518,11 +588,9 @@ def test_nullspace_coefficients_need_no_hessian(monkeypatch):
                 inside.pop()
         return run
 
-    monkeypatch.setattr(model, "hessian", counted_hessian)
+    monkeypatch.setattr(model, "hessian_columns", counted_hessian)
     monkeypatch.setattr(_SegmentContext, "rhs", marked(_SegmentContext.rhs))
     monkeypatch.setattr(_SegmentContext, "limit", marked(_SegmentContext.limit))
-    monkeypatch.setattr(penpath.path, "unconstrained_minimum",
-                        marked(penpath.path.unconstrained_minimum))
     sol = run_path(model, lasso(5), mode="nullspace")
     assert sol.mode == "nullspace" and sol.status == "terminated" and len(sol.kinks) >= 5
     assert calls["hessian"] > 0 and calls["outside"] == 0

@@ -338,24 +338,25 @@ class RankOneLoss(LossModel):
 
 
 def test_direct_mode_switches_to_nullspace_on_singular_hessian():
-    # Penalize the first coordinate only; the active row's null space is
-    # spanned by e_2, where the Hessian restriction is positive.
+    # Penalize beta_1 + beta_2; the active row's null space is spanned by
+    # (1, -1), where the Hessian restriction is positive, and the minimizer
+    # (0.5, -0.5) on the row has coefficient 0.
     model = RankOneLoss(1.0)
     cs = ConstraintSystem(
-        np.array([[1.0, 0.0]]), np.zeros(1), np.zeros((0, 2)), np.zeros(0)
+        np.array([[1.0, 1.0]]), np.zeros(1), np.zeros((0, 2)), np.zeros(0)
     )
     with pytest.warns(UserWarning, match="nullspace"):
         sol = run_path(
             model,
             cs,
             direction="backward",
-            start_beta=[0.0, -1.0],
+            start_beta=[0.5, -0.5],
             rho_start=1.0,
             rho_min=0.05,
         )
     assert sol.mode == "nullspace"
     assert any("nullspace" in w for w in sol.warnings)
-    assert np.abs(sol.beta_at(0.1) - [0.0, -1.0]).max() < 1e-8
+    assert np.abs(sol.beta_at(0.1) - [0.5, -0.5]).max() < 1e-8
 
 
 def test_coefficients_on_a_singular_hessian_path():
