@@ -135,17 +135,12 @@ class IntegrationResult:
 
     def interpolate(self, t):
         """Evaluate the trajectory at time t inside the integrated range."""
-        if not self.steps:
-            return self.y0.copy()
         lo, hi = self.steps[0].t_start, self.steps[-1].t_end
-        if not (min(lo, hi) - 1e-9 <= t <= max(lo, hi) + 1e-9):
+        if not (lo - 1e-9 <= t <= hi + 1e-9):
             raise ValueError(f"t={t} outside integrated range [{lo}, {hi}]")
-        # The first step that does not end before t in the direction of
-        # integration, or the last step.
-        if hi >= lo:
-            i = bisect_left(self.steps, t, key=lambda step: step.t_end)
-        else:
-            i = bisect_left(self.steps, -t, key=lambda step: -step.t_end)
+        # integrate runs forward in t, so this is the first step that does
+        # not end before t, or the last step.
+        i = bisect_left(self.steps, t, key=lambda step: step.t_end)
         step = self.steps[min(i, len(self.steps) - 1)]
         return np.asarray(step.interpolant(t), dtype=float)
 

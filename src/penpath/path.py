@@ -66,16 +66,17 @@ first event of a cluster, records the segment and applies the kink.
 What a kink does not change is carried across it.  The system's stacked
 rows [V; W] and their shapes are formed once per system, and the constant
 Hessian, its factor and whether it is diagonal once per path.  The runner
-carries one set state (_SetState): the configuration, u, the active rows
-and the residual events' signed rows.  A kink moves one row, so it splices
-that row out of one sorted tuple and into another, between the active rows
-and the residual rows, and recomputes u on that row's columns only; a
-segment reads its residual events from the carried rows, without a copy.
-Still built per segment: the event table's index arrays, the elimination
-(its runs as index slices, and the two legs of each run along which the
-eliminated rows' multipliers are summed), the formulation's factor of
-Z^T H Z when something is eliminated (a QR or a Schur factor too when
-general rows are active), the snap and the closed-form events.
+carries one set state (_SetState): the configuration and one side per
+stacked row (-1, 0 or +1 by its sign class).  A kink moves one row, so it
+sets that row's side and splices it out of one sorted tuple and into
+another; u, the active rows and the residual rows are derived from the
+sides again, in at most one product of the sides with the rows.  Still
+built per segment: the event table (its index arrays and the residual rows
+and offsets gathered from the stacked ones), the elimination (its runs as
+index slices, and the two legs of each run along which the eliminated
+rows' multipliers are summed), the formulation's factor of Z^T H Z when
+something is eliminated (a QR or a Schur factor too when general rows are
+active), the snap and the closed-form events.
 """
 
 import math
@@ -83,7 +84,6 @@ import numbers
 import warnings as _pywarnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -114,6 +114,8 @@ DEFAULT_BETA_BOUND = 1e8
 MODES = ("direct", "nullspace")
 
 _SET_FIELDS = ("neg_eq", "zero_eq", "pos_eq", "neg_ineq", "zero_ineq", "pos_ineq")
+# Each sign class's side (_SetState.side).
+_SIDES = {"neg": -1.0, "zero": 0.0, "pos": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +183,12 @@ class SetConfiguration:
         return np.vstack(parts)
 
     def inactive_subgradient(self, cs):
-        """Fixed direction u = sum of signed inactive rows."""
-        u = np.zeros(cs.dim)
-        for i in self.neg_eq:
-            u -= cs.v_mat[i]
-        for i in self.pos_eq:
-            u += cs.v_mat[i]
-        for j in self.pos_ineq:
-            u += cs.w_mat[j]
-        return u
+        """Fixed direction u = sum of signed inactive rows (_SetState.u)."""
+        return _SetState.of(cs, self).u
 
     def locate(self, row_kind, index):
         """Name of the set currently holding the given row."""
-        names = [p + row_kind for p in ("neg_", "zero_", "pos_")]
-        for name in names:
+        for name in (f"{sign_class}_{row_kind}" for sign_class in _SIDES):
             if index in getattr(self, name):
                 return name
         raise ValueError(f"{row_kind} row {index} is not classified")
@@ -205,7 +199,7 @@ class SetConfiguration:
         other sets are shared."""
         if row_kind not in ("eq", "ineq"):
             raise ValueError(f"unknown row kind {row_kind!r}")
-        if to_set not in (f"neg_{row_kind}", f"zero_{row_kind}", f"pos_{row_kind}"):
+        if to_set not in [f"{sign_class}_{row_kind}" for sign_class in _SIDES]:
             raise ValueError(f"bad target set {to_set!r} for {row_kind} row")
         return self._spliced(self.locate(row_kind, index), int(index), to_set)
 
@@ -241,101 +235,56 @@ def classify(residuals_eq, residuals_ineq, tol):
     return SetConfiguration(neg_eq, zero_eq, pos_eq, neg_ineq, zero_ineq, pos_ineq)
 
 
-# The residual events' rows, set by set (_EventTable).
-_RESIDUAL_SETS = ("neg_eq", "pos_eq", "neg_ineq", "pos_ineq")
-
-
 class _SetState:
-    """A set configuration with what each of its segments reads from it.
+    """A set configuration with one side per stacked row of the system's
+    [V; W]: -1.0 in a neg set, 0.0 in a zero set and +1.0 in a pos set.
+    What its segments read is derived from side:
 
-    - pull: each stacked row's weight in u, the rows being the system's
-      [V; W]: -1 for neg_eq, +1 for pos_eq and pos_ineq, else 0;
-    - u: the inactive rows' subgradient direction, bitwise that of
-      SetConfiguration.inactive_subgradient;
-    - active: the active rows' stacked indices, ascending, which is active
+    - u = pull @ rows, the inactive rows' subgradient direction, pull being
+      side with 0 for the neg inequality rows (strictly satisfied ones pull
+      on nothing);
+    - active: the zero rows' stacked indices, ascending, which is active
       order (equality rows first);
-    - res_rows: the inactive rows set by set (_RESIDUAL_SETS), each times
-      its sign, the residual events' rows (_EventTable).
+    - residual: the other rows' stacked indices, ascending (_EventTable).
 
     of() builds one from a configuration.  The runner carries one across
-    kinks instead: a kink moves one row, so move() splices that row between
-    active and res_rows and recomputes u only on its columns.
+    kinks instead: move() sets the moved row's side and splices the row
+    into the configuration.
     """
 
-    def __init__(self, cs, config, pull, u, active, res_rows):
+    def __init__(self, cs, config, side):
         self.cs = cs
         self.config = config
-        self.pull = pull
-        self.u = u
-        self.active = active
-        self.res_rows = res_rows
+        self.side = side
+        pull = np.concatenate((side[:cs.n_eq], np.maximum(side[cs.n_eq:], 0.0)))
+        # + 0.0 turns a -0.0 sum of zero terms into +0.0.
+        self.u = pull @ cs.stacked_rows[0] + 0.0
+        self.active = (side == 0.0).nonzero()[0]
+        self.residual = side.nonzero()[0]
 
     @classmethod
     def of(cls, cs, config):
-        rows = cs.stacked_rows[0]
-        res = [np.array(getattr(config, name), dtype=int) for name in _RESIDUAL_SETS]
-        res[2] += cs.n_eq
-        res[3] += cs.n_eq
-        active = np.ones(rows.shape[0], dtype=bool)
-        pull = np.zeros(rows.shape[0])
-        for index, sign in zip(res, (-1.0, 1.0, 0.0, 1.0)):
-            active[index] = False
-            pull[index] = sign
-        res_sign = np.repeat([-1.0, 1.0, -1.0, 1.0], [index.size for index in res])
-        res = np.concatenate(res)
-        return cls(cs, config, pull, config.inactive_subgradient(cs), active.nonzero()[0],
-                   res_sign[:, None] * rows[res])
+        # A row in no set would read as active (side 0).
+        config.check_partition(cs.n_eq, cs.n_ineq)
+        side = np.zeros(cs.n_eq + cs.n_ineq)
+        for name in _SET_FIELDS:
+            sign_class, row_kind = name.split("_")
+            rows = np.array(getattr(config, name), dtype=int)
+            side[_stacked(cs, row_kind, rows)] = _SIDES[sign_class]
+        return cls(cs, config, side)
 
     def move(self, row_kind, index, to_set):
         """The set the row leaves, and the state once it is in to_set."""
-        old, index = self.config, int(index)
-        from_set = old.locate(row_kind, index)
-        config = old._spliced(from_set, index, to_set)
-        cs = self.cs
-        rows = cs.stacked_rows[0]
-        row = index + (0 if row_kind == "eq" else cs.n_eq)
-        active, res_rows = self.active, self.res_rows
-        if from_set.startswith("zero"):
-            at = active.searchsorted(row)
-            active = np.concatenate((active[:at], active[at + 1:]))
-        else:
-            at = _residual_position(old, from_set, index)
-            res_rows = np.concatenate((res_rows[:at], res_rows[at + 1:]))
-        if to_set.startswith("zero"):
-            at = active.searchsorted(row)
-            active = np.concatenate((active[:at], [row], active[at:]))
-        else:
-            at = _residual_position(config, to_set, index)
-            signed = rows[row] if to_set.startswith("pos") else -rows[row]
-            res_rows = np.concatenate((res_rows[:at], signed[None], res_rows[at:]))
-        pull, u = self.pull, self.u
-        weight = -1.0 if to_set == "neg_eq" else float(to_set.startswith("pos"))
-        if weight != pull[row]:
-            pull = pull.copy()
-            pull[row] = weight
-            # Only the row's columns change.  There u is the sum of the
-            # pulling rows that touch them, each times its weight, added in
-            # inactive_subgradient's order: neg_eq rows, then the others
-            # ascending (zero entries add nothing).
-            cols = rows[row].nonzero()[0]
-            touch = rows[:, cols].any(axis=1).nonzero()[0]
-            touch = touch[pull[touch] != 0.0]
-            touch = touch[pull[touch].argsort(kind="stable")]
-            u = u.copy()
-            u[cols] = 0.0
-            if touch.size:
-                terms = pull[touch, None] * rows[touch[:, None], cols]
-                # inactive_subgradient adds from +0.0, accumulate from the
-                # first term: + 0.0 turns the -0.0 that gives into +0.0.
-                u[cols] = np.add.accumulate(terms)[-1] + 0.0
-        return from_set, _SetState(cs, config, pull, u, active, res_rows)
+        index = int(index)
+        from_set = self.config.locate(row_kind, index)
+        side = self.side.copy()
+        side[_stacked(self.cs, row_kind, index)] = _SIDES[to_set.split("_")[0]]
+        return from_set, _SetState(self.cs, self.config._spliced(from_set, index, to_set), side)
 
 
-def _residual_position(config, name, index):
-    """Where row `index` of set `name` of config sits among the residual
-    events' rows."""
-    before = _RESIDUAL_SETS[: _RESIDUAL_SETS.index(name)]
-    return sum(len(getattr(config, other)) for other in before) + getattr(config, name).index(index)
+def _stacked(cs, row_kind, index):
+    """The stacked index in [V; W] of row(s) `index` of kind "eq" or "ineq"."""
+    return index + (0 if row_kind == "eq" else cs.n_eq)
 
 
 def degrees_of_freedom(config, p):
@@ -414,11 +363,11 @@ def stationarity_residual(model, cs, config, beta, rho):
     the path does; on the exact path it is zero up to integration error.
     """
     grad = model.gradient(beta)
-    pull = config.inactive_subgradient(cs)
-    active = config.active_rows(cs)
-    if active.shape[0]:
+    sets = _SetState.of(cs, config)
+    pull = sets.u
+    if sets.active.size:
         coef = active_coefficients(model, cs, config, beta, rho, mode="nullspace")
-        pull = pull + active.T @ coef.r_z
+        pull = pull + cs.stacked_rows[0][sets.active].T @ coef.r_z
     res = grad + rho * pull
     return np.abs(res).max() / (1.0 + np.abs(grad).max())
 
@@ -466,6 +415,11 @@ class PathOptions:
         start = self.rho_start
         if start is not None and not (math.isfinite(start) and start >= 0):
             raise ValueError(f"rho_start must be finite and nonnegative, got {start!r}")
+        # classify puts a NaN residual in no set, and the path goes silently wrong.
+        if self.start_beta is not None:
+            self.start_beta = np.array(self.start_beta, dtype=float)
+            if self.start_beta.ndim != 1 or not np.isfinite(self.start_beta).all():
+                raise ValueError("start_beta must be a vector of finite numbers")
         # An infinite or NaN tolerance or bound passes a bare "> 0" test and
         # leaves the path silently wrong (inf event_tol disarms every event).
         for name in ("rel_tol", "abs_tol", "event_tol", "beta_bound", "residual_tol", "max_step"):
@@ -502,19 +456,15 @@ class _SegmentTrace:
         self.results = []
 
     def add(self, result):
-        if result.steps:
-            self.results.append(result)
+        self.results.append(result)
 
     def interpolate(self, t):
-        if not self.results:
-            return self.ctx.beta0.copy()
         # Chunks run forward in t one after another, so the first whose
         # padded range holds t is the first that does not end before it.
         i = bisect_left(self.results, t, key=lambda r: r.steps[-1].t_end + 1e-9)
         if i < len(self.results):
             result = self.results[i]
-            lo, hi = sorted((result.steps[0].t_start, result.steps[-1].t_end))
-            if lo - 1e-9 <= t <= hi + 1e-9:
+            if result.steps[0].t_start - 1e-9 <= t <= result.steps[-1].t_end + 1e-9:
                 beta = result.interpolate(t)
                 # The Runge-Kutta sums keep pinned coordinates exactly but may
                 # round tied ones apart.
@@ -555,6 +505,12 @@ class _LinearSegment:
         return self.r_z(self.t_sign * t)
 
 
+def _lookup_pad(rho):
+    """How far beyond its ends a segment still serves a lookup at rho
+    (elementwise for an array)."""
+    return 1e-9 * (1.0 + np.abs(rho))
+
+
 @dataclass
 class PathSegment:
     """One smooth piece of the path between consecutive kinks.
@@ -581,10 +537,10 @@ class PathSegment:
     def rho_span(self):
         return abs(self.rho_end - self.rho_start)
 
-    def contains(self, rho, slack=1e-9):
+    def contains(self, rho):
         lo, hi = sorted((self.rho_start, self.rho_end))
-        pad = slack * (1.0 + abs(rho))
-        return lo - pad <= rho <= hi + pad
+        pad = _lookup_pad(rho)
+        return bool(lo - pad <= rho <= hi + pad)
 
     def beta_at(self, rho):
         """Solution on this segment: the exact line or the ODE dense output."""
@@ -597,7 +553,7 @@ class PathSegment:
         (contains), and outside it the beta the path keeps beyond its end:
         beta_end on a forward path, else beta_start."""
         lo, hi = sorted((self.rho_start, self.rho_end))
-        pad = 1e-9 * (1.0 + np.abs(rhos))
+        pad = _lookup_pad(rhos)
         inside = (lo - pad <= rhos) & (rhos <= hi + pad)
         out = np.empty((rhos.size, self.beta_end.size))
         out[~inside] = self.beta_end if forward else self.beta_start
@@ -649,7 +605,7 @@ class PathSolution:
         # in traversal order, so that is the first segment whose padded end is
         # not short of rho (forward) or not above it (backward), and bisection
         # finds it; the keys repeat contains()'s arithmetic.
-        pad = 1e-9 * (1.0 + abs(rho))
+        pad = _lookup_pad(rho)
         segments = self.segments
         if self.direction == "forward":
             i = bisect_left(segments, rho, key=lambda seg: seg.rho_end + pad)
@@ -748,11 +704,11 @@ _EVENT_TYPES = (
 )
 
 
-# Per group of table entries (the residual sets, then the coefficient
-# events of the active equality and inequality rows by boundary): its type
-# code and its sign; and the coefficient events' boundaries by code - 2.
-_GROUP_CODES = np.array([0, 0, 1, 1, 2, 3, 4, 5])
-_GROUP_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+# The coefficient events' type codes and signs, group by group: the active
+# equality rows at 1 and at -1, the active inequality rows at 1 and at 0;
+# and their boundaries by code - 2.
+_COEF_CODES = np.arange(2, 6)
+_COEF_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
 _BOUNDARIES = np.array([event[2] for event in _EVENT_TYPES[2:]])
 
 
@@ -760,33 +716,34 @@ class _EventTable:
     """Every event of one segment, in the layout both engines read.
 
     Entry j has a type code (an index into _EVENT_TYPES) and a constraint
-    row.  The first n_res entries are residual events g = row_j beta -
-    offset_j, row and offset signed so that g > 0 while the row keeps its
-    sign class.  The others are coefficient events g = sign_j (r_Z[pos_j]
-    - boundary_j), where pos_j is the row's position in r_Z (eq rows
-    first) and the sign is -1 at an upper boundary and +1 at a lower one.
-    An event fires when its g falls through zero.  The residual rows are
-    the set state's (_SetState.res_rows).
+    row.  The first n_res entries are residual events, one per inactive row
+    in stacked order (_SetState.residual): g = sign_j (row_j beta -
+    offset_j), with the row and offset as stacked and the row's side as its
+    sign, so that g > 0 while the row keeps its sign class.  The others are
+    coefficient events g = sign_j (r_Z[pos_j] - boundary_j), where pos_j is
+    the row's position in r_Z (eq rows first) and the sign is -1 at an upper
+    boundary and +1 at a lower one.  An event fires when its g falls through
+    zero.
     """
 
     def __init__(self, sets):
-        cfg = sets.config
-        groups = [getattr(cfg, name) for name in _RESIDUAL_SETS]
-        groups += [cfg.zero_eq, cfg.zero_eq, cfg.zero_ineq, cfg.zero_ineq]
-        sizes = [len(group) for group in groups]
-        self.n_res = n_res = sum(sizes[:4])
-        self.codes = _GROUP_CODES.repeat(sizes)
-        self.rows = np.fromiter(chain.from_iterable(groups), dtype=int, count=sum(sizes))
+        n_eq, residual, active = sets.cs.n_eq, sets.residual, sets.active
+        self.n_res = residual.size
+        n_act_eq = active.searchsorted(n_eq)
+        eq, ineq = active[:n_act_eq], active[n_act_eq:]
+        sizes = [eq.size, eq.size, ineq.size, ineq.size]
+        stacked = np.concatenate([residual, eq, eq, ineq, ineq])
+        is_ineq = stacked >= n_eq
+        self.codes = np.concatenate([is_ineq[:self.n_res].astype(int), _COEF_CODES.repeat(sizes)])
+        self.rows = stacked - n_eq * is_ineq  # each row's index among its kind
         self.size = self.codes.size
-        # -1 for the negative sets and at upper boundaries, else +1.
-        signs = _GROUP_SIGNS.repeat(sizes)
-        self.res_rows = sets.res_rows
-        res = self.rows[:n_res] + np.where(self.codes[:n_res] == 1, sets.cs.n_eq, 0)
-        self.res_offsets = signs[:n_res] * sets.cs.stacked_rows[1][res]
-        eq, ineq = np.arange(sizes[4]), np.arange(sizes[4], sizes[4] + sizes[6])
-        self.coef_pos = np.concatenate([eq, eq, ineq, ineq])
-        self.coef_sign = signs[n_res:]
-        self.coef_bound = _BOUNDARIES[self.codes[n_res:] - 2]
+        rows, offsets = sets.cs.stacked_rows
+        self.res_sign = sets.side[residual]
+        self.res_rows = rows[residual]
+        self.res_offsets = offsets[residual]
+        self.coef_pos = active.searchsorted(stacked[self.n_res:])
+        self.coef_sign = _COEF_SIGNS.repeat(sizes)
+        self.coef_bound = _BOUNDARIES[self.codes[self.n_res:] - 2]
 
     def info(self, j):
         kind, row_kind, boundary, to_set = _EVENT_TYPES[self.codes[j]]
@@ -806,7 +763,7 @@ class _EventTable:
         def g(t, beta, rows=np.arange(size + 1)):
             i, j = np.searchsorted(rows, (n_res, size))
             res, coef = rows[:i], rows[i:j] - n_res
-            parts = [self.res_rows[res] @ beta - self.res_offsets[res]]
+            parts = [self.res_sign[res] * (self.res_rows[res] @ beta - self.res_offsets[res])]
             if coef.size:
                 parts.append(self.coefficient_values(ctx.coefficients(t, beta))[coef])
             if j < rows.size:
@@ -1008,7 +965,7 @@ class _PathRunner:
         if opts.start_beta is not None:  # a given start, in either direction
             if opts.rho_start is None:
                 raise ValueError("start_beta requires an explicit rho_start")
-            self.beta, self.rho = np.asarray(opts.start_beta, dtype=float).copy(), opts.rho_start
+            self.beta, self.rho = np.array(opts.start_beta, dtype=float), opts.rho_start
         elif not self.forward:
             self.beta, self.rho = self._backward_start()
         elif opts.rho_start:
@@ -1020,12 +977,11 @@ class _PathRunner:
             diagonal = np.diagonal(self.hessian)
             if np.count_nonzero(self.hessian) == np.count_nonzero(diagonal):
                 self.h_diagonal = diagonal
-        self.cfg = classify(
+        self.sets = _SetState.of(self.cs, classify(
             self.cs.eq_residuals(self.beta),
             self.cs.ineq_residuals(self.beta),
             self.residual_tol,
-        )
-        self.sets = _SetState.of(self.cs, self.cfg)
+        ))
 
     def _backward_start(self):
         opts = self.opts
@@ -1051,7 +1007,7 @@ class _PathRunner:
         self._start()
         status = None
         while status is None:
-            if self.forward and self.cfg.is_terminal:
+            if self.forward and self.sets.config.is_terminal:
                 status = "terminated"
             elif self.forward and self.rho >= self.opts.rho_max * (1.0 - 1e-15):
                 status = "rho_max"
@@ -1063,7 +1019,7 @@ class _PathRunner:
                         f"path exceeded max_kinks={self.opts.max_kinks} at rho={self.rho:g}"
                     )
                 self._advance()
-        if not self.segments or self.segments[-1].config is not self.cfg:
+        if not self.segments or self.segments[-1].config is not self.sets.config:
             self._record_point_segment(self._context(), status)
         return PathSolution(
             segments=self.segments,
@@ -1122,7 +1078,7 @@ class _PathRunner:
             except NotStrictlyConvex:
                 self._switch_to_nullspace()
         ctx = _SegmentContext(
-            self.model, self.cs, self.cfg, self.beta, self.t_sign, self.mode,
+            self.model, self.cs, self.sets.config, self.beta, self.t_sign, self.mode,
             self.hessian, self.h_factor, self.h_diagonal, self.sets,
         )
         # The kink rule: a segment starts with its active pins and ties held
@@ -1222,9 +1178,10 @@ class _PathRunner:
         t0 = t_sign * rho0
         t_max = self._t_max()
 
-        # Residual events g = row beta - offset, linear in rho.
+        # Residual events g = sign * (row beta - offset), linear in rho.
         values = table.res_rows @ np.column_stack([line.beta0, line.d])
-        g_res, slope = values[:, 0] - table.res_offsets, values[:, 1]
+        g_res = table.res_sign * (values[:, 0] - table.res_offsets)
+        slope = table.res_sign * values[:, 1]
         n_res = table.n_res
         # Coefficient events g = sign * (r_Z - boundary) = alpha + gamma / rho.
         alpha = table.coefficient_values(line.a)
@@ -1351,11 +1308,10 @@ class _PathRunner:
         )
 
     def _record_point_segment(self, ctx, termination):
-        self._record_segment(self.cfg, ctx, self.rho, self.beta, termination)
+        self._record_segment(ctx.config, ctx, self.rho, self.beta, termination)
 
     def _apply_kink(self, info, rho):
         from_set, self.sets = self.sets.move(info.row_kind, info.index, info.to_set)
-        self.cfg = new_cfg = self.sets.config
         self.kinks.append(
             Kink(
                 rho=rho,
@@ -1364,7 +1320,7 @@ class _PathRunner:
                 from_set=from_set,
                 to_set=info.to_set,
                 boundary=info.boundary,
-                df_after=degrees_of_freedom(new_cfg, self.p),
+                df_after=degrees_of_freedom(self.sets.config, self.p),
             )
         )
 
@@ -1430,4 +1386,6 @@ def run_path(model, cs, options=None, **overrides):
         raise TypeError("pass either options or keyword overrides, not both")
     if model.dim != cs.dim:
         raise ValueError("constraint system dimension does not match the loss")
+    if options.start_beta is not None and np.shape(options.start_beta) != (cs.dim,):
+        raise ValueError(f"start_beta has shape {np.shape(options.start_beta)}, not ({cs.dim},)")
     return _PathRunner(model, cs, options).run()

@@ -1,6 +1,7 @@
 """The runner's set state, carried across kinks, against a rebuild from the
-configuration at every segment, and SetConfiguration.move against a fresh
-configuration."""
+configuration and against the rows' sides, sums and gathers done by hand at
+every segment; the size of what a finished path keeps of it; and
+SetConfiguration.move against a fresh configuration."""
 
 import numpy as np
 import pytest
@@ -22,13 +23,15 @@ from penpath.path import (
     MODES,
     SetConfiguration,
     _EventTable,
+    _SegmentContext,
     _SetState,
     run_path,
 )
 from penpath.sweeplin import Elimination
 
 SET_FIELDS = ("neg_eq", "zero_eq", "pos_eq", "neg_ineq", "zero_ineq", "pos_ineq")
-TABLE_FIELDS = ("codes", "rows", "res_rows", "res_offsets", "coef_pos", "coef_sign", "coef_bound")
+TABLE_FIELDS = ("codes", "rows", "res_sign", "res_rows", "res_offsets", "coef_pos", "coef_sign",
+                "coef_bound")
 
 
 class OdeQuadratic(QuadraticLoss):
@@ -74,6 +77,29 @@ PATHS = {
 }
 
 
+SIDES = {"neg": -1.0, "zero": 0.0, "pos": 1.0}
+
+
+def stacked(cs, name, members):
+    return np.add(members, cs.n_eq if name.endswith("_ineq") else 0).astype(int)
+
+
+def check_u_by_hand(cs, cfg, u):
+    """u against the signed inactive rows added one by one."""
+    total, scale = np.zeros(cs.dim), np.zeros(cs.dim)
+    for mat, neg, pos in ((cs.v_mat, cfg.neg_eq, cfg.pos_eq), (cs.w_mat, (), cfg.pos_ineq)):
+        for sign, members in ((-1.0, neg), (1.0, pos)):
+            for i in members:
+                total += sign * mat[i]
+                scale += np.abs(mat[i])
+    rows = cs.stacked_rows[0]
+    if np.array_equal(rows, np.round(rows)):
+        # Sums of integers are exact in any order.
+        assert bitwise(u, total)
+    else:
+        assert (np.abs(u - total) <= 1e-15 * scale).all()
+
+
 def check_against_rebuild(cs, sets, ctx):
     cfg = sets.config
     # The spliced configuration is the one its own sets build: sorted tuples
@@ -81,24 +107,31 @@ def check_against_rebuild(cs, sets, ctx):
     assert cfg == SetConfiguration(**{name: getattr(cfg, name) for name in SET_FIELDS})
     assert all(type(i) is int for name in SET_FIELDS for i in getattr(cfg, name))
     fresh = _SetState.of(cs, cfg)
-    assert bitwise(sets.u, cfg.inactive_subgradient(cs))
-    for name in ("pull", "active", "res_rows"):
+    for name in ("side", "u", "active", "residual"):
         assert bitwise(getattr(sets, name), getattr(fresh, name)), name
+    assert bitwise(sets.u, cfg.inactive_subgradient(cs))
+    check_u_by_hand(cs, cfg, sets.u)
+    # The sides, the active rows and the residual rows by hand.
+    side = np.zeros(cs.n_eq + cs.n_ineq)
+    for name in SET_FIELDS:
+        side[stacked(cs, name, getattr(cfg, name))] = SIDES[name.split("_")[0]]
+    assert bitwise(sets.side, side)
+    active = np.concatenate([stacked(cs, "zero_eq", cfg.zero_eq),
+                             stacked(cs, "zero_ineq", cfg.zero_ineq)])
+    assert bitwise(sets.active, active)
+    residual = np.sort(np.concatenate([stacked(cs, name, getattr(cfg, name))
+                                       for name in SET_FIELDS if not name.startswith("zero")]))
+    assert bitwise(sets.residual, residual)
     table, rebuilt = _EventTable(sets), _EventTable(fresh)
     for name in TABLE_FIELDS:
         assert bitwise(getattr(table, name), getattr(rebuilt, name)), name
     assert (table.n_res, table.size) == (rebuilt.n_res, rebuilt.size)
-    # The residual rows as each kind's rows, signed set by set.
-    kinds = ((cs.v_mat, cfg.neg_eq, cfg.pos_eq), (cs.w_mat, cfg.neg_ineq, cfg.pos_ineq))
-    signed = [
-        sign * mat[list(members)]
-        for mat, neg, pos in kinds
-        for sign, members in ((-1.0, neg), (1.0, pos))
-    ]
-    assert bitwise(table.res_rows, np.vstack(signed))
-    rows = np.concatenate([cfg.zero_eq, np.add(cfg.zero_ineq, cs.n_eq)]).astype(int)
-    assert bitwise(sets.active, rows)
-    elim = Elimination(cs.dim, cs.row_shapes, rows)
+    # The residual events' arrays as the stacked system's, gathered by hand.
+    rows, offsets = cs.stacked_rows
+    assert bitwise(table.res_rows, np.array([rows[i] for i in residual]).reshape(-1, cs.dim))
+    assert bitwise(table.res_offsets, np.array([offsets[i] for i in residual], dtype=float))
+    assert bitwise(table.res_sign, np.array([side[i] for i in residual], dtype=float))
+    elim = Elimination(cs.dim, cs.row_shapes, active)
     assert vars(ctx.elim).keys() == vars(elim).keys()
     for name, value in vars(elim).items():
         if value is None or np.isscalar(value):
@@ -155,6 +188,23 @@ def test_carried_state_equals_a_rebuild_at_every_segment(
     assert len(sol.kinks) >= 4
     # Every segment's configuration was checked, one per kink and the first.
     assert len(checked) >= len(sol.kinks)
+
+
+@pytest.mark.filterwarnings("ignore::penpath.errors.SimultaneousEventWarning")
+@pytest.mark.parametrize("case", ["fused", "dense"])
+def test_a_finished_ode_path_keeps_only_small_set_states(case):
+    # Each ODE segment keeps its context, and with it a set state, for
+    # lookups; each of that state's arrays is one entry per row or column.
+    model, cs = PATHS[case]()
+    sol = run_path(OdeQuadratic(model.a_mat, model.b, model.c), cs)
+    assert len(sol.kinks) >= 4
+    contexts = [getattr(seg._eval, "ctx", seg._eval) for seg in sol.segments]
+    states = [ctx.sets for ctx in contexts if isinstance(ctx, _SegmentContext)]
+    assert len(states) == len(sol.segments)
+    bound = cs.n_eq + cs.n_ineq + cs.dim
+    for sets in states:
+        for name, value in vars(sets).items():
+            assert not isinstance(value, np.ndarray) or value.size <= bound, name
 
 
 # -- SetConfiguration.move ----------------------------------------------------

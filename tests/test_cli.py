@@ -215,6 +215,15 @@ FLOAT_OPTIONS = ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event
         ({"kind": "quadratic", "target": [2.0, -1.0]},
          {"event_tol": True, "rel_tol": True, "rho_max": True},
          '"options": rho_max must be a number, got True'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"rho_start": 1.0, "start_beta": [math.nan, 0.0]},
+         '"options": start_beta must be a vector of finite numbers'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"rho_start": 1.0, "start_beta": [math.inf, 0.0]},
+         '"options": start_beta must be a vector of finite numbers'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"rho_start": 1.0, "start_beta": [1.0, 0.0, 0.0]},
+         "start_beta has shape (3,), not (2,)"),
     ] + [
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {name: True},
          f'"options": {name} must be a number, got True')
@@ -223,7 +232,8 @@ FLOAT_OPTIONS = ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event
     ids=["asymmetric_matrix", "row_counts", "linear_length", "scale_string", "scale_list",
          "scale_inf", "quasi_scale_nan",
          "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
-         "residual_tol_nan", "max_step_negative", "max_kinks_nan", "three_booleans"]
+         "residual_tol_nan", "max_step_negative", "max_kinks_nan", "three_booleans",
+         "start_beta_nan", "start_beta_inf", "start_beta_length"]
     + [f"{name}_boolean" for name in FLOAT_OPTIONS],
 )
 def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):

@@ -71,6 +71,17 @@ def test_inactive_subgradient_signs():
     assert np.allclose(u, [-1.0 + 0.0 + 1.0, 0.0 + 1.0 + 1.0])
 
 
+def test_a_configuration_must_partition_the_rows():
+    # Rows 0 and 2 are in no set; unchecked, they would read as active.
+    cs, model = lasso(3), QuadraticLoss.from_target([2.0, -1.0, 0.5])
+    cfg, beta = SetConfiguration(zero_eq=(1,)), np.array([1.0, 0.0, 0.2])
+    for call in (lambda: cfg.inactive_subgradient(cs),
+                 lambda: active_coefficients(model, cs, cfg, beta, 0.5),
+                 lambda: stationarity_residual(model, cs, cfg, beta, 0.5)):
+        with pytest.raises(ValueError, match="equality sets do not partition the row range"):
+            call()
+
+
 def test_move_and_locate():
     cfg = SetConfiguration(neg_eq=(0, 1), neg_ineq=(0,))
     assert cfg.locate("eq", 1) == "neg_eq"

@@ -193,6 +193,21 @@ def test_forward_start_validation():
     assert first.rho_start == 0.0 and first.beta_start.tolist() == [2.0, -1.0]
 
 
+@pytest.mark.parametrize("start", [[float("nan"), 0.0], [float("inf"), 0.0], [[1.0, 0.0]], 1.0],
+                         ids=["nan", "inf", "matrix", "scalar"])
+def test_start_beta_must_be_a_finite_vector(start):
+    # Unchecked, a NaN start gives a silently wrong path (classify puts its
+    # residual in no set), and an infinite one a solver failure.
+    with pytest.raises(ValueError, match="start_beta must be a vector of finite numbers"):
+        PathOptions(rho_start=1.0, start_beta=start)
+
+
+def test_start_beta_must_have_one_entry_per_coordinate():
+    model = QuadraticLoss.from_target([2.0, -1.0])
+    with pytest.raises(ValueError, match=r"start_beta has shape \(3,\), not \(2,\)"):
+        run_path(model, lasso(2), rho_start=1.0, start_beta=[1.0, 0.0, 0.0])
+
+
 class OdeQuadratic(QuadraticLoss):
     """A quadratic loss that the ODE engine traces."""
 
