@@ -86,26 +86,41 @@ def _g12(x):
     return format(float(x), ".12g")
 
 
-def _row_template(kinds):
-    """A %-template for one newline-terminated CSV row, a column per letter
-    of kinds: "g" a float as %.17g, "d" an integer."""
-    return ",".join("%.17g" if kind == "g" else "%d" for kind in kinds) + "\n"
+# Rows formatted together by _csv_block.  Larger blocks hold more repeats
+# of each value, but np.unique sorts the whole block.  On the table of
+# fused_fsa seed 3 job 0 (2,981 rows of 155 cells; one BLAS thread, medians
+# of 9 alternating rounds), blocks of 16 to 64 rows took 0.49-0.51 of the
+# time of formatting each cell, 8 rows 0.54, 128 rows 0.54 and 256 rows 0.58.
+_BLOCK_ROWS = 32
+
+# _csv_block formats each distinct value of a block once when at least this
+# share of its cells repeat the bits of their left or upper neighbour, +0.0
+# aside: "%.17g" writes a zero in about 0.1 us against about 0.5 us for other
+# values.  On random 1,600-row tables of 85 nonzero cells, each cell copied
+# from its left neighbour at a set share, the two ways broke even at a repeat
+# share of about 0.2 (distinct values took 1.05 of the per-row time at 0.10,
+# 0.99 at 0.20 and 0.84 at 0.25).  fused_fsa's tables read 0.68-0.71,
+# lasso_ls's and logistic_cv's 0.000, since their only repeats are zeros.
+_REPEAT_SHARE = 0.2
 
 
-def _csv_lines(header, kinds, rows):
-    """Newline-terminated lines of a CSV table: the header, then each row
-    formatted by one template.  Rows are formatted as they are read."""
-    template = _row_template(kinds)
-    yield header + "\n"
-    for row in rows:
-        yield template % tuple(row)
-
-
-def _write_lines(path, lines):
-    # Each line goes to the file as it is formatted, so a table is never
-    # held in memory as one string.
-    with open(path, "w") as handle:
-        handle.writelines(lines)
+def _csv_block(block):
+    """The rows of a 2-D float array as newline-terminated CSV lines, each
+    cell as "%.17g" writes it.  A block whose cells repeat their neighbours
+    (_REPEAT_SHARE) has each distinct value formatted once; values are told
+    apart by their bits, so -0.0 and each NaN keep their own text."""
+    bits = block.view(np.int64)
+    repeats = np.zeros(bits.shape, dtype=bool)
+    repeats[:, 1:] = bits[:, 1:] == bits[:, :-1]
+    repeats[1:] |= bits[1:] == bits[:-1]
+    repeats &= bits != 0
+    if np.count_nonzero(repeats) < _REPEAT_SHARE * bits.size:
+        template = ",".join(["%.17g"] * bits.shape[1]) + "\n"
+        return [template % row for row in map(tuple, block.tolist())]
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    cells = np.array(texts, dtype=object)[inverse.reshape(bits.shape)]
+    return [",".join(row) + "\n" for row in cells.tolist()]
 
 
 def _path_csv_header(p):
@@ -115,16 +130,21 @@ def _path_csv_header(p):
 def _sample_rows(spec, solution, rhos, part):
     """Sample the path at rhos (PathSolution.sample), writing each row (rho,
     beta, df, negloglik, aic, bic) to the binary file part as path.csv holds
-    it.  Returns the rows' (rho, aic, bic)."""
-    template = _row_template("g" * (spec.dimension + 1) + "dggg")
+    it, formatted a block of _BLOCK_ROWS rows at a time.  Returns the rows'
+    (rho, aic, bic)."""
     points = []
     betas, dfs = solution.sample(rhos)
-    for rho, beta, df in zip(rhos, betas, dfs):
-        value = spec.model.value(beta)
-        aic, bic = information_criteria(-value, df, spec.n_observations)
-        rho = float(rho)
-        part.write((template % (rho, *beta.tolist(), df, value, aic, bic)).encode())
-        points.append((rho, aic, bic))
+    for start in range(0, len(rhos), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        values = np.array([spec.model.value(beta) for beta in betas[rows]])
+        # df counts coordinates, and "%.17g" writes a whole float as "%d"
+        # writes the int.
+        df = np.array(dfs[rows], dtype=float)
+        aic, bic = information_criteria(-values, df, spec.n_observations)
+        block = np.column_stack([rhos[rows], betas[rows], df, values, aic, bic])
+        points += zip(rhos[rows].tolist(), aic.tolist(), bic.tolist())
+        for line in _csv_block(block):
+            part.write(line.encode())
     part.flush()
     return points
 
@@ -226,18 +246,19 @@ def _run_solve(args):
 
 # A forked slice must hold at least this many path.csv cells to pay for its
 # fork, so a table forks from 30,000 cells.  Measured on a 2-CPU host with
-# one BLAS thread, timing `solve` after its path is solved (medians of 40
-# calls, serial against two slices; cells of the whole table).  Lasso rows
-# hold exact zeros, and "%.17g" formats a 0 in about 0.18 us against 0.9 us
-# for the rounding residue they held before, so their serial time fell and
-# their break-even rose.  The 8-coefficient lasso of tests/golden/lasso_direct
-# (13 cells a row) breaks even at 12,000-16,000 cells (800 rows: 17-26 ms
-# serially, 21-38 ms forked; 1,600 rows: 45-50 against 34-39).  lasso_ls's
-# 80-coefficient rows (85 cells) break even at about 30,000 (180 rows: 11-12
-# ms against 13-18; 360 rows: 21-25 against 20-28; 720 rows: 43 against 33),
-# where they broke even at 15,000-30,000 before.  fused_fsa's
-# 150-coefficient rows (155 cells) broke even at about 30,000 (299 rows:
-# 69 ms against 57 ms; 150 rows: 39 against 43).
+# one BLAS thread by tests/bench_output.py --fork-rows: serial against two
+# slices, medians of 41 alternating calls, on rows spread over the grid of
+# seed 3 job 0 (cells of the whole table).  lasso_ls's 80-coefficient rows
+# (85 cells), whose only repeats are zeros and which are formatted row by
+# row, break even between 15,000 and 31,000 cells (180 rows: 15 ms serially
+# against 27 forked; 360 rows: 30 against 23; 720 rows: 56 against 40).
+# fused_fsa's 150-coefficient rows (155 cells), whose ties and resting
+# coordinates _csv_block formats once, break even at about 23,000-31,000
+# (150 rows: 18-19 against 18-20 ms; 200 rows: 22-24 against 20-23; 299
+# rows: 33-34 against 28).  The 8-coefficient lasso of tests/golden/
+# lasso_direct (13 cells a row, formatted row by row) broke even at
+# 12,000-16,000 cells when last measured, by timing `solve` after its path
+# was solved.
 _SLICE_MIN_CELLS = 15000
 
 # At most this many slices: the gain was measured only with two, on a 2-CPU
@@ -542,9 +563,11 @@ def _run_crossval(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = "rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean"
-    table = np.column_stack([grid, *curves, mean_curve]).tolist()
-    _write_lines(out / "cv.csv", _csv_lines(header, "g" * (k + 2), table))
+    table = np.column_stack([grid, *curves, mean_curve])
+    with open(out / "cv.csv", "w") as handle:
+        handle.write("rho," + ",".join(f"fold_{j + 1}" for j in range(k)) + ",mean\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            handle.writelines(_csv_block(table[start:start + _BLOCK_ROWS]))
     (out / "cv_report.txt").write_text(report)
     return 0
 

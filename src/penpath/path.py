@@ -417,6 +417,10 @@ class PathOptions:
             raise ValueError(f"rho_start must be finite and nonnegative, got {start!r}")
         # classify puts a NaN residual in no set, and the path goes silently wrong.
         if self.start_beta is not None:
+            # The entries, not the converted dtype: [True, 0.5] converts to float64.
+            entries = np.array(self.start_beta, dtype=object).flat
+            if any(isinstance(v, (bool, np.bool_)) for v in entries):
+                raise ValueError("start_beta must be a vector of finite numbers")
             self.start_beta = np.array(self.start_beta, dtype=float)
             if self.start_beta.ndim != 1 or not np.isfinite(self.start_beta).all():
                 raise ValueError("start_beta must be a vector of finite numbers")

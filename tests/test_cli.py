@@ -224,6 +224,12 @@ FLOAT_OPTIONS = ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event
         ({"kind": "quadratic", "target": [2.0, -1.0]},
          {"rho_start": 1.0, "start_beta": [1.0, 0.0, 0.0]},
          "start_beta has shape (3,), not (2,)"),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"rho_start": 1.0, "start_beta": [True, False]},
+         '"options": start_beta must be a vector of finite numbers'),
+        ({"kind": "quadratic", "target": [2.0, -1.0]},
+         {"rho_start": 1.0, "start_beta": [True, 0.5]},
+         '"options": start_beta must be a vector of finite numbers'),
     ] + [
         ({"kind": "quadratic", "target": [2.0, -1.0]}, {name: True},
          f'"options": {name} must be a number, got True')
@@ -233,7 +239,8 @@ FLOAT_OPTIONS = ("rho_max", "rho_min", "rho_start", "rel_tol", "abs_tol", "event
          "scale_inf", "quasi_scale_nan",
          "rho_start_string", "residual_tol_string", "max_step_string", "event_tol_inf",
          "residual_tol_nan", "max_step_negative", "max_kinks_nan", "three_booleans",
-         "start_beta_nan", "start_beta_inf", "start_beta_length"]
+         "start_beta_nan", "start_beta_inf", "start_beta_length", "start_beta_booleans",
+         "start_beta_boolean_and_float"]
     + [f"{name}_boolean" for name in FLOAT_OPTIONS],
 )
 def test_malformed_loss_or_options_print_one_error_line(tmp_path, capsys, loss, options, message):

@@ -193,11 +193,15 @@ def test_forward_start_validation():
     assert first.rho_start == 0.0 and first.beta_start.tolist() == [2.0, -1.0]
 
 
-@pytest.mark.parametrize("start", [[float("nan"), 0.0], [float("inf"), 0.0], [[1.0, 0.0]], 1.0],
-                         ids=["nan", "inf", "matrix", "scalar"])
+@pytest.mark.parametrize("start", [[float("nan"), 0.0], [float("inf"), 0.0], [[1.0, 0.0]], 1.0,
+                                   [True, False], [True, 0.5], [np.True_, 0.0],
+                                   np.array([True, False])],
+                         ids=["nan", "inf", "matrix", "scalar", "booleans", "boolean_and_float",
+                              "numpy_boolean", "boolean_array"])
 def test_start_beta_must_be_a_finite_vector(start):
     # Unchecked, a NaN start gives a silently wrong path (classify puts its
-    # residual in no set), and an infinite one a solver failure.
+    # residual in no set), and an infinite one a solver failure.  float(True)
+    # is 1.0, so a boolean start would run silently from [1, 0].
     with pytest.raises(ValueError, match="start_beta must be a vector of finite numbers"):
         PathOptions(rho_start=1.0, start_beta=start)
 

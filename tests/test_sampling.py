@@ -9,9 +9,13 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penpath import cli
 from penpath.constraints import fused_lasso, lasso
@@ -27,6 +31,7 @@ from penpath.path import (
 from penpath.problemspec import parse_problem_spec
 
 OFFSETS = (-2.0, -0.5, 0.5, 2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- reference implementations -----------------------------------------------
@@ -310,18 +315,83 @@ EDGE_VALUES = [
 ]
 
 
+def per_cell_lines(table):
+    return [",".join(legacy_g17(x) for x in row) + "\n" for row in table.tolist()]
+
+
+def nan_with_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# Every NaN prints "nan", whatever its sign and payload; the block formatter
+# keys on bits, so each must still come out as per-cell formatting has it.
+NANS = [nan_with_bits(0xFFF8000000000000), nan_with_bits(0x7FF8000000000001),
+        nan_with_bits(0x7FF0000000000001)]
+
+
 def test_row_formatter_matches_per_cell_format():
     bits = np.random.default_rng(0).integers(0, 2**64, size=20000, dtype=np.uint64)
-    values = EDGE_VALUES + bits.view(np.float64).tolist()
+    values = np.array(EDGE_VALUES + NANS + bits.view(np.float64).tolist())
     width = 9
-    values += [0.0] * (-len(values) % width)
-    rows = [values[i : i + width] for i in range(0, len(values), width)]
-    legacy = "".join(",".join(legacy_g17(x) for x in row) + "\n" for row in rows)
-    assert "".join(cli._csv_lines("h", "g" * width, rows)) == "h\n" + legacy
-    # integer columns (df) keep str()'s text
-    mixed = [(x, df) for x, df in zip(EDGE_VALUES, range(-3, 1000))]
-    legacy = "".join(f"{legacy_g17(x)},{df}\n" for x, df in mixed)
-    assert "".join(cli._csv_lines("h", "gd", mixed)) == "h\n" + legacy
+    values = np.concatenate([values, np.zeros(-values.size % width)])
+    random_rows = values.reshape(-1, width)
+    runs = np.repeat(random_rows[:40, ::3], 3, axis=1)  # tied runs of three
+    resting = np.repeat(random_rows[:10], 4, axis=0)    # rows repeated four times
+    tables = [random_rows, runs, resting, values[:, None], values[None, :50],
+              random_rows[:cli._BLOCK_ROWS - 1], np.zeros((3, 4)), -np.zeros((3, 4))]
+    for share in (0.0, 2.0):  # each distinct value once, then each row by one template
+        with mock.patch.object(cli, "_REPEAT_SHARE", share), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            for table in tables:
+                assert cli._csv_block(table) == per_cell_lines(table)
+        assert unique.called == (share == 0.0)
+
+
+def test_a_whole_float_writes_df_as_an_integer_does():
+    # path.csv's df column is formatted with the floats of its row
+    dfs = [*range(-3, 5000), 2**53, 10**16]
+    assert ["%.17g" % float(df) for df in dfs] == [str(df) for df in dfs]
+
+
+CELLS = st.one_of(st.floats(), st.sampled_from(EDGE_VALUES + NANS), st.integers(-2, 2).map(float))
+
+
+@st.composite
+def tables(draw):
+    """Tables of up to two blocks' rows whose cells come from a small pool,
+    so values repeat along rows and columns, some rows repeating the one
+    above."""
+    rows, cols = draw(st.integers(1, 2 * cli._BLOCK_ROWS)), draw(st.integers(1, 10))
+    pool = draw(st.lists(CELLS, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    table = np.array(pool)[picks].reshape(rows, cols)
+    for row in draw(st.lists(st.integers(1, rows), max_size=3)):
+        if row < rows:
+            table[row] = table[row - 1]
+    return table
+
+
+@pytest.mark.parametrize("share", [0.0, 2.0], ids=["distinct_values", "per_row"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tables())
+def test_row_formatter_matches_per_cell_format_on_repeating_tables(share, table):
+    with mock.patch.object(cli, "_REPEAT_SHARE", share):
+        assert cli._csv_block(table) == per_cell_lines(table)
+    assert cli._csv_block(table) == per_cell_lines(table)
+
+
+@pytest.mark.parametrize("share", [None, 0.0, 2.0], ids=["measured", "distinct_values", "per_row"])
+@pytest.mark.parametrize("case", ["fused_nullspace", "lasso_direct"])
+def test_solve_path_csv_is_the_per_cell_format_of_the_samples(tmp_path, monkeypatch, case, share):
+    if share is not None:
+        monkeypatch.setattr(cli, "_REPEAT_SHARE", share)
+    spec_path = str(GOLDEN / case / "spec.json")
+    out = tmp_path / "out"
+    assert cli.main(["solve", spec_path, "--out", str(out)]) == 0
+    spec = parse_problem_spec(spec_path)
+    solution = run_path(spec.model, spec.constraints, spec.options)
+    assert (out / "path.csv").read_text() == legacy_path_csv(spec, solution)
 
 
 def write_spec(directory, body):
