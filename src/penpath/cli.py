@@ -19,14 +19,15 @@ values by hand.
 Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
 1) and more than one CPU is usable, both subcommands share their work with
 forked children, at most one per CPU: `crossval` solves the fold paths in
-them while this process solves the full-data path, and `solve` has one
-sample and format the second half of path.csv while this process does the
-first (a table too small to pay for a fork stays here).  Each child returns
-its results, warnings and errors through a pipe; they are reported in fold
-or row order, each warning shown as often as a serial run shows it, and
-the files written are byte for byte those of a serial run.  Otherwise all
-the work runs one step after another here.  The `penpath` console script
-(penpath_entry) defaults both variables to 1.
+them while this process solves the full-data path, and `solve` cuts the
+sample grid into blocks of rows and deals them round-robin, this process
+sampling and formatting blocks 0, 2, 4, ... of path.csv while one child
+does blocks 1, 3, 5, ... (a table too small to pay for a fork stays here).
+Each child returns its results, warnings and errors through a pipe; they
+are reported in fold or row order, each warning shown as often as a serial
+run shows it, and the files written are byte for byte those of a serial
+run.  Otherwise all the work runs one step after another here.  The
+`penpath` console script (penpath_entry) defaults both variables to 1.
 
 Exit codes: 0 success, 1 malformed or inconsistent problem input (a
 command-line usage error included), 2 solver failure.  Nothing is written
@@ -41,7 +42,6 @@ import json
 import logging
 import os
 import pickle
-import shutil
 import signal
 import sys
 import tempfile
@@ -127,26 +127,30 @@ def _path_csv_header(p):
     return "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic\n"
 
 
-def _sample_rows(spec, solution, rhos, part):
-    """Sample the path at rhos (PathSolution.sample), writing each row (rho,
-    beta, df, negloglik, aic, bic) to the binary file part as path.csv holds
-    it, formatted a block of _BLOCK_ROWS rows at a time.  Returns the rows'
-    (rho, aic, bic)."""
-    points = []
+def _sample_rows(spec, solution, blocks, part):
+    """Sample the path at the rhos of blocks, a list of arrays, in one
+    PathSolution.sample call, and write each block's rows (rho, beta, df,
+    negloglik, aic, bic), as path.csv holds them, to the binary file part
+    with one write.  Returns, for each block, its rows' (rho, aic, bic) and
+    the number of bytes written."""
+    rhos = np.concatenate(blocks)
     betas, dfs = solution.sample(rhos)
-    for start in range(0, len(rhos), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        values = np.array([spec.model.value(beta) for beta in betas[rows]])
+    written = []
+    start = 0
+    for block in blocks:
+        rows = slice(start, start + block.size)
+        start += block.size
+        values = spec.model.values(betas[rows])
         # df counts coordinates, and "%.17g" writes a whole float as "%d"
         # writes the int.
         df = np.array(dfs[rows], dtype=float)
         aic, bic = information_criteria(-values, df, spec.n_observations)
-        block = np.column_stack([rhos[rows], betas[rows], df, values, aic, bic])
-        points += zip(rhos[rows].tolist(), aic.tolist(), bic.tolist())
-        for line in _csv_block(block):
-            part.write(line.encode())
+        table = np.column_stack([block, betas[rows], df, values, aic, bic])
+        data = "".join(_csv_block(table)).encode()
+        part.write(data)
+        written.append((list(zip(block.tolist(), aic.tolist(), bic.tolist())), len(data)))
     part.flush()
-    return points
+    return written
 
 
 def _kinks_jsonl(solution):
@@ -222,80 +226,124 @@ def _run_solve(args):
     grid = solution.rho_grid(spec.samples_per_segment)
     if solution.direction == "backward":
         grid = grid[::-1]
-    slices = _slices(solution, grid)
+    blocks, shares = _slices(solution, grid)
     out = Path(args.out)
     near = next(d for d in (out, *out.parents) if d.is_dir())
     with ExitStack() as stack:
-        # Each slice's rows go to an unlinked file as they are formatted,
-        # so no process holds the table and a failed run leaves no file.
-        # It is made in --out, or in its nearest existing ancestor, so
-        # that path.csv is written on one filesystem.
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=near)) for _ in slices]
-        points = _sampled_points(spec, solution, slices, parts)
+        # Each process's blocks go to an unlinked file as they are
+        # formatted, so no process holds the table and a failed run leaves
+        # no file.  It is made in --out, or in its nearest existing
+        # ancestor, so that path.csv is written on one filesystem.
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=near)) for _ in shares]
+        written = _sampled_points(spec, solution, blocks, shares, parts)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "path.csv", "wb") as handle:
             handle.write(_path_csv_header(spec.dimension).encode())
-            for part in parts:
-                part.seek(0)
-                shutil.copyfileobj(part, handle)
+            _join_parts(handle, parts, shares, written)
+    points = [row for rows, _ in written for row in rows]
     (out / "kinks.jsonl").write_text(_kinks_jsonl(solution))
     (out / "report.txt").write_text(_report_text(spec, solution, points))
-    log.info("wrote %s from %d slices", out / "path.csv", len(slices))
+    log.info("wrote %s from %d processes", out / "path.csv", len(shares))
     return 0
 
 
-# A forked slice must hold at least this many path.csv cells to pay for its
-# fork, so a table forks from 30,000 cells.  Measured on a 2-CPU host with
+# Each process must get at least this many path.csv cells for a fork to
+# pay, so a table forks from 30,000 cells.  Measured on a 2-CPU host with
 # one BLAS thread by tests/bench_output.py --fork-rows: serial against two
-# slices, medians of 41 alternating calls, on rows spread over the grid of
-# seed 3 job 0 (cells of the whole table).  lasso_ls's 80-coefficient rows
-# (85 cells), whose only repeats are zeros and which are formatted row by
-# row, break even between 15,000 and 31,000 cells (180 rows: 15 ms serially
-# against 27 forked; 360 rows: 30 against 23; 720 rows: 56 against 40).
-# fused_fsa's 150-coefficient rows (155 cells), whose ties and resting
-# coordinates _csv_block formats once, break even at about 23,000-31,000
-# (150 rows: 18-19 against 18-20 ms; 200 rows: 22-24 against 20-23; 299
-# rows: 33-34 against 28).  The 8-coefficient lasso of tests/golden/
-# lasso_direct (13 cells a row, formatted row by row) broke even at
-# 12,000-16,000 cells when last measured, by timing `solve` after its path
-# was solved.
+# processes, medians of alternating calls, on rows spread over the grid of
+# seed 3 job 0 (cells of the whole table).  With contiguous halves,
+# lasso_ls's 85-cell rows broke even between 15,000 and 31,000 cells and
+# fused_fsa's 155-cell rows between 23,000 and 31,000.  With blocks dealt
+# round-robin, on a host whose CPUs other work shared (two CPU-bound
+# processes took 1.0-2.1 times one's time), the forked calls took 10-14 ms
+# more than the slower process's own rows, and the break-even moved from
+# round to round.  In the round where each process ran about as fast as
+# alone (41 calls each), lasso_ls took 25.0 ms serially against 26.0 forked
+# at 31,000 cells and 39.4 against 33.6 at 61,000, and fused_fsa 29.7
+# against 36.9 at 46,000 and 36.0 against 38.8 at 62,000.  Contiguous
+# halves, timed in alternation with the blocks, spread as widely (fused_fsa
+# at 46,000 cells: 31.2 against 29.0 ms, then 35.1 against 48.8), so no
+# shift of the break-even could be told and the threshold stays.  The
+# 8-coefficient lasso of tests/golden/lasso_direct (13 cells a row,
+# formatted row by row) broke even at 12,000-16,000 cells when last
+# measured, by timing `solve` after its path was solved.
 _SLICE_MIN_CELLS = 15000
 
-# At most this many slices: the gain was measured only with two, on a 2-CPU
-# host.  Each fork costs the parent about 3-4 ms before it starts its own
-# slice (at 94 MB resident, forking 1 to 8 children), so more slices are
-# unmeasured and may not pay.
+# At most this many processes share path.csv: the gain was measured only
+# with two, on a 2-CPU host.  Each fork costs the parent about 3-4 ms
+# before it starts on its own blocks (at 94 MB resident, forking 1 to 8
+# children), so more processes are unmeasured and may not pay.
 _MAX_SLICES = 2
 
 
 def _slices(solution, grid):
-    """grid cut into contiguous slices of about equal row counts, one per
-    process that samples them: one per usable CPU where forking pays
-    (_fork_cpus), up to _MAX_SLICES, as long as each gets _SLICE_MIN_CELLS
-    path.csv cells; else this process alone."""
-    count = min(_fork_cpus(), _MAX_SLICES, grid.size * (solution.p + 5) // _SLICE_MIN_CELLS)
-    return np.array_split(grid, max(count, 1))
+    """grid cut into blocks of consecutive rows, and the numbers of the
+    blocks each process samples: with n processes, process k (this one is
+    0) takes blocks k, k + n, k + 2n and so on, so that each gets rows from
+    every part of the path.  n is one per usable CPU where forking pays
+    (_fork_cpus), up to _MAX_SLICES, as long as each process gets
+    _SLICE_MIN_CELLS path.csv cells; else 1.  Blocks hold _BLOCK_ROWS rows,
+    the last one fewer, or fewer rows each where that leaves a process
+    without a block."""
+    count = min(_fork_cpus(), _MAX_SLICES, grid.size,
+                grid.size * (solution.p + 5) // _SLICE_MIN_CELLS)
+    count = max(count, 1)
+    rows = min(_BLOCK_ROWS, grid.size // count)
+    blocks = [grid[start:start + rows] for start in range(0, grid.size, rows)]
+    return blocks, [range(k, len(blocks), count) for k in range(count)]
 
 
-def _slice_work(spec, solution, slices, parts, index):
-    """A forked process's work: slice index of the rows, written to its part."""
+def _slice_work(spec, solution, blocks, share, part):
+    """A process's work where several share path.csv: _sample_rows over the
+    blocks numbered in share, as {block: (warnings, result)}, a result being
+    the exception that ended the work, if one did.
+
+    One sample call serves every block, unless it warns or fails: then the
+    blocks are sampled again one at a time, so that each warning and the
+    error are told to the block that issued them, up to the first failure.
+    """
     caught = []
-    points = _recorded(caught, _sample_rows, spec, solution, slices[index], parts[index])
-    return {index: (caught, points)}
+    result = _recorded(caught, _sample_rows, spec, solution, [blocks[i] for i in share], part)
+    if not caught and not isinstance(result, Exception):
+        return {index: ([], rows) for index, rows in zip(share, result)}
+    part.seek(0)
+    part.truncate()
+    outcomes = {}
+    for index in share:
+        caught = []
+        result = _recorded(caught, _sample_rows, spec, solution, [blocks[index]], part)
+        failed = isinstance(result, Exception)
+        outcomes[index] = (caught, result if failed else result[0])
+        if failed:
+            break
+    return outcomes
 
 
-def _sampled_points(spec, solution, slices, parts):
-    """Each slice's rows written to its part, the first slice by this process
-    and each other one by a forked process; returns every row's (rho, aic,
-    bic) in path order.  Warnings and errors are reported as a serial run
-    would."""
-    works = [partial(_slice_work, spec, solution, slices, parts, index)
-             for index in range(1, len(slices))]
-    points, outcomes = _forked(works, partial(_sample_rows, spec, solution, slices[0], parts[0]))
-    for rest in _in_order(outcomes, range(1, len(slices)),
-                          lambda index: f"sampling slice {index + 1} of path.csv"):
-        points += rest
-    return points
+def _sampled_points(spec, solution, blocks, shares, parts):
+    """Each share's blocks written to its part, the first share by this
+    process and each other one by a forked process; returns, in block order,
+    each block's rows' (rho, aic, bic) and byte count.  Warnings and errors
+    are reported as a serial run would, block by block."""
+    if len(shares) == 1:
+        return _sample_rows(spec, solution, blocks, parts[0])
+    works = [partial(_slice_work, spec, solution, blocks, shares[k], parts[k])
+             for k in range(1, len(shares))]
+    local = partial(_slice_work, spec, solution, blocks, shares[0], parts[0])
+    mine, outcomes = _forked(works, local)
+    outcomes.update(mine)
+    return _in_order(outcomes, range(len(blocks)),
+                     lambda index: f"sampling block {index + 1} of path.csv")
+
+
+def _join_parts(handle, parts, shares, written):
+    """Write the blocks' rows to handle in block order, each block's bytes
+    (written, from _sampled_points) read from the part of the process whose
+    share holds it."""
+    owner = {index: part for part, share in zip(parts, shares) for index in share}
+    for part in parts:
+        part.seek(0)
+    for index, (_, size) in enumerate(written):
+        handle.write(owner[index].read(size))
 
 
 def _full_grid(spec):
@@ -313,8 +361,7 @@ def _fold_path(spec, val_idx):
 
 def _held_out_curve(spec, val_idx, solution, grid):
     heldout = spec.split_loss(val_idx)
-    betas = solution.sample(grid)[0]
-    return np.array([heldout.value(beta) / val_idx.size for beta in betas])
+    return heldout.values(solution.sample(grid)[0]) / val_idx.size
 
 
 def _fork_cpus():

@@ -11,8 +11,10 @@ class LossModel(abc.ABC):
     Implementations provide dim and the value, gradient and Hessian of f.
     The path solver calls these and hessian_columns, whose default takes
     the columns from hessian; a loss overrides it where a few columns cost
-    less than all of them.  constant_hessian declares that H does not
-    depend on x; run_path then traces the path with its exact
+    less than all of them.  `penpath solve` takes path.csv's negloglik
+    column from values, whose default calls value on each row; a loss
+    overrides it where a batch costs less.  constant_hessian declares that
+    H does not depend on x; run_path then traces the path with its exact
     piecewise-linear engine instead of integrating it.
     """
 
@@ -34,6 +36,11 @@ class LossModel(abc.ABC):
     @abc.abstractmethod
     def hessian(self, x):
         ...
+
+    def values(self, xs):
+        """value at each row of xs, an (n, dim) array: an array of n floats,
+        each bitwise the value of its row."""
+        return np.array([self.value(x) for x in xs], dtype=float)
 
     def hessian_columns(self, x, cols):
         """H[:, cols], the Hessian's columns at the coordinates cols (an

@@ -39,6 +39,15 @@ class QuadraticLoss(LossModel):
         x = self._as_param(x)
         return float(0.5 * x @ self.a_mat @ x - self.b @ x + self.c)
 
+    def values(self, xs):
+        # One stacked product per term, in value's order; each row's sums
+        # come out bitwise value's (tests/test_sampling.py checks it).
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected parameters of shape (n, {self.dim}), got {xs.shape}")
+        quadratic = ((0.5 * xs)[:, None, :] @ self.a_mat) @ xs[:, :, None]
+        return quadratic[:, 0, 0] - (xs[:, None, :] @ self.b)[:, 0] + self.c
+
     def gradient(self, x):
         x = self._as_param(x)
         return self.a_mat @ x - self.b

@@ -20,20 +20,29 @@ grid, the minimum of --repeat calls.  It prints, per table:
 and asserts that the bytes written equal a reference formatted cell by cell
 ("%.17g" for each float, "%d" for df) from `PathSolution.sample`.
 
-With --fork-rows N ..., it also times, on N rows spread evenly over each
-grid (so that they hold the path's ties as the whole table does), one serial
-`_sample_rows` call against `_sampled_points` over two slices (one forked
-child), the median of --repeat alternating calls each.  That is the
-break-even the fork threshold `cli._SLICE_MIN_CELLS` is set from.
+With --fork-rows N ..., it also times, on the whole grid and on N rows
+spread evenly over it (so that they hold the path's ties as the whole table
+does), one serial `_sample_rows` call against `_sampled_points` shared by
+two processes (this one and one forked child, whatever the fork threshold),
+the median of --repeat alternating calls each.  For the shared calls it
+also prints the median time of each process's own `_sample_rows` call, this
+process's blocks against the child's, then the same two shares each
+sampled alone, one after the other, which a host whose CPUs are shared with
+other work does not skew; and it asserts that the shared bytes equal the
+serial ones.  Serial against shared is the break-even the fork threshold
+`cli._SLICE_MIN_CELLS` is set from; it needs two usable CPUs.
 """
 
 import argparse
 import io
+import os
 import statistics
 import sys
 import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -82,17 +91,91 @@ def timed(repeat, *fns):
     return times
 
 
-def serial_rows(spec, solution, rhos, scratch):
+class ProcessClock:
+    """Times each cli._sample_rows call while installed, in this process and
+    in the ones it forks, by process id: each call appends a line to a file."""
+
+    def __init__(self, scratch):
+        self.path = Path(scratch) / "clock"
+
+    def install(self):
+        real, path = cli._sample_rows, self.path
+
+        def timed_rows(*args):
+            start = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                with open(path, "a") as log:
+                    log.write(f"{os.getpid()} {time.perf_counter() - start}\n")
+
+        return mock.patch.object(cli, "_sample_rows", timed_rows)
+
+    def take(self):
+        """Seconds by process id since the last take."""
+        seconds = {}
+        if self.path.exists():
+            for line in self.path.read_text().splitlines():
+                pid, elapsed = line.split()
+                seconds[int(pid)] = seconds.get(int(pid), 0.0) + float(elapsed)
+            self.path.unlink()
+        return seconds
+
+
+def split(solution, rhos, cpus):
+    """cli._slices where cpus processes may share rhos, whatever the fork
+    threshold."""
+    with mock.patch.object(cli, "_fork_cpus", lambda: cpus), \
+            mock.patch.object(cli, "_SLICE_MIN_CELLS", 1):
+        blocks, shares = cli._slices(solution, rhos)
+    assert len(shares) == max(cpus, 1)
+    return blocks, shares
+
+
+def sampled_bytes(spec, solution, rhos, scratch, cpus):
+    """path.csv's rows at rhos as `penpath solve` writes them where cpus
+    processes may share them."""
+    blocks, shares = split(solution, rhos, cpus)
+    with ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=scratch)) for _ in shares]
+        written = cli._sampled_points(spec, solution, blocks, shares, parts)
+        out = io.BytesIO()
+        cli._join_parts(out, parts, shares, written)
+    return out.getvalue()
+
+
+def share_rows(spec, solution, rhos, scratch, k):
+    """Process k's share of rhos, of two processes', sampled here alone."""
+    blocks, shares = split(solution, rhos, 2)
     with tempfile.TemporaryFile(dir=scratch) as part:
-        cli._sample_rows(spec, solution, rhos, part)
-        part.seek(0)
-        return part.read()
+        cli._sample_rows(spec, solution, [blocks[i] for i in shares[k]], part)
 
 
-def two_slices(spec, solution, rhos, scratch):
-    slices = np.array_split(rhos, 2)
-    with tempfile.TemporaryFile(dir=scratch) as first, tempfile.TemporaryFile(dir=scratch) as second:
-        cli._sampled_points(spec, solution, slices, [first, second])
+def compare_shared(spec, solution, rhos, scratch, repeat, clock):
+    """Serial against two processes on rhos, each process's own time, and
+    each process's share timed alone."""
+    serial = sampled_bytes(spec, solution, rhos, scratch, 0)
+    assert sampled_bytes(spec, solution, rhos, scratch, 2) == serial
+    with clock.install():
+        own = {"this": [], "child": []}
+
+        def shared():
+            clock.take()  # the other calls'
+            sampled_bytes(spec, solution, rhos, scratch, 2)
+            seconds = clock.take()
+            own["this"].append(seconds.pop(os.getpid()))
+            [child] = seconds.values()
+            own["child"].append(child)
+
+        serial_s, shared_s, first_s, second_s = timed(
+            repeat, lambda: sampled_bytes(spec, solution, rhos, scratch, 0), shared,
+            lambda: share_rows(spec, solution, rhos, scratch, 0),
+            lambda: share_rows(spec, solution, rhos, scratch, 1))
+    ms = lambda seconds: 1e3 * statistics.median(seconds)
+    return (f"{rhos.size} rows ({rhos.size * (solution.p + 5)} cells): serial "
+            f"{ms(serial_s):.1f} ms, two processes {ms(shared_s):.1f} ms (own rows: this "
+            f"process {ms(own['this']):.1f} ms, the child {ms(own['child']):.1f} ms; "
+            f"each alone {ms(first_s):.1f} and {ms(second_s):.1f} ms)")
 
 
 def main(argv=None):
@@ -105,6 +188,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as scratch:
+        clock = ProcessClock(scratch)
         for name in args.workloads:
             for seed in args.seeds:
                 for index in range(args.jobs):
@@ -115,20 +199,21 @@ def main(argv=None):
                     if solution.direction == "backward":
                         rhos = rhos[::-1]
                     expected, betas = reference_bytes(spec, solution, rhos)
-                    assert serial_rows(spec, solution, rhos, scratch) == expected, (name, seed, index)
-                    [seconds] = timed(args.repeat, lambda: serial_rows(spec, solution, rhos, scratch))
+                    assert sampled_bytes(spec, solution, rhos, scratch, 0) == expected, \
+                        (name, seed, index)
+                    [seconds] = timed(args.repeat,
+                                      lambda: sampled_bytes(spec, solution, rhos, scratch, 0))
                     distinct, repeat = shares(betas)
                     print(f"{name} seed {seed} job {index}: {rhos.size} rows, {betas.size} "
                           f"coefficient cells, serial {1e3 * min(seconds):.1f} ms, "
                           f"distinct share {distinct:.3f}, repeat share {repeat:.3f}", flush=True)
+                    if args.fork_rows:
+                        print("    whole grid, " + compare_shared(
+                            spec, solution, rhos, scratch, args.repeat, clock), flush=True)
                     for rows in args.fork_rows:
                         spread = rhos[np.linspace(0, rhos.size - 1, rows).round().astype(int)]
-                        serial, forked = timed(args.repeat,
-                                               lambda: serial_rows(spec, solution, spread, scratch),
-                                               lambda: two_slices(spec, solution, spread, scratch))
-                        print(f"    {spread.size} rows ({spread.size * (solution.p + 5)} cells): serial "
-                              f"{1e3 * statistics.median(serial):.1f} ms, two slices "
-                              f"{1e3 * statistics.median(forked):.1f} ms", flush=True)
+                        print("    " + compare_shared(spec, solution, spread, scratch, args.repeat,
+                                                      clock), flush=True)
     print("bytes equal the per-cell reference on every table")
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from penpath import cli
 from penpath.cli import main
 from penpath.errors import PenPathError
 from penpath.oracles import glasso_coordinate
+from penpath.problemspec import parse_problem_spec
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -529,6 +532,75 @@ def test_solve_forked_and_serial_outputs_are_byte_identical(tmp_path, monkeypatc
     assert_no_child_left()
 
 
+def deal(monkeypatch, cpus, block_rows):
+    # share grids of any size among up to three processes, in blocks of block_rows
+    monkeypatch.setattr(cli, "_fork_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_SLICE_MIN_CELLS", 1)
+    monkeypatch.setattr(cli, "_MAX_SLICES", 3)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+
+
+# (grid rows, usable CPUs, _BLOCK_ROWS) -> processes and the blocks' row counts
+SPLITS = {
+    "one_process": ((100, 0, 32), 1, [32, 32, 32, 4]),
+    "two_processes_short_last_block": ((100, 2, 32), 2, [32, 32, 32, 4]),
+    "three_processes": ((100, 3, 32), 3, [32, 32, 32, 4]),
+    "whole_blocks": ((96, 2, 32), 2, [32, 32, 32]),
+    "fewer_blocks_than_processes": ((40, 3, 32), 3, [13, 13, 13, 1]),
+    "one_block_for_three": ((25, 3, 32), 3, [8, 8, 8, 1]),
+    "fewer_rows_than_processes": ((2, 3, 32), 2, [1, 1]),
+    "one_row": ((1, 2, 32), 1, [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLITS))
+def test_slices_deal_every_block_to_exactly_one_process(monkeypatch, case):
+    (rows, cpus, block_rows), processes, sizes = SPLITS[case]
+    deal(monkeypatch, cpus, block_rows)
+    grid = np.arange(rows, dtype=float)
+    solution = type("Solution", (), {"p": 3})()
+    blocks, shares = cli._slices(solution, grid)
+    assert [block.size for block in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), grid)
+    assert len(shares) == processes and all(len(share) > 0 for share in shares)
+    assert sorted(index for share in shares for index in share) == list(range(len(blocks)))
+    # round-robin: process k takes blocks k, k + n, k + 2n, ...
+    assert [list(share) for share in shares] == [
+        list(range(k, len(blocks), processes)) for k in range(processes)
+    ]
+
+
+@pytest.mark.parametrize("cpus, block_rows", [(0, 32), (2, 7), (3, 7), (3, 64)],
+                         ids=["one_process", "two_processes", "three_processes",
+                              "fewer_blocks_than_processes"])
+def test_shared_rows_merge_in_grid_order(tmp_path, monkeypatch, cpus, block_rows):
+    spec = parse_problem_spec(regression_spec(tmp_path))
+    solution = cli._checked_path(spec, spec.options)
+    grid = solution.rho_grid(spec.samples_per_segment)  # 61 rows
+    with tempfile.TemporaryFile(dir=tmp_path) as part:
+        cli._sample_rows(spec, solution, [grid], part)
+        part.seek(0)
+        serial = part.read()
+    deal(monkeypatch, cpus, block_rows)
+    forks = count_forks(monkeypatch)
+    blocks, shares = cli._slices(solution, grid)
+    assert len(shares) == max(cpus, 1)
+    joined = io.BytesIO()
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=tmp_path)) for _ in shares]
+        written = cli._sampled_points(spec, solution, blocks, shares, parts)
+        cli._join_parts(joined, parts, shares, written)
+    assert joined.getvalue() == serial
+    assert len(forks) == len(shares) - 1
+    assert_no_child_left()
+    assert [rho for rows, _ in written for rho, _, _ in rows] == grid.tolist()
+    lines = serial.splitlines(keepends=True)
+    starts = np.cumsum([0] + [block.size for block in blocks])
+    assert [size for _, size in written] == [
+        len(b"".join(lines[start:stop])) for start, stop in zip(starts, starts[1:])
+    ]
+
+
 def test_solve_forks_only_under_one_blas_thread_and_above_the_cell_threshold(tmp_path, monkeypatch):
     spec = regression_spec(tmp_path)
     forks = count_forks(monkeypatch)
@@ -618,6 +690,43 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     assert err.startswith("solver error: sampling failed beyond rho=") and err.count("\n") == 1
     # every row before the failure warned once, in row order, the child's too
     assert shown == [f"row at rho={rho!r}" for rho in rhos.tolist() if rho <= bound]
+    assert seen["1"] == seen["2"]
+
+
+@pytest.mark.parametrize("cpus, block_rows, failing", [(2, 5, 0.5), (3, 7, 0.3), (3, 4, 0.8)])
+def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before_it(
+    tmp_path, monkeypatch, capsys, cpus, block_rows, failing
+):
+    # rows from a point inside the grid on fail, whichever process samples them
+    spec = regression_spec(tmp_path)
+    assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
+    rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
+    bound = rhos[int(failing * rhos.size)]
+    real_lookup = penpath.path.PathSolution._segment_for
+
+    def lookup(self, rho):
+        if rho > bound:
+            raise PenPathError(f"failed at rho={float(rho)!r}")
+        warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
+        return real_lookup(self, rho)
+
+    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    fork_small_tables(monkeypatch, cpus=cpus, max_slices=3)
+    forks = count_forks(monkeypatch)
+    capsys.readouterr()
+    seen = {}
+    for threads in ("2", "1"):  # one serial pass, then shared blocks
+        set_blas_threads(monkeypatch, threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", spec, "--out", str(tmp_path / f"threads{threads}")]) == 2
+        seen[threads] = (capsys.readouterr().err, [str(w.message) for w in caught])
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    first = float(rhos[rhos > bound][0])
+    assert seen["2"] == (f"solver error: failed at rho={first!r}\n",
+                         [f"row at rho={rho!r}" for rho in rhos.tolist() if rho <= bound])
     assert seen["1"] == seen["2"]
 
 

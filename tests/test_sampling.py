@@ -394,6 +394,49 @@ def test_solve_path_csv_is_the_per_cell_format_of_the_samples(tmp_path, monkeypa
     assert (out / "path.csv").read_text() == legacy_path_csv(spec, solution)
 
 
+def assert_values_are_value_row_by_row(model, xs):
+    values = model.values(xs)
+    assert values.shape == (len(xs),)
+    assert values.view(np.int64).tolist() == [
+        np.float64(model.value(x)).view(np.int64) for x in xs
+    ]
+
+
+QUADRATIC_CASES = sorted(case.name for case in GOLDEN.iterdir()
+                         if json.loads((case / "spec.json").read_text())["loss"]["kind"] == "quadratic")
+
+
+@pytest.mark.parametrize("case", QUADRATIC_CASES)
+def test_quadratic_values_are_value_bitwise_on_the_sampled_path(case):
+    spec = parse_problem_spec(str(GOLDEN / case / "spec.json"))
+    solution = run_path(spec.model, spec.constraints, spec.options)
+    betas = solution.sample(solution.rho_grid(spec.samples_per_segment))[0]
+    assert_values_are_value_row_by_row(spec.model, betas)
+    assert_values_are_value_row_by_row(spec.model, betas[::7])  # strided rows
+
+
+@pytest.mark.parametrize("p", [1, 2, 80, 150])
+def test_quadratic_values_are_value_bitwise_on_random_tables(p):
+    rng = np.random.default_rng(p)
+    design = rng.normal(size=(2 * p, p))
+    models = [QuadraticLoss.from_least_squares(design, rng.normal(size=2 * p)),
+              QuadraticLoss.from_target(rng.normal(size=p))]
+    xs = rng.normal(size=(1500, p))
+    xs[::3, ::2] = 0.0
+    for model in models:
+        assert_values_are_value_row_by_row(model, xs)
+        assert model.values(xs[:0]).shape == (0,)
+        with pytest.raises(ValueError, match="expected parameters of shape"):
+            model.values(xs[:, :-1] if p > 1 else xs[0])
+
+
+def test_default_values_call_value_on_each_row():
+    model = GlmLoss(np.eye(3), np.array([1.0, 0.0, 1.0]), "logistic")
+    xs = np.random.default_rng(2).normal(size=(5, 3))
+    assert "values" not in GlmLoss.__dict__
+    assert_values_are_value_row_by_row(model, xs)
+
+
 def write_spec(directory, body):
     path = directory / "spec.json"
     path.write_text(json.dumps(body))
