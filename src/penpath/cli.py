@@ -23,11 +23,14 @@ them while this process solves the full-data path, and `solve` cuts the
 sample grid into blocks of rows and deals them round-robin, this process
 sampling and formatting blocks 0, 2, 4, ... of path.csv while one child
 does blocks 1, 3, 5, ... (a table too small to pay for a fork stays here).
-Each child returns its results, warnings and errors through a pipe; they
-are reported in fold or row order, each warning shown as often as a serial
-run shows it, and the files written are byte for byte those of a serial
-run.  Otherwise all the work runs one step after another here.  The
-`penpath` console script (penpath_entry) defaults both variables to 1.
+Otherwise all the work runs one step after another here.  path.csv's
+blocks, forked or not, and forked folds go through one loop (_each) in
+each process, which keeps each one's result or error and the warnings it
+issued, and stops at the first error; a child returns them through a
+pipe.  They are reported in block or fold order (_in_order), each warning
+shown as often as a serial run shows it, so the warnings, the error and
+the files written are those of a serial run.  The `penpath` console
+script (penpath_entry) defaults both variables to 1.
 
 Exit codes: 0 success, 1 malformed or inconsistent problem input (a
 command-line usage error included), 2 solver failure.  Nothing is written
@@ -127,30 +130,18 @@ def _path_csv_header(p):
     return "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic\n"
 
 
-def _sample_rows(spec, solution, blocks, part):
-    """Sample the path at the rhos of blocks, a list of arrays, in one
-    PathSolution.sample call, and write each block's rows (rho, beta, df,
-    negloglik, aic, bic), as path.csv holds them, to the binary file part
-    with one write.  Returns, for each block, its rows' (rho, aic, bic) and
-    the number of bytes written."""
-    rhos = np.concatenate(blocks)
-    betas, dfs = solution.sample(rhos)
-    written = []
-    start = 0
-    for block in blocks:
-        rows = slice(start, start + block.size)
-        start += block.size
-        values = spec.model.values(betas[rows])
-        # df counts coordinates, and "%.17g" writes a whole float as "%d"
-        # writes the int.
-        df = np.array(dfs[rows], dtype=float)
-        aic, bic = information_criteria(-values, df, spec.n_observations)
-        table = np.column_stack([block, betas[rows], df, values, aic, bic])
-        data = "".join(_csv_block(table)).encode()
-        part.write(data)
-        written.append((list(zip(block.tolist(), aic.tolist(), bic.tolist())), len(data)))
-    part.flush()
-    return written
+def _block_rows(spec, solution, block):
+    """path.csv's rows (rho, beta, df, negloglik, aic, bic) at the rhos of
+    block: their (rho, aic, bic) and their bytes, as path.csv holds them."""
+    betas, dfs = solution.sample(block)
+    values = spec.model.values(betas)
+    # df counts coordinates, and "%.17g" writes a whole float as "%d" writes
+    # the int.
+    df = np.array(dfs, dtype=float)
+    aic, bic = information_criteria(-values, df, spec.n_observations)
+    table = np.column_stack([block, betas, df, values, aic, bic])
+    data = "".join(_csv_block(table)).encode()
+    return list(zip(block.tolist(), aic.tolist(), bic.tolist())), data
 
 
 def _kinks_jsonl(solution):
@@ -270,9 +261,13 @@ def _run_solve(args):
 _SLICE_MIN_CELLS = 15000
 
 # At most this many processes share path.csv: the gain was measured only
-# with two, on a 2-CPU host.  Each fork costs the parent about 3-4 ms
-# before it starts on its own blocks (at 94 MB resident, forking 1 to 8
-# children), so more processes are unmeasured and may not pay.
+# with two, on a 2-CPU host, and sharing costs more than the fork.  Two
+# processes took 7-24 ms longer than the slower one's own blocks on rows
+# spread over the grid (150 to 600 of them) and 16-33 ms longer on whole
+# grids (tests/bench_output.py --fork-rows, one BLAS thread, medians of 41
+# alternating calls on job 0 of seeds 3 and 11 of fused_fsa and lasso_ls,
+# on a host whose CPUs other work shared), so more processes are
+# unmeasured and may not pay.
 _MAX_SLICES = 2
 
 
@@ -293,43 +288,22 @@ def _slices(solution, grid):
     return blocks, [range(k, len(blocks), count) for k in range(count)]
 
 
-def _slice_work(spec, solution, blocks, share, part):
-    """A process's work where several share path.csv: _sample_rows over the
-    blocks numbered in share, as {block: (warnings, result)}, a result being
-    the exception that ended the work, if one did.
-
-    One sample call serves every block, unless it warns or fails: then the
-    blocks are sampled again one at a time, so that each warning and the
-    error are told to the block that issued them, up to the first failure.
-    """
-    caught = []
-    result = _recorded(caught, _sample_rows, spec, solution, [blocks[i] for i in share], part)
-    if not caught and not isinstance(result, Exception):
-        return {index: ([], rows) for index, rows in zip(share, result)}
-    part.seek(0)
-    part.truncate()
-    outcomes = {}
-    for index in share:
-        caught = []
-        result = _recorded(caught, _sample_rows, spec, solution, [blocks[index]], part)
-        failed = isinstance(result, Exception)
-        outcomes[index] = (caught, result if failed else result[0])
-        if failed:
-            break
-    return outcomes
-
-
 def _sampled_points(spec, solution, blocks, shares, parts):
-    """Each share's blocks written to its part, the first share by this
-    process and each other one by a forked process; returns, in block order,
-    each block's rows' (rho, aic, bic) and byte count.  Warnings and errors
-    are reported as a serial run would, block by block."""
-    if len(shares) == 1:
-        return _sample_rows(spec, solution, blocks, parts[0])
-    works = [partial(_slice_work, spec, solution, blocks, shares[k], parts[k])
-             for k in range(1, len(shares))]
-    local = partial(_slice_work, spec, solution, blocks, shares[0], parts[0])
-    mine, outcomes = _forked(works, local)
+    """Each share's blocks sampled one at a time and written to its part,
+    the first share by this process and each other one by a forked process
+    (none where there is one share); returns, in block order, each block's
+    rows' (rho, aic, bic) and byte count.  Each block's warnings are issued
+    again, and the first failing block's error raised, in block order,
+    whichever process sampled them."""
+
+    def write(part, index):
+        rows, data = _block_rows(spec, solution, blocks[index])
+        part.write(data)
+        part.flush()
+        return rows, len(data)
+
+    works = [partial(_each, share, partial(write, part)) for share, part in zip(shares, parts)]
+    mine, outcomes = _forked(works[1:], works[0])
     outcomes.update(mine)
     return _in_order(outcomes, range(len(blocks)),
                      lambda index: f"sampling block {index + 1} of path.csv")
@@ -387,16 +361,21 @@ def _fork_cpus():
     return cpus if cpus > 1 else 0
 
 
-def _recorded(caught, fn, *args):
-    """fn(*args), or the exception it raised; the warnings it issued are
-    appended to caught as showwarning arguments."""
-    with warnings.catch_warnings(record=True) as issued:
-        try:
-            result = fn(*args)
-        except Exception as exc:  # reported to the parent, which raises it
-            result = exc
-    caught.extend((w.message, w.category, w.filename, w.lineno) for w in issued)
-    return result
+def _each(keys, task):
+    """task(key) for each of keys in order, up to the first that raises, as
+    {key: (warnings, result)}: the warnings each call issued, as showwarning
+    arguments, and its return value or the exception it raised."""
+    outcomes = {}
+    for key in keys:
+        with warnings.catch_warnings(record=True) as issued:
+            try:
+                result = task(key)
+            except Exception as exc:  # raised by _in_order, in key order
+                result = exc
+        outcomes[key] = ([(w.message, w.category, w.filename, w.lineno) for w in issued], result)
+        if isinstance(result, Exception):
+            break
+    return outcomes
 
 
 def _close(*fds):
@@ -506,11 +485,12 @@ def _forked(works, local, send=False):
 
 
 def _in_order(outcomes, keys, task):
-    """The results of outcomes' keys in order, as a serial run reports them:
-    issue each key's warnings again, and raise the first key's error.  A
-    work stops at its first error, so a key with no outcome comes after a
-    failure, unless its process died; task(key) names the work for that
-    case."""
+    """The results of outcomes' keys in order, outcomes merging the _each
+    entries of every process: issue each key's warnings again and raise the
+    first key's error, as one process running the keys in order reports
+    them.  _each stops at its first error, so a key with no outcome comes
+    after a failure, unless its process died; task(key) names the work for
+    that case."""
     modules = {m.__file__: m for m in list(sys.modules.values()) if getattr(m, "__file__", None)}
     registries = {}
     results = []
@@ -545,30 +525,14 @@ def _fold_work(spec, folds, mine, receive):
     work at once, without waiting for the grid: its entry holds the
     exception in place of a curve, and the folds solved before it hold None.
     """
-    caught = {index: [] for index in mine}
-    results = {}
-    for index in mine:
-        results[index] = _recorded(caught[index], _fold_path, spec, folds[index])
-        if isinstance(results[index], Exception):
-            results = {i: r if i == index else None for i, r in results.items()}
-            break
-    else:
-        grid = receive()
-        for index in mine:
-            results[index] = _recorded(
-                caught[index], _held_out_curve, spec, folds[index], results[index], grid
-            )
-    return {i: (caught[i], r) for i, r in results.items()}
-
-
-def _forked_curves(spec, folds, workers):
-    """The grid and every fold's held-out curve, the fold paths solved in
-    forked processes while this one solves the full-data path.  With more
-    folds than processes the folds are dealt round-robin."""
-    k = len(folds)
-    works = [partial(_fold_work, spec, folds, range(w, k, workers)) for w in range(workers)]
-    grid, outcomes = _forked(works, partial(_full_grid, spec), send=True)
-    return grid, _in_order(outcomes, range(k), lambda index: f"solving fold {index + 1}")
+    paths = _each(mine, lambda index: _fold_path(spec, folds[index]))
+    *_, (_, last) = paths.values()
+    if isinstance(last, Exception):
+        return {index: (caught, last if path is last else None)
+                for index, (caught, path) in paths.items()}
+    grid = receive()
+    curves = _each(mine, lambda index: _held_out_curve(spec, folds[index], paths[index][1], grid))
+    return {index: (paths[index][0] + caught, curve) for index, (caught, curve) in curves.items()}
 
 
 def _run_crossval(args):
@@ -587,7 +551,10 @@ def _run_crossval(args):
     folds = np.array_split(rng.permutation(n), k)
     workers = min(k, _fork_cpus())
     if workers:
-        grid, curves = _forked_curves(spec, folds, workers)
+        # folds dealt round-robin where there are more of them than processes
+        works = [partial(_fold_work, spec, folds, range(w, k, workers)) for w in range(workers)]
+        grid, outcomes = _forked(works, partial(_full_grid, spec), send=True)
+        curves = _in_order(outcomes, range(k), lambda index: f"solving fold {index + 1}")
     else:
         grid = _full_grid(spec)
         curves = [

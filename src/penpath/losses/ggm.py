@@ -55,13 +55,12 @@ class GaussianGraphicalLoss(LossModel):
         return np.flatnonzero(self.rows != self.cols)
 
     def _inverse(self, x):
-        omega = self.to_matrix(x)
         try:
-            factor = cho_factor(omega)
+            factor = cho_factor(self.to_matrix(x))
         except np.linalg.LinAlgError:
             raise DomainError("precision matrix is not positive definite") from None
         inv = cho_solve(factor, np.eye(self.p))
-        return omega, 0.5 * (inv + inv.T), factor
+        return 0.5 * (inv + inv.T)
 
     def value(self, x):
         omega = self.to_matrix(x)
@@ -73,7 +72,7 @@ class GaussianGraphicalLoss(LossModel):
         return float(-logdet + np.sum(self.sample_cov * omega))
 
     def gradient(self, x):
-        _, inv, _ = self._inverse(x)
+        inv = self._inverse(x)
         grad_mat = self.sample_cov - inv
         return self._mult * grad_mat[self.rows, self.cols]
 
@@ -95,14 +94,14 @@ class GaussianGraphicalLoss(LossModel):
         return h
 
     def hessian(self, x):
-        _, inv, _ = self._inverse(x)
+        inv = self._inverse(x)
         h = self._rows(inv, np.arange(self.dim))
         return 0.5 * (h + h.T)
 
     def hessian_columns(self, x, cols):
         # inv is exactly symmetric, so _rows is too: its rows cols are the
         # columns cols of hessian's matrix, bit for bit.
-        _, inv, _ = self._inverse(x)
+        inv = self._inverse(x)
         return self._rows(inv, np.asarray(cols, dtype=int)).T
 
     def newton_start(self):

@@ -127,8 +127,6 @@ class IntegrationResult:
 
     steps: list
     status: str
-    t0: float
-    y0: np.ndarray
     t_end: float
     y_end: np.ndarray
     event_rows: Optional[np.ndarray] = None
@@ -446,7 +444,7 @@ def integrate(
 
     steps = []
     result = IntegrationResult(
-        steps=steps, status="reached_t_max", t0=t0, y0=y0.copy(), t_end=t0, y_end=y0.copy()
+        steps=steps, status="reached_t_max", t_end=t0, y_end=y0.copy()
     )
 
     while not stepper.finished:

@@ -823,7 +823,7 @@ class _SegmentContext:
         self.reduced_rows = self.elim.reduce_rows(self.general_rows)
         self.qr = None
         if mode == "nullspace" and self.reduced_rows.shape[0]:
-            self.qr = null_basis(self.reduced_rows, self.reduced_rows.shape[1])
+            self.qr = null_basis(self.reduced_rows)
         self.beta0 = np.asarray(beta0, dtype=float).copy()
         self._cache = {}
         self.release()
@@ -1354,7 +1354,7 @@ def _firing_times(start, falls_to, tol, t0, t_max):
 def _constrained_minimum(model, v_mat, d):
     """Minimize f subject to V beta = d by Newton in the null space of V."""
     part = np.linalg.lstsq(v_mat, d, rcond=None)[0]
-    basis = null_basis(v_mat, v_mat.shape[1]).basis
+    basis = null_basis(v_mat).basis
     if basis.shape[1] == 0:
         return part
     value = lambda z: model.value(part + basis @ z)

@@ -135,8 +135,6 @@ class KKTFactor:
     def __init__(self, h_factor, u_active):
         p = h_factor[0].shape[0]
         u_active = np.asarray(u_active, dtype=float)
-        if u_active.ndim != 2:
-            u_active = u_active.reshape(-1, p)
         if u_active.ndim != 2 or u_active.shape[1] != p:
             raise ValueError("active rows do not match state dimension")
         m = u_active.shape[0]
@@ -224,7 +222,7 @@ class NullBasis:
         return solve_triangular(self.r_factor, -(self.range_basis.T @ vec), check_finite=False)
 
 
-def null_basis(u_active, p=None):
+def null_basis(u_active):
     """Complete QR of the (m, p) active row matrix's transpose.
 
     With m = 0 rows the null-space basis is the identity; with m = p it is
@@ -232,8 +230,6 @@ def null_basis(u_active, p=None):
     for identical input.
     """
     u_active = np.asarray(u_active, dtype=float)
-    if u_active.ndim != 2:
-        u_active = u_active.reshape(-1, p or 0)
     m, p = u_active.shape
     if m == 0:
         return NullBasis(u_active, np.eye(p), np.zeros((p, 0)), np.zeros((0, 0)))

@@ -9,8 +9,9 @@ with one BLAS thread:
 For jobs 0 .. jobs-1 of each seed of each benchmark workload
 (perfbench/workloads.make_job, full size), it solves the path of the job's
 spec as `penpath solve` does (logistic_cv's crossval job: its full-data
-path), then times one serial `cli._sample_rows` call over the whole sample
-grid, the minimum of --repeat calls.  It prints, per table:
+path), then times `cli._sampled_points` in this process alone over the
+whole sample grid (`cli._block_rows` on each block of rows in turn), the
+minimum of --repeat calls.  It prints, per table:
 
     rows, coefficient cells, the seconds of the serial call,
     distinct share   distinct coefficient values (by bits) / coefficient cells
@@ -22,15 +23,17 @@ and asserts that the bytes written equal a reference formatted cell by cell
 
 With --fork-rows N ..., it also times, on the whole grid and on N rows
 spread evenly over it (so that they hold the path's ties as the whole table
-does), one serial `_sample_rows` call against `_sampled_points` shared by
-two processes (this one and one forked child, whatever the fork threshold),
-the median of --repeat alternating calls each.  For the shared calls it
-also prints the median time of each process's own `_sample_rows` call, this
-process's blocks against the child's, then the same two shares each
-sampled alone, one after the other, which a host whose CPUs are shared with
-other work does not skew; and it asserts that the shared bytes equal the
-serial ones.  Serial against shared is the break-even the fork threshold
-`cli._SLICE_MIN_CELLS` is set from; it needs two usable CPUs.
+does), `_sampled_points` in this process alone against the same call
+shared by two processes (this one and one forked child, whatever the fork
+threshold), the median of --repeat alternating calls each.  For the shared
+calls it also prints the median time each process took over its own
+blocks (its `cli._each` call), this process's against the child's, then
+the same two shares each sampled alone, one after the other, which a host
+whose CPUs are shared with other work does not skew; and it asserts that
+the shared bytes equal the serial ones.  Serial against shared is the
+break-even the fork threshold `cli._SLICE_MIN_CELLS` is set from, and the
+shared time less the slower process's own is what sharing costs; it needs
+two usable CPUs.
 """
 
 import argparse
@@ -92,16 +95,16 @@ def timed(repeat, *fns):
 
 
 class ProcessClock:
-    """Times each cli._sample_rows call while installed, in this process and
-    in the ones it forks, by process id: each call appends a line to a file."""
+    """Times each cli._each call while installed, in this process and in the
+    ones it forks, by process id: each call appends a line to a file."""
 
     def __init__(self, scratch):
         self.path = Path(scratch) / "clock"
 
     def install(self):
-        real, path = cli._sample_rows, self.path
+        real, path = cli._each, self.path
 
-        def timed_rows(*args):
+        def timed_share(*args):
             start = time.perf_counter()
             try:
                 return real(*args)
@@ -109,7 +112,7 @@ class ProcessClock:
                 with open(path, "a") as log:
                     log.write(f"{os.getpid()} {time.perf_counter() - start}\n")
 
-        return mock.patch.object(cli, "_sample_rows", timed_rows)
+        return mock.patch.object(cli, "_each", timed_share)
 
     def take(self):
         """Seconds by process id since the last take."""
@@ -148,7 +151,9 @@ def share_rows(spec, solution, rhos, scratch, k):
     """Process k's share of rhos, of two processes', sampled here alone."""
     blocks, shares = split(solution, rhos, 2)
     with tempfile.TemporaryFile(dir=scratch) as part:
-        cli._sample_rows(spec, solution, [blocks[i] for i in shares[k]], part)
+        for index in shares[k]:
+            part.write(cli._block_rows(spec, solution, blocks[index])[1])
+            part.flush()
 
 
 def compare_shared(spec, solution, rhos, scratch, repeat, clock):

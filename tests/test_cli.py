@@ -578,7 +578,7 @@ def test_shared_rows_merge_in_grid_order(tmp_path, monkeypatch, cpus, block_rows
     solution = cli._checked_path(spec, spec.options)
     grid = solution.rho_grid(spec.samples_per_segment)  # 61 rows
     with tempfile.TemporaryFile(dir=tmp_path) as part:
-        cli._sample_rows(spec, solution, [grid], part)
+        part.write(cli._block_rows(spec, solution, grid)[1])
         part.seek(0)
         serial = part.read()
     deal(monkeypatch, cpus, block_rows)
@@ -693,24 +693,37 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     assert seen["1"] == seen["2"]
 
 
-@pytest.mark.parametrize("cpus, block_rows, failing", [(2, 5, 0.5), (3, 7, 0.3), (3, 4, 0.8)])
+@pytest.mark.parametrize("cpus, block_rows, failing, where", [
+    (2, 5, 0.5, "lookup"), (3, 7, 0.3, "lookup"), (3, 4, 0.8, "lookup"),
+    (2, 6, 0.3, "formatting"), (3, 5, 0.7, "formatting"),
+], ids=["2-5-0.5", "3-7-0.3", "3-4-0.8", "2-6-0.3-formatting", "3-5-0.7-formatting"])
 def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before_it(
-    tmp_path, monkeypatch, capsys, cpus, block_rows, failing
+    tmp_path, monkeypatch, capsys, cpus, block_rows, failing, where
 ):
-    # rows from a point inside the grid on fail, whichever process samples them
+    # rows from a point inside the grid on fail, whichever process samples
+    # them: in their segment lookup, or once their whole block is sampled,
+    # when it is formatted
     spec = regression_spec(tmp_path)
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
     bound = rhos[int(failing * rhos.size)]
     real_lookup = penpath.path.PathSolution._segment_for
+    real_csv_block = cli._csv_block
 
     def lookup(self, rho):
-        if rho > bound:
+        if where == "lookup" and rho > bound:
             raise PenPathError(f"failed at rho={float(rho)!r}")
         warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
         return real_lookup(self, rho)
 
+    def csv_block(table):
+        beyond = table[table[:, 0] > bound, 0]
+        if beyond.size:
+            raise PenPathError(f"failed at rho={float(beyond[0])!r}")
+        return real_csv_block(table)
+
     monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
+    monkeypatch.setattr(cli, "_csv_block", csv_block)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     fork_small_tables(monkeypatch, cpus=cpus, max_slices=3)
     forks = count_forks(monkeypatch)
@@ -724,9 +737,12 @@ def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before
         seen[threads] = (capsys.readouterr().err, [str(w.message) for w in caught])
     assert len(forks) == cpus - 1
     assert_no_child_left()
-    first = float(rhos[rhos > bound][0])
-    assert seen["2"] == (f"solver error: failed at rho={first!r}\n",
-                         [f"row at rho={rho!r}" for rho in rhos.tolist() if rho <= bound])
+    first = int(np.argmax(rhos > bound))
+    # each row sampled before the failure warned once, in row order: where
+    # formatting fails, every row of the failing block was sampled
+    sampled = first if where == "lookup" else (first // block_rows + 1) * block_rows
+    assert seen["2"] == (f"solver error: failed at rho={float(rhos[first])!r}\n",
+                         [f"row at rho={rho!r}" for rho in rhos[:sampled].tolist()])
     assert seen["1"] == seen["2"]
 
 

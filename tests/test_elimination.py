@@ -151,9 +151,9 @@ def test_eliminated_factor_matches_the_full_factors(seed):
         np.testing.assert_allclose(direct.direction(u), full.direction(u), atol=1e-10)
         np.testing.assert_allclose(direct.multipliers(vec), full.multipliers(vec), atol=1e-10)
 
-    qr = null_basis(rows, p)
+    qr = null_basis(rows)
     nullspace = EliminatedFactor(
-        elim, NullspaceFactor(null_basis(reduced, elim.size), lambda: elim.reduce_hessian(h)),
+        elim, NullspaceFactor(null_basis(reduced), lambda: elim.reduce_hessian(h)),
         general,
     )
     np.testing.assert_allclose(nullspace.direction(u), full.direction(u), atol=1e-10)
@@ -208,7 +208,7 @@ def test_identity_elimination_equals_the_unreduced_factors(case, mode, h_factor)
     if mode == "direct":
         reference = KKTFactor(hessian_factor(h), rows)
     else:
-        reference = NullspaceFactor(null_basis(rows, cs.dim), lambda: h)
+        reference = NullspaceFactor(null_basis(rows), lambda: h)
     for vec in (rng.standard_normal(cs.dim), rng.standard_normal((cs.dim, 2))):
         assert bitwise(factor.direction(vec), reference.direction(vec))
         assert bitwise(factor.multipliers(vec), reference.multipliers(vec))
@@ -373,7 +373,7 @@ def test_dependent_pins_and_ties_are_rank_deficient(pin_all):
     reduced = elim.reduce_rows(general)
     with pytest.raises(RankDeficientActiveSet):
         KKTFactor(cho_factor(elim.reduce_hessian(h)), reduced)
-    factor = EliminatedFactor(elim, NullspaceFactor(null_basis(reduced, elim.size), None), general)
+    factor = EliminatedFactor(elim, NullspaceFactor(null_basis(reduced), None), general)
     with pytest.raises(RankDeficientActiveSet):
         factor.multipliers(np.ones(cs.dim))
 

@@ -325,7 +325,7 @@ def test_newton_logconcave_density_normalizes():
 def ggm_loop_hessian(model, x):
     """The GGM Hessian one column at a time: column k is the symmetric-pair
     gather of d(Omega^-1) along coordinate k's basis matrix."""
-    _, inv, _ = model._inverse(x)
+    inv = model._inverse(x)
     q = model.dim
     h = np.empty((q, q))
     for k in range(q):

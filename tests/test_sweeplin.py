@@ -111,8 +111,8 @@ def test_null_basis_multipliers_match_least_squares():
         u = rng.standard_normal((m, p))
         cols = u.T @ rng.standard_normal((m, 2))
         expect = np.linalg.lstsq(u.T, -cols, rcond=None)[0]
-        np.testing.assert_allclose(null_basis(u, p=p).multipliers(cols), expect, atol=1e-9)
-        np.testing.assert_allclose(null_basis(u, p=p).multipliers(cols[:, 0]), expect[:, 0], atol=1e-9)
+        np.testing.assert_allclose(null_basis(u).multipliers(cols), expect, atol=1e-9)
+        np.testing.assert_allclose(null_basis(u).multipliers(cols[:, 0]), expect[:, 0], atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +131,7 @@ def test_null_basis_properties():
         p = int(rng.integers(2, 9))
         m = int(rng.integers(0, p))
         u = rng.standard_normal((m, p))
-        nb = null_basis(u, p=p)
+        nb = null_basis(u)
         assert isinstance(nb, NullBasis)
         assert nb.basis.shape == (p, p - m)
         np.testing.assert_allclose(nb.basis.T @ nb.basis, np.eye(p - m), atol=1e-12)
@@ -140,7 +140,7 @@ def test_null_basis_properties():
 
 
 def test_null_basis_edge_sizes():
-    assert null_basis(np.zeros((0, 3)), p=3).basis.shape == (3, 3)
+    assert null_basis(np.zeros((0, 3))).basis.shape == (3, 3)
     nb = null_basis(np.eye(4))
     assert nb.basis.shape == (4, 0)
 
