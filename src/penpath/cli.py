@@ -145,19 +145,7 @@ def _block_rows(spec, solution, block):
 
 
 def _kinks_jsonl(solution):
-    lines = []
-    for k in solution.kinks:
-        entry = {
-            "rho": k.rho,
-            "kind": k.kind,
-            "row_kind": k.row_kind,
-            "index": k.index,
-            "from_set": k.from_set,
-            "to_set": k.to_set,
-            "boundary": k.boundary,
-            "df_after": k.df_after,
-        }
-        lines.append(json.dumps(entry, sort_keys=True))
+    lines = [json.dumps(vars(k) | {"kind": k.kind}, sort_keys=True) for k in solution.kinks]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -59,9 +59,11 @@ exact pin values and exact ties.
 One segment context per segment holds the formulation's per-point factor
 and the one coefficient evaluator, r_Z = -Q^T (grad f / rho + u) with its
 limit H dbeta/drho + u below RHO_FLOOR, which the events, the exact
-engine's closed form and every lookup on a finished path use.  Both engines
-end a segment through one step, which checks the beta_bound guard, picks the
-first event of a cluster, records the segment and applies the kink.
+engine's closed form and every lookup on a finished path use, and in the
+ODE engine the segment's integrated chunks.  Every segment, a zero-length one
+too, ends through one step (_PathRunner._close), which checks the beta_bound
+guard, picks the first event of a cluster, records the segment and applies
+the kink.
 
 What a kink does not change is carried across it.  The system's stacked
 rows [V; W] and their shapes are formed once per system, and the constant
@@ -173,14 +175,7 @@ class SetConfiguration:
 
     def active_rows(self, cs):
         """Stacked active rows [V_Z; W_Z], equality block first."""
-        parts = []
-        if self.zero_eq:
-            parts.append(cs.v_mat[list(self.zero_eq)])
-        if self.zero_ineq:
-            parts.append(cs.w_mat[list(self.zero_ineq)])
-        if not parts:
-            return np.zeros((0, cs.dim))
-        return np.vstack(parts)
+        return cs.stacked_rows[0][list(self.zero_eq) + [cs.n_eq + i for i in self.zero_ineq]]
 
     def inactive_subgradient(self, cs):
         """Fixed direction u = sum of signed inactive rows (_SetState.u)."""
@@ -451,41 +446,13 @@ class Kink:
         return "coefficient_hit"
 
 
-class _SegmentTrace:
-    """Dense trajectory of one ODE segment, possibly integrated in chunks,
-    with the segment's context for its coefficients."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.results = []
-
-    def add(self, result):
-        self.results.append(result)
-
-    def interpolate(self, t):
-        # Chunks run forward in t one after another, so the first whose
-        # padded range holds t is the first that does not end before it.
-        i = bisect_left(self.results, t, key=lambda r: r.steps[-1].t_end + 1e-9)
-        if i < len(self.results):
-            result = self.results[i]
-            if result.steps[0].t_start - 1e-9 <= t <= result.steps[-1].t_end + 1e-9:
-                beta = result.interpolate(t)
-                # The Runge-Kutta sums keep pinned coordinates exactly but may
-                # round tied ones apart.
-                return self.ctx.snap(beta)
-        raise ValueError(f"t={t} outside the segment trace")
-
-    def coefficients(self, t, beta):
-        return self.ctx.coefficients(t, beta)
-
-
 class _LinearSegment:
     """Closed form of one segment of a constant-Hessian path.
 
     beta(rho) = beta0 + (rho - rho0) d, and the active coefficients (eq
     rows first) are r_Z(rho) = a + c / rho, or their rho -> 0 limit a
-    below RHO_FLOOR.  The exact engine's segment evaluator, in place of
-    the ODE engine's trace.
+    below RHO_FLOOR.  The exact engine's segment evaluator; a
+    _SegmentContext evaluates the others.
     """
 
     def __init__(self, rho0, beta0, d, a, c, t_sign):
@@ -533,8 +500,8 @@ class PathSegment:
     termination: str
     _t_sign: float = 1.0
     # The segment's evaluator, interpolate(t) and coefficients(t, beta) in
-    # t = t_sign * rho: a _LinearSegment (exact engine), a _SegmentTrace (ODE
-    # engine) or, for a point segment, its context.
+    # t = t_sign * rho: a _LinearSegment (exact engine) or the segment's
+    # _SegmentContext (ODE engine, and a point segment of either).
     _eval: object = None
 
     @property
@@ -783,7 +750,8 @@ class _EventTable:
 class _SegmentContext:
     """Per-segment state: the inactive rows' subgradient direction u and the
     active rows of the set state, the formulation's per-point factor and the
-    coefficient evaluator.
+    coefficient evaluator.  It evaluates an ODE segment from results, the
+    segment's integrated chunks in order, and a point segment, which has none.
 
     elim (a sweeplin Elimination, the identity when no pin or tie is
     active) removes the active pins and ties first: the mode's factor
@@ -825,6 +793,7 @@ class _SegmentContext:
         if mode == "nullspace" and self.reduced_rows.shape[0]:
             self.qr = null_basis(self.reduced_rows)
         self.beta0 = np.asarray(beta0, dtype=float).copy()
+        self.results = []
         self._cache = {}
         self.release()
 
@@ -838,8 +807,20 @@ class _SegmentContext:
         return self.elim.snap(np.array(beta, dtype=float))
 
     def interpolate(self, t):
-        # The whole solution of a point segment, which keeps only its context.
-        return self.beta0.copy()
+        """beta at t: beta0 on a point segment, else the dense output of the
+        chunk whose padded range holds t, snapped."""
+        if not self.results:
+            return self.beta0
+        # Chunks run forward in t one after another, so the first whose
+        # padded range holds t is the first that does not end before it.
+        i = bisect_left(self.results, t, key=lambda r: r.steps[-1].t_end + 1e-9)
+        if i < len(self.results):
+            result = self.results[i]
+            if result.steps[0].t_start - 1e-9 <= t <= result.steps[-1].t_end + 1e-9:
+                # The Runge-Kutta sums keep pinned coordinates exactly but may
+                # round tied ones apart.
+                return self.snap(result.interpolate(t))
+        raise ValueError(f"t={t} outside the segment trace")
 
     def _factor(self, t, beta):
         # One factor per point.  A Runge-Kutta step's last stage and the
@@ -981,6 +962,12 @@ class _PathRunner:
             diagonal = np.diagonal(self.hessian)
             if np.count_nonzero(self.hessian) == np.count_nonzero(diagonal):
                 self.h_diagonal = diagonal
+            # Direct mode factors H once per path; a singular H switches modes.
+            if self.mode == "direct":
+                try:
+                    self.h_factor = hessian_factor(self.hessian)
+                except NotStrictlyConvex:
+                    self._switch_to_nullspace()
         self.sets = _SetState.of(self.cs, classify(
             self.cs.eq_residuals(self.beta),
             self.cs.ineq_residuals(self.beta),
@@ -1024,7 +1011,8 @@ class _PathRunner:
                     )
                 self._advance()
         if not self.segments or self.segments[-1].config is not self.sets.config:
-            self._record_point_segment(self._context(), status)
+            ctx = self._context()
+            self._record_segment(ctx.config, ctx, self.rho, self.beta, status)
         return PathSolution(
             segments=self.segments,
             kinks=self.kinks,
@@ -1051,20 +1039,15 @@ class _PathRunner:
         table = _EventTable(ctx.sets)
         events = table.vector(ctx, self.opts.beta_bound)
         start = events(self.t_sign * self.rho, ctx.beta0)
-        crossed = self._crossed_at_start(table, start[: table.size])
-        if crossed is not None:
-            self._kink_in_place(ctx, crossed)
-            return
-        trace, result = self._integrate_chunked(ctx, events)
-        self._close(ctx, table, trace, result.t_end, result.y_end, result.event_rows)
+        if not self._closed_at_start(ctx, table, start[: table.size]):
+            result = self._integrate_chunked(ctx, events)
+            self._close(ctx, table, ctx, result.t_end, result.y_end, result.event_rows)
 
     def _advance_exact(self, ctx):
         line = self._line(ctx)
         table = _EventTable(ctx.sets)
         start, times = self._exact_events(table, line)
-        crossed = self._crossed_at_start(table, start)
-        if crossed is not None:
-            self._kink_in_place(ctx, crossed)
+        if self._closed_at_start(ctx, table, start):
             return
         t_end, rows = self._t_max(), None
         if times.min() <= t_end:
@@ -1073,14 +1056,6 @@ class _PathRunner:
         self._close(ctx, table, line, t_end, line.interpolate(t_end), rows)
 
     def _context(self):
-        # The exact engine factors its constant Hessian once per path in
-        # direct mode, and a singular one switches the path to nullspace
-        # mode, also for a terminal point segment that no advance preceded.
-        if self.exact and self.mode == "direct" and self.h_factor is None:
-            try:
-                self.h_factor = hessian_factor(self.hessian)
-            except NotStrictlyConvex:
-                self._switch_to_nullspace()
         ctx = _SegmentContext(
             self.model, self.cs, self.sets.config, self.beta, self.t_sign, self.mode,
             self.hessian, self.h_factor, self.h_diagonal, self.sets,
@@ -1108,22 +1083,25 @@ class _PathRunner:
 
     # -- events -------------------------------------------------------------
 
-    def _crossed_at_start(self, table, start):
-        """The event to apply at once, given every table entry's value at
-        the segment start, or None.
+    def _closed_at_start(self, ctx, table, start):
+        """Whether the segment ended where it starts, given every table
+        entry's value there.
 
         After a kink (or a misclassified start) some events can begin
-        beyond their boundary; such rows are moved immediately via
-        zero-length segments instead of integrating.  Raises PathDivergence
-        when the start is outside beta_bound.
+        beyond their boundary; the segment then closes at once, a
+        zero-length segment whose kink moves the first such row, instead of
+        integrating.  Raises PathDivergence when the start is outside
+        beta_bound.
         """
         if self.opts.beta_bound - np.abs(self.beta).max() < 0.0:
             raise PathDivergence(
                 f"|beta| exceeds beta_bound={self.opts.beta_bound:g} at rho={self.rho:g}"
             )
         beyond = np.flatnonzero(np.asarray(start) < -self.opts.event_tol)
-        crossed = [info for info in map(table.info, beyond) if not self._undoes_last_kink(info)]
-        return self._first(crossed, self.rho) if crossed else None
+        rows = [j for j in beyond if not self._undoes_last_kink(table.info(j))]
+        if rows:
+            self._close(ctx, table, ctx, self.t_sign * self.rho, ctx.beta0, rows)
+        return bool(rows)
 
     def _undoes_last_kink(self, info):
         # Event location error can leave a freshly moved row a few 1e-9
@@ -1228,7 +1206,6 @@ class _PathRunner:
         t = self.t_sign * self.rho
         t_max = self._t_max()
         y = ctx.beta0
-        trace = _SegmentTrace(ctx)
         while True:
             t_hi = self._chunk_end(t, t_max)
             result = integrate(
@@ -1242,16 +1219,17 @@ class _PathRunner:
                 event_tol=opts.event_tol,
                 max_step=opts.max_step,
             )
-            trace.add(result)
+            ctx.results.append(result)
             if result.status == "event" or t_hi >= t_max:
-                return trace, result
+                return result
             t, y = result.t_end, result.y_end
 
     def _close(self, ctx, table, evaluator, t_end, beta_end, rows):
         """End the segment at t_end, where the table's entries `rows` fire
         (None when it reached t_max): raise PathDivergence if the beta_bound
         guard, entry table.size, is among them, else record the segment and
-        apply the first event of the cluster."""
+        apply the first event of the cluster.  Every segment of both engines
+        ends here, a zero-length one too (_closed_at_start)."""
         rho_a, rho_b = self.rho, float(self.t_sign * t_end)
         if rows is not None and rows[-1] == table.size:
             raise PathDivergence(
@@ -1261,7 +1239,15 @@ class _PathRunner:
         info = None
         termination = "rho_max" if self.forward else "rho_min"
         if rows is not None:
-            info = self._first([table.info(j) for j in rows], rho_b)
+            infos = [table.info(j) for j in rows]
+            if len(infos) > 1:
+                msg = (
+                    f"{len(infos)} events within {EVENT_CLUSTER_TOL:g} of rho={rho_b:.9g}; "
+                    "processing one at a time"
+                )
+                self.warnings.append(msg)
+                _pywarnings.warn(msg, SimultaneousEventWarning)
+            info = min(infos, key=lambda info: info.key)
             termination = info.describe()
         beta_b = ctx.snap(beta_end)
         self._record_segment(ctx.config, evaluator, rho_b, beta_b, termination)
@@ -1270,19 +1256,6 @@ class _PathRunner:
         self._count_squeeze(abs(rho_b - rho_a))
         if info is not None:
             self._apply_kink(info, rho_b)
-
-    def _kink_in_place(self, ctx, info):
-        """Move a row that starts beyond its boundary via a zero-length segment."""
-        self._record_point_segment(ctx, info.describe())
-        ctx.release()
-        self._count_squeeze(0.0)
-        self._apply_kink(info, self.rho)
-
-    def _first(self, infos, rho):
-        """The event of a simultaneous cluster that is processed first."""
-        if len(infos) > 1:
-            self._note_cluster(rho, len(infos))
-        return min(infos, key=lambda info: info.key)
 
     def _count_squeeze(self, span):
         if span <= EVENT_CLUSTER_TOL:
@@ -1311,9 +1284,6 @@ class _PathRunner:
             )
         )
 
-    def _record_point_segment(self, ctx, termination):
-        self._record_segment(ctx.config, ctx, self.rho, self.beta, termination)
-
     def _apply_kink(self, info, rho):
         from_set, self.sets = self.sets.move(info.row_kind, info.index, info.to_set)
         self.kinks.append(
@@ -1327,14 +1297,6 @@ class _PathRunner:
                 df_after=degrees_of_freedom(self.sets.config, self.p),
             )
         )
-
-    def _note_cluster(self, rho, count):
-        msg = (
-            f"{count} events within {EVENT_CLUSTER_TOL:g} of rho={rho:.9g}; "
-            "processing one at a time"
-        )
-        self.warnings.append(msg)
-        _pywarnings.warn(msg, SimultaneousEventWarning)
 
 
 def _firing_times(start, falls_to, tol, t0, t_max):

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from penpath import cli
 from penpath.constraints import fused_lasso, lasso
+from penpath.errors import SimultaneousEventWarning
 from penpath.losses import GlmLoss, QuadraticLoss
 from penpath.odeint import integrate
 from penpath.path import (
     SetConfiguration,
     _SegmentContext,
-    _SegmentTrace,
     information_criteria,
     run_path,
 )
@@ -63,7 +63,7 @@ def scan_result(result, t):
 
 
 def scan_trace(trace, t):
-    """_SegmentTrace.interpolate as a linear scan."""
+    """_SegmentContext.interpolate of an ODE segment as a linear scan."""
     for result in trace.results:
         if result.steps[0].t_start - 1e-9 <= t <= result.steps[-1].t_end + 1e-9:
             return scan_result(result, t)
@@ -189,6 +189,34 @@ class OdeQuadratic(QuadraticLoss):
     constant_hessian = False
 
 
+@pytest.mark.parametrize("mode", ["direct", "nullspace"])
+@pytest.mark.parametrize("loss", [QuadraticLoss, OdeQuadratic], ids=["exact", "ode"])
+def test_rows_beyond_their_boundaries_at_a_start_close_one_point_segment_each(loss, mode):
+    # The lasso of test_lookup_on_forward_lasso_with_point_segments: rows of
+    # the unconstrained minimum's exact zeros start beyond their coefficient
+    # boundaries, so its first three segments end where they start, the
+    # first two at a cluster of two such rows each.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(10, 6))
+    a[:, 1] += 2.0 * a[:, 0]
+    a[:, 2] -= 1.5 * a[:, 0]
+    h = a.T @ a
+    with pytest.warns(SimultaneousEventWarning):
+        sol = run_path(loss(h, h @ np.array([3.0, 0.0, 0.0, -1.0, 0.0, 0.5])), lasso(6), mode=mode)
+    assert [(seg.rho_start, seg.rho_end, seg.termination) for seg in sol.segments[:3]] == [
+        (0.0, 0.0, "coefficient_hit(eq[1], boundary=1)"),
+        (0.0, 0.0, "coefficient_hit(eq[2], boundary=-1)"),
+        (0.0, 0.0, "coefficient_hit(eq[4], boundary=1)"),
+    ]
+    assert sol.segments[3].rho_span > 0.0
+    assert [(k.rho, k.row_kind, k.index, k.to_set, k.df_after) for k in sol.kinks[:3]] == [
+        (0.0, "eq", 1, "pos_eq", 4),
+        (0.0, "eq", 2, "neg_eq", 5),
+        (0.0, "eq", 4, "pos_eq", 6),
+    ]
+    assert sol.warnings == ["2 events within 1e-10 of rho=0; processing one at a time"] * 2
+
+
 def clamped_beta_at(seg, rho):
     """PathSegment.beta_at with a clamp of its own, as it was before it
     called betas_at."""
@@ -239,7 +267,7 @@ def logistic_path():
 def test_lookup_on_ode_logistic_path():
     sol = logistic_path()
     assert sol.status == "terminated"
-    assert any(isinstance(seg._eval, _SegmentTrace) for seg in sol.segments)
+    assert any(isinstance(seg._eval, _SegmentContext) and seg._eval.results for seg in sol.segments)
     end = sol.rho_end
     assert assert_lookup_matches_scan(sol, extra=(2.0 * end, -1.0)) > 0
 
@@ -281,12 +309,11 @@ def test_chunked_trace_lookup_matches_scan():
     # chunks end where the runner's geometric chunks would: 1, 8, 20; with
     # no active row, the context's snap only copies
     config = SetConfiguration(pos_eq=(0, 1))
-    trace = _SegmentTrace(_SegmentContext(QuadraticLoss.from_target([0.0, 0.0]), lasso(2),
-                                          config, np.zeros(2)))
+    trace = _SegmentContext(QuadraticLoss.from_target([0.0, 0.0]), lasso(2), config, np.zeros(2))
     y, t0 = np.array([1.0, -0.5]), 0.0
     for t1 in (1.0, 8.0, 20.0):
         result = integrate(lambda t, y: np.cos(t) - 0.1 * y, t0, t1, y)
-        trace.add(result)
+        trace.results.append(result)
         t0, y = result.t_end, result.y_end
     steps = [step for result in trace.results for step in result.steps]
     outside = sum(
@@ -298,7 +325,7 @@ def test_chunked_trace_lookup_matches_scan():
 
 def test_ode_path_traces_match_scan():
     traces = [seg._eval for seg in logistic_path().segments
-              if isinstance(seg._eval, _SegmentTrace)]
+              if isinstance(seg._eval, _SegmentContext) and seg._eval.results]
     assert traces
     for trace in traces:
         steps = [step for result in trace.results for step in result.steps]
