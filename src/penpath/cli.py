@@ -18,19 +18,17 @@ values by hand.
 
 Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
 1) and more than one CPU is usable, both subcommands share their work with
-forked children, at most one per CPU: `crossval` solves the fold paths in
-them while this process solves the full-data path, and `solve` cuts the
-sample grid into blocks of rows and deals them round-robin, this process
-sampling and formatting blocks 0, 2, 4, ... of path.csv while one child
-does blocks 1, 3, 5, ... (a table too small to pay for a fork stays here).
-Otherwise all the work runs one step after another here.  path.csv's
-blocks, forked or not, and forked folds go through one loop (_each) in
-each process, which keeps each one's result or error and the warnings it
-issued, and stops at the first error; a child returns them through a
-pipe.  They are reported in block or fold order (_in_order), each warning
-shown as often as a serial run shows it, so the warnings, the error and
-the files written are those of a serial run.  The `penpath` console
-script (penpath_entry) defaults both variables to 1.
+forked children: `crossval` solves the fold paths in at most one per CPU
+while this process solves the full-data path, and `solve`, once enough of
+path.csv's rows wait, forks one child to format them (_Table) while this
+process solves the path and samples the blocks of rows it hands over.
+Otherwise all the work runs one step after another here.  Blocks and forked
+folds each keep their result or error and the warnings they issued (_each,
+or _caught while the solver runs); a child returns them through a pipe.
+They are reported in block or fold order (_in_order), each warning shown as
+often as a serial run shows it, so the warnings, the error and the files
+written are those of a serial run.  The `penpath` console script
+(penpath_entry) defaults both variables to 1.
 
 Exit codes: 0 success, 1 malformed or inconsistent problem input (a
 command-line usage error included), 2 solver failure.  Nothing is written
@@ -43,6 +41,7 @@ variable (error, info, debug) controls diagnostics on standard error.
 import argparse
 import json
 import logging
+import mmap
 import os
 import pickle
 import signal
@@ -60,7 +59,7 @@ import numpy as np
 
 from .errors import PenPathError, SpecError, UnsupportedLoss
 from .oracles import glasso_coordinate, pava, quadrature_j, solve_fixed_rho
-from .path import MODES, information_criteria, run_path
+from .path import MODES, PathSolution, _lookup_pad, information_criteria, run_path
 from .problemspec import parse_problem_spec
 
 log = logging.getLogger("penpath")
@@ -130,10 +129,9 @@ def _path_csv_header(p):
     return "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic\n"
 
 
-def _block_rows(spec, solution, block):
-    """path.csv's rows (rho, beta, df, negloglik, aic, bic) at the rhos of
-    block: their (rho, aic, bic) and their bytes, as path.csv holds them."""
-    betas, dfs = solution.sample(block)
+def _block_rows(spec, part, block, betas, dfs):
+    """Write path.csv's rows (rho, beta, df, negloglik, aic, bic) at the rhos
+    of block, sampled as betas and dfs, to part: their (rho, aic, bic) and size."""
     values = spec.model.values(betas)
     # df counts coordinates, and "%.17g" writes a whole float as "%d" writes
     # the int.
@@ -141,7 +139,9 @@ def _block_rows(spec, solution, block):
     aic, bic = information_criteria(-values, df, spec.n_observations)
     table = np.column_stack([block, betas, df, values, aic, bic])
     data = "".join(_csv_block(table)).encode()
-    return list(zip(block.tolist(), aic.tolist(), bic.tolist())), data
+    part.write(data)
+    part.flush()
+    return list(zip(block.tolist(), aic.tolist(), bic.tolist())), len(data)
 
 
 def _kinks_jsonl(solution):
@@ -172,10 +172,10 @@ def _report_text(spec, solution, points):
     return "\n".join(lines) + "\n"
 
 
-def _checked_path(spec, options):
+def _checked_path(spec, options, on_segment=None):
     """run_path on the spec's problem, reporting validation errors as spec errors."""
     try:
-        return run_path(spec.model, spec.constraints, options)
+        return run_path(spec.model, spec.constraints, options, on_segment=on_segment)
     except ValueError as exc:
         # entry-point validation (direction prerequisites, dimensions)
         raise SpecError(str(exc)) from exc
@@ -199,113 +199,182 @@ def _run_solve(args):
     log.info("solving %s: %s loss, dim %d, %d eq + %d ineq rows",
              args.spec, spec.loss_kind, spec.dimension,
              spec.constraints.n_eq, spec.constraints.n_ineq)
-    solution = _checked_path(spec, options)
-    log.info("path %s after %d kinks", solution.status, len(solution.kinks))
-
-    grid = solution.rho_grid(spec.samples_per_segment)
-    if solution.direction == "backward":
-        grid = grid[::-1]
-    blocks, shares = _slices(solution, grid)
     out = Path(args.out)
     near = next(d for d in (out, *out.parents) if d.is_dir())
     with ExitStack() as stack:
-        # Each process's blocks go to an unlinked file as they are
-        # formatted, so no process holds the table and a failed run leaves
-        # no file.  It is made in --out, or in its nearest existing
-        # ancestor, so that path.csv is written on one filesystem.
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=near)) for _ in shares]
-        written = _sampled_points(spec, solution, blocks, shares, parts)
+        table = _Table(spec, options, near, stack)
+        solution = _checked_path(spec, options, table.add)
+        log.info("path %s after %d kinks", solution.status, len(solution.kinks))
+        written = table.finish(solution)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "path.csv", "wb") as handle:
             handle.write(_path_csv_header(spec.dimension).encode())
-            _join_parts(handle, parts, shares, written)
+            _join_parts(handle, table.parts, table.owners, written)
     points = [row for rows, _ in written for row in rows]
     (out / "kinks.jsonl").write_text(_kinks_jsonl(solution))
     (out / "report.txt").write_text(_report_text(spec, solution, points))
-    log.info("wrote %s from %d processes", out / "path.csv", len(shares))
+    log.info("wrote %s from %d processes", out / "path.csv", len(table.parts))
     return 0
 
 
-# Each process must get at least this many path.csv cells for a fork to
-# pay, so a table forks from 30,000 cells.  Measured on a 2-CPU host with
-# one BLAS thread by tests/bench_output.py --fork-rows: serial against two
-# processes, medians of alternating calls, on rows spread over the grid of
-# seed 3 job 0 (cells of the whole table).  With contiguous halves,
-# lasso_ls's 85-cell rows broke even between 15,000 and 31,000 cells and
-# fused_fsa's 155-cell rows between 23,000 and 31,000.  With blocks dealt
-# round-robin, on a host whose CPUs other work shared (two CPU-bound
-# processes took 1.0-2.1 times one's time), the forked calls took 10-14 ms
-# more than the slower process's own rows, and the break-even moved from
-# round to round.  In the round where each process ran about as fast as
-# alone (41 calls each), lasso_ls took 25.0 ms serially against 26.0 forked
-# at 31,000 cells and 39.4 against 33.6 at 61,000, and fused_fsa 29.7
-# against 36.9 at 46,000 and 36.0 against 38.8 at 62,000.  Contiguous
-# halves, timed in alternation with the blocks, spread as widely (fused_fsa
-# at 46,000 cells: 31.2 against 29.0 ms, then 35.1 against 48.8), so no
-# shift of the break-even could be told and the threshold stays.  The
-# 8-coefficient lasso of tests/golden/lasso_direct (13 cells a row,
-# formatted row by row) broke even at 12,000-16,000 cells when last
-# measured, by timing `solve` after its path was solved.
-_SLICE_MIN_CELLS = 15000
+# path.csv cells that must wait to be formatted before `solve` forks a child
+# to format blocks beside the solve.  Beside the child the solver's pages are
+# copied as it writes them (tests/bench_output.py: a lasso_ls solve's minor
+# faults rose from about 90 to 1,400 and its time by 11 ms).  With this value
+# (one BLAS thread, 2-CPU host, medians of 11 alternating runs) lasso_ls
+# tables of 43,000 cells were as fast forked, of 71,000 6-12 ms faster, and
+# fused_fsa's of 46,000-93,000 cells 3-6 ms slower, of 185,000 61 ms faster.
+_FORK_MIN_CELLS = 30000
 
-# At most this many processes share path.csv: the gain was measured only
-# with two, on a 2-CPU host, and sharing costs more than the fork.  Two
-# processes took 7-24 ms longer than the slower one's own blocks on rows
-# spread over the grid (150 to 600 of them) and 16-33 ms longer on whole
-# grids (tests/bench_output.py --fork-rows, one BLAS thread, medians of 41
-# alternating calls on job 0 of seeds 3 and 11 of fused_fsa and lasso_ls,
-# on a host whose CPUs other work shared), so more processes are
-# unmeasured and may not pay.
-_MAX_SLICES = 2
+# Blocks the formatter child holds, each in a slot of memory shared with it
+# (32 rows of 150 coefficients are 38 KiB, more than half of what a pipe
+# holds): handing over only to a free slot, this process never waits on it.
+_CREDIT = 2
 
 
-def _slices(solution, grid):
-    """grid cut into blocks of consecutive rows, and the numbers of the
-    blocks each process samples: with n processes, process k (this one is
-    0) takes blocks k, k + n, k + 2n and so on, so that each gets rows from
-    every part of the path.  n is one per usable CPU where forking pays
-    (_fork_cpus), up to _MAX_SLICES, as long as each process gets
-    _SLICE_MIN_CELLS path.csv cells; else 1.  Blocks hold _BLOCK_ROWS rows,
-    the last one fewer, or fewer rows each where that leaves a process
-    without a block."""
-    count = min(_fork_cpus(), _MAX_SLICES, grid.size,
-                grid.size * (solution.p + 5) // _SLICE_MIN_CELLS)
-    count = max(count, 1)
-    rows = min(_BLOCK_ROWS, grid.size // count)
-    blocks = [grid[start:start + rows] for start in range(0, grid.size, rows)]
-    return blocks, [range(k, len(blocks), count) for k in range(count)]
+class _Table:
+    """path.csv's rows, made while the path is solved.
+
+    add(segment), run_path's on_segment, extends the grid by the segment's
+    points (rho_grid's, in path order) and releases all but those within the
+    lookup pad of its end, which the next segment might serve.  Once enough
+    released rows wait (_FORK_MIN_CELLS) where forking pays, one child is
+    forked (_format_blocks), and while it has a free slot the next block of
+    released rows is sampled here, over the segments recorded so far, and
+    handed over.  finish(solution) formats here each block the child has no
+    room for and returns each block's rows' (rho, aic, bic) and byte count;
+    block k's bytes wait in parts[owners[k]], unlinked files made in near.
+    """
+
+    def __init__(self, spec, options, near, stack):
+        self.spec, self.near, self.stack = spec, near, stack
+        self.forward = options.direction == "forward"
+        self.solution = PathSolution([], [], None, options.mode, options.direction, [],
+                                     spec.model, spec.constraints, options)
+        self.rhos, self.released, self.finished = [], 0, False
+        self.owners, self.outcomes, self.sampled = [], {}, {}
+        self.forks, self.child, self.handed = _fork_cpus() > 1, None, 0
+        self.parts = [stack.enter_context(tempfile.TemporaryFile(dir=near))]
+
+    def add(self, segment):
+        self.solution.segments.append(segment)
+        lo, hi = sorted((segment.rho_start, segment.rho_end))
+        points = [lo] if segment.rho_span == 0.0 else np.linspace(
+            lo, hi, self.spec.samples_per_segment + 1).tolist()
+        for rho in points if self.forward else reversed(points):
+            if not self.rhos or rho != self.rhos[-1]:
+                self.rhos.append(rho)
+        held, end = len(self.rhos), segment.rho_end
+        while held > self.released and abs(self.rhos[held - 1] - end) <= _lookup_pad(end):
+            held -= 1
+        self.released = held
+        self._share()
+
+    def finish(self, solution):
+        grid = solution.rho_grid(self.spec.samples_per_segment)
+        if not np.array_equal(grid if self.forward else grid[::-1], self.rhos):
+            raise PenPathError("the rows sampled during the solve are not the path's sample grid")
+        self.solution, self.released, self.finished = solution, len(self.rhos), True
+        self._share()
+        if self.child is not None:
+            self.child.send(b"")  # closes its requests: it formats what it holds and ends
+            self._take(self.child.result())
+        with warnings.catch_warnings():  # once-per-location registries start empty
+            return _in_order(self.outcomes, range(-(-len(self.rhos) // _BLOCK_ROWS)),
+                             lambda index: f"sampling block {index + 1} of path.csv")
+
+    def _share(self):
+        waiting = self.released - len(self.owners) * _BLOCK_ROWS
+        if self.forks and waiting * (self.spec.dimension + 5) >= _FORK_MIN_CELLS:
+            self._fork()
+        while waiting > 0 and (self.finished or waiting >= _BLOCK_ROWS):
+            if self.child is not None and self.handed - self.done[0] < _CREDIT:
+                self._hand()
+            elif self.finished:
+                self._format_here()
+            else:
+                break
+            waiting = self.released - len(self.owners) * _BLOCK_ROWS
+
+    def _fork(self):
+        # the blocks the child has formatted, then each slot's rows (rho, df, beta)
+        cells = _CREDIT * _BLOCK_ROWS * (self.spec.dimension + 2)
+        shared = np.frombuffer(mmap.mmap(-1, 8 + 8 * cells))
+        self.done, self.slots = shared[:1], shared[1:].reshape(_CREDIT, _BLOCK_ROWS, -1)
+        part = self.stack.enter_context(tempfile.TemporaryFile(dir=self.near))
+        work = partial(_format_blocks, self.spec, part, self.done, self.slots)
+        self.child, self.forks = _Child(work, []), False
+        self.stack.callback(self.child.close)
+        self.parts.append(part)
+
+    def _next_block(self, owner):
+        index = len(self.owners)
+        self.owners.append(owner)
+        return index, np.array(self.rhos[index * _BLOCK_ROWS:(index + 1) * _BLOCK_ROWS])
+
+    def _hand(self):
+        index, rhos = self._next_block(1)
+        caught, sampled = _caught(partial(self.solution.sample, rhos))
+        if isinstance(sampled, Exception):
+            return self._take({index: (caught, sampled)})
+        self.sampled[index], slot = caught, self.handed % _CREDIT
+        self.slots[slot, :rhos.size] = np.column_stack([rhos, sampled[1], sampled[0]])
+        self.handed += 1
+        try:
+            os.write(self.child.request_w, pickle.dumps((index, slot, rhos.size)))
+        except BrokenPipeError:  # the child ended; its blocks have no outcome
+            self.child = None
+
+    def _format_here(self):
+        index, rhos = self._next_block(0)
+        self._take(_each([index], lambda _: _block_rows(
+            self.spec, self.parts[0], rhos, *self.solution.sample(rhos))))
+
+    def _take(self, outcomes):
+        for index, (caught, result) in outcomes.items():
+            self.outcomes[index] = (self.sampled.pop(index, []) + caught, result)
 
 
-def _sampled_points(spec, solution, blocks, shares, parts):
-    """Each share's blocks sampled one at a time and written to its part,
-    the first share by this process and each other one by a forked process
-    (none where there is one share); returns, in block order, each block's
-    rows' (rho, aic, bic) and byte count.  Each block's warnings are issued
-    again, and the first failing block's error raised, in block order,
-    whichever process sampled them."""
-
-    def write(part, index):
-        rows, data = _block_rows(spec, solution, blocks[index])
-        part.write(data)
-        part.flush()
-        return rows, len(data)
-
-    works = [partial(_each, share, partial(write, part)) for share, part in zip(shares, parts)]
-    mine, outcomes = _forked(works[1:], works[0])
-    outcomes.update(mine)
-    return _in_order(outcomes, range(len(blocks)),
-                     lambda index: f"sampling block {index + 1} of path.csv")
+def _caught(task):
+    """task()'s warnings and result or exception, as _each keeps them, but
+    without catch_warnings, which would make the solver running around this
+    call show its warnings again: a warning it has shown from the same place
+    is not caught again."""
+    issued = []
+    show = warnings.showwarning
+    warnings.showwarning = lambda message, category, filename, lineno, *_: issued.append(
+        (message, category, filename, lineno))
+    try:
+        result = task()
+    except Exception as exc:  # raised by _in_order, in block order
+        result = exc
+    finally:
+        warnings.showwarning = show
+    return issued, result
 
 
-def _join_parts(handle, parts, shares, written):
-    """Write the blocks' rows to handle in block order, each block's bytes
-    (written, from _sampled_points) read from the part of the process whose
-    share holds it."""
-    owner = {index: part for part, share in zip(parts, shares) for index in share}
+def _format_blocks(spec, part, done, slots, receive):
+    """The formatter child's work: the _each outcomes of the blocks handed over
+    (number, slot, rows), each formatted from its slot into part, then counted
+    in done, until the request pipe closes."""
+    outcomes = {}
+    try:
+        while True:
+            index, slot, size = receive()
+            rows = slots[slot, :size]
+            rhos, dfs, betas = rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2:].copy()
+            outcomes.update(_each([index], lambda _: _block_rows(spec, part, rhos, betas, dfs)))
+            done[0] += 1
+    except EOFError:
+        return outcomes
+
+
+def _join_parts(handle, parts, owners, written):
+    """Write the blocks' bytes (written, from _Table.finish) in block order."""
     for part in parts:
         part.seek(0)
-    for index, (_, size) in enumerate(written):
-        handle.write(owner[index].read(size))
+    for owner, (_, size) in zip(owners, written):
+        handle.write(parts[owner].read(size))
 
 
 def _full_grid(spec):
@@ -375,18 +444,16 @@ def _close(*fds):
 def _child_main(work, request_fd, result_fd):
     """Body of a forked process; never returns.
 
-    Runs work(), or work(receive) where there is a request_fd, receive()
-    reading what the parent sends there, and writes work's return value to
-    result_fd.
+    Runs work(receive), each call of receive() reading the next object the
+    parent sends to request_fd (EOFError once the parent closed it), and
+    writes work's return value to result_fd.
     """
     code = 1
     try:
-        def receive():
-            with os.fdopen(request_fd, "rb") as pipe:
-                return pickle.load(pipe)
-
+        with os.fdopen(request_fd, "rb") as pipe:
+            value = work(partial(pickle.load, pipe))
         # pickled whole first, so that a pickling error writes nothing
-        data = pickle.dumps(work() if request_fd is None else work(receive))
+        data = pickle.dumps(value)
         with os.fdopen(result_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -397,11 +464,11 @@ def _child_main(work, request_fd, result_fd):
 
 
 class _Child:
-    """A forked process running one work; its pipes and process id.  Only
-    a child that listens has a request pipe, for what the parent sends."""
+    """A forked process running one work; its pipes, one for what the parent
+    sends and one for the work's result, and its process id."""
 
-    def __init__(self, work, inherited, listens):
-        request_r, self.request_w = os.pipe() if listens else (None, None)
+    def __init__(self, work, inherited):
+        request_r, self.request_w = os.pipe()
         self.result_r, result_w = os.pipe()
         try:
             self.pid = os.fork()
@@ -444,25 +511,24 @@ class _Child:
             self.pid = None
 
 
-def _forked(works, local, send=False):
+def _forked(works, local):
     """Run each of works in a forked process while this one runs local().
 
-    A work returns {key: (warnings, result)}, a result being the exception
-    that ended it, if one did.  With send it is called as work(receive),
-    where receive() returns the value of local(), else as work().  Returns
-    that value and every work's entries merged.  Every child has ended, or
-    is killed, when this returns or raises.
+    A work is called as work(receive), where receive() returns the value of
+    local(), and returns {key: (warnings, result)}, a result being the
+    exception that ended it, if one did.  Returns that value and every
+    work's entries merged.  Every child has ended, or is killed, when this
+    returns or raises.
     """
     children = []
     try:
         for work in works:
             inherited = [fd for child in children for fd in child.fds()]
-            children.append(_Child(work, inherited, send))
+            children.append(_Child(work, inherited))
         value = local()
-        if send:
-            payload = pickle.dumps(value)
-            for child in children:
-                child.send(payload)
+        payload = pickle.dumps(value)
+        for child in children:
+            child.send(payload)
         outcomes = {}
         for child in children:
             outcomes.update(child.result())
@@ -541,7 +607,7 @@ def _run_crossval(args):
     if workers:
         # folds dealt round-robin where there are more of them than processes
         works = [partial(_fold_work, spec, folds, range(w, k, workers)) for w in range(workers)]
-        grid, outcomes = _forked(works, partial(_full_grid, spec), send=True)
+        grid, outcomes = _forked(works, partial(_full_grid, spec))
         curves = _in_order(outcomes, range(k), lambda index: f"solving fold {index + 1}")
     else:
         grid = _full_grid(spec)

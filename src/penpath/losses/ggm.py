@@ -34,6 +34,7 @@ class GaussianGraphicalLoss(LossModel):
             raise ValueError("sample covariance has nonpositive diagonal entries")
         self.rows, self.cols = tri_indices(self.p)
         self._mult = np.where(self.rows == self.cols, 1.0, 2.0)
+        self._last = (None, None)  # _inverse's last point, by its bytes, and its inverse
 
     @property
     def dim(self):
@@ -55,12 +56,15 @@ class GaussianGraphicalLoss(LossModel):
         return np.flatnonzero(self.rows != self.cols)
 
     def _inverse(self, x):
-        try:
-            factor = cho_factor(self.to_matrix(x))
-        except np.linalg.LinAlgError:
-            raise DomainError("precision matrix is not positive definite") from None
-        inv = cho_solve(factor, np.eye(self.p))
-        return 0.5 * (inv + inv.T)
+        key = self._as_param(x).tobytes()
+        if key != self._last[0]:
+            try:
+                factor = cho_factor(self.to_matrix(x))
+            except np.linalg.LinAlgError:
+                raise DomainError("precision matrix is not positive definite") from None
+            inv = cho_solve(factor, np.eye(self.p))
+            self._last = (key, 0.5 * (inv + inv.T))
+        return self._last[1]
 
     def value(self, x):
         omega = self.to_matrix(x)

@@ -912,7 +912,7 @@ class _SegmentContext:
 # The runner.
 
 class _PathRunner:
-    def __init__(self, model, cs, opts):
+    def __init__(self, model, cs, opts, on_segment=None):
         self.model = model
         self.cs = cs
         self.opts = opts
@@ -942,6 +942,7 @@ class _PathRunner:
         self.warnings = []
         self._squeeze = 0
         self._squeeze_cap = 4 * (cs.n_eq + cs.n_ineq) + 8
+        self.on_segment = on_segment or (lambda segment: None)
 
     # -- setup ------------------------------------------------------------
 
@@ -1283,6 +1284,7 @@ class _PathRunner:
                 _eval=evaluator,
             )
         )
+        self.on_segment(self.segments[-1])
 
     def _apply_kink(self, info, rho):
         from_set, self.sets = self.sets.move(info.row_kind, info.index, info.to_set)
@@ -1326,7 +1328,7 @@ def _constrained_minimum(model, v_mat, d):
     return part + basis @ z
 
 
-def run_path(model, cs, options=None, **overrides):
+def run_path(model, cs, options=None, *, on_segment=None, **overrides):
     """Trace the full solution path of the penalized objective.
 
     Parameters
@@ -1338,6 +1340,9 @@ def run_path(model, cs, options=None, **overrides):
     options : PathOptions, optional
         Full option set; alternatively pass individual fields as keyword
         arguments (mode="nullspace", direction="backward", ...).
+    on_segment : callable, optional
+        Called with each PathSegment as soon as it is recorded, the last
+        one included; it changes nothing the run computes.
 
     Returns
     -------
@@ -1354,4 +1359,4 @@ def run_path(model, cs, options=None, **overrides):
         raise ValueError("constraint system dimension does not match the loss")
     if options.start_beta is not None and np.shape(options.start_beta) != (cs.dim,):
         raise ValueError(f"start_beta has shape {np.shape(options.start_beta)}, not ({cs.dim},)")
-    return _PathRunner(model, cs, options).run()
+    return _PathRunner(model, cs, options, on_segment).run()

@@ -1,44 +1,51 @@
-"""Time the writing of path.csv's rows on the benchmark's jobs.
+"""Time the making of path.csv's rows, during and after the solve, on the
+benchmark's jobs.
 
 This script is not collected by pytest.  Run it from the root of a checkout,
 with one BLAS thread:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/bench_output.py \
-        [--seeds 3 11] [--jobs 2] [--repeat 7] [--fork-rows 150 299]
+        [--seeds 3 11] [--jobs 2] [--repeat 7] [--workloads lasso_ls ...] \
+        [--per 2 5 10] [--fork-cells 30000]
 
 For jobs 0 .. jobs-1 of each seed of each benchmark workload
-(perfbench/workloads.make_job, full size), it solves the path of the job's
-spec as `penpath solve` does (logistic_cv's crossval job: its full-data
-path), then times `cli._sampled_points` in this process alone over the
-whole sample grid (`cli._block_rows` on each block of rows in turn), the
-minimum of --repeat calls.  It prints, per table:
+(perfbench/workloads.make_job, full size) it makes path.csv's rows as
+`penpath solve` does, in this process: the path solved under a
+`cli._Table`, then `_Table.finish` and `cli._join_parts` into memory
+(logistic_cv's crossval job: its full-data path).  Each job runs serially
+(no fork allowed) and streamed (the formatter child forked as soon as
+--fork-cells cells wait, 1 by default, in place of `cli._FORK_MIN_CELLS`),
+--repeat alternating runs each, and the script prints their medians, in ms:
 
-    rows, coefficient cells, the seconds of the serial call,
-    distinct share   distinct coefficient values (by bits) / coefficient cells
-    repeat share     coefficient cells whose bits equal their left or upper
-                     neighbour's and are not +0.0, / coefficient cells
+    serial    solve, then the tail (finish and join) and the sampling and
+              formatting in it
+    streamed  this process: the solve, the part of it spent in on_segment
+              (`_Table.add`: the grid, sampling the blocks handed over, the
+              fork and the pipes) and the sampling in that; the tail, the
+              sampling and formatting in it and the blocks formatted here;
+              minor page faults (ru_minflt) during the solve and the tail
+              the child: its work's time from start to end, busy
+              formatting blocks and idle waiting for them, the blocks it
+              formatted, its minor page faults, and when its last block
+              ended against the end of this process's tail
 
-and asserts that the bytes written equal a reference formatted cell by cell
-("%.17g" for each float, "%d" for df) from `PathSolution.sample`.
+It asserts that the serial bytes equal a reference formatted cell by cell
+("%.17g" for each float, "%d" for df) from `PathSolution.sample`, and that
+the streamed bytes equal the serial ones.  It also prints each table's
+distinct share (distinct coefficient values, by bits, per coefficient cell)
+and repeat share (coefficient cells whose bits equal their left or upper
+neighbour's and are not +0.0, per coefficient cell).
 
-With --fork-rows N ..., it also times, on the whole grid and on N rows
-spread evenly over it (so that they hold the path's ties as the whole table
-does), `_sampled_points` in this process alone against the same call
-shared by two processes (this one and one forked child, whatever the fork
-threshold), the median of --repeat alternating calls each.  For the shared
-calls it also prints the median time each process took over its own
-blocks (its `cli._each` call), this process's against the child's, then
-the same two shares each sampled alone, one after the other, which a host
-whose CPUs are shared with other work does not skew; and it asserts that
-the shared bytes equal the serial ones.  Serial against shared is the
-break-even the fork threshold `cli._SLICE_MIN_CELLS` is set from, and the
-shared time less the slower process's own is what sharing costs; it needs
-two usable CPUs.
+With --per N ..., each job also runs with samples_per_segment N in place of
+its own, for smaller tables: serial against streamed whole-table times
+there, for a few values of --fork-cells, are what `cli._FORK_MIN_CELLS` is
+set from.  Streaming needs two usable CPUs.
 """
 
 import argparse
+import dataclasses
 import io
-import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -55,7 +62,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, make_job  # noqa: E402
 
 from penpath import cli  # noqa: E402
-from penpath.path import information_criteria  # noqa: E402
+from penpath.path import PathSolution, information_criteria  # noqa: E402
 from penpath.problemspec import parse_problem_spec  # noqa: E402
 
 
@@ -83,104 +90,127 @@ def shares(betas):
     return distinct / bits.size, repeat.sum() / bits.size
 
 
-def timed(repeat, *fns):
-    """Each fn's call times, the calls alternating over repeat rounds."""
-    times = [[] for _ in fns]
-    for _ in range(repeat):
-        for fn, record in zip(fns, times):
-            start = time.perf_counter()
-            fn()
-            record.append(time.perf_counter() - start)
-    return times
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-class ProcessClock:
-    """Times each cli._each call while installed, in this process and in the
-    ones it forks, by process id: each call appends a line to a file."""
+class Timeline:
+    """Times the calls that make path.csv's rows while installed: in this
+    process, on_segment (`_Table.add`), sampling (`PathSolution.sample`)
+    and formatting (`cli._block_rows`); in the formatter child, its
+    formatting, its life and its minor page faults, which it writes to a
+    file as its work (`cli._format_blocks`) returns."""
 
     def __init__(self, scratch):
-        self.path = Path(scratch) / "clock"
+        self.path = Path(scratch) / "child"
+        self.spans = []  # (kind, start, end) in this process
 
-    def install(self):
-        real, path = cli._each, self.path
-
-        def timed_share(*args):
+    def timed(self, kind, fn):
+        def call(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return real(*args)
+                return fn(*args, **kwargs)
             finally:
-                with open(path, "a") as log:
-                    log.write(f"{os.getpid()} {time.perf_counter() - start}\n")
+                self.spans.append((kind, start, time.perf_counter()))
+        return call
 
-        return mock.patch.object(cli, "_each", timed_share)
+    def child_work(self, real):
+        def work(*args):
+            self.spans, start, faults = [], time.perf_counter(), minor_faults()
+            outcomes = real(*args)
+            busy = sum(end - begin for _, begin, end in self.spans)
+            last = max((end for _, _, end in self.spans), default=start)
+            self.path.write_text(" ".join(map(str, (
+                start, time.perf_counter(), busy, len(self.spans), last,
+                minor_faults() - faults))))
+            return outcomes
+        return work
 
-    def take(self):
-        """Seconds by process id since the last take."""
-        seconds = {}
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                pid, elapsed = line.split()
-                seconds[int(pid)] = seconds.get(int(pid), 0.0) + float(elapsed)
-            self.path.unlink()
-        return seconds
+    def install(self):
+        return [mock.patch.object(cli._Table, "add", self.timed("add", cli._Table.add)),
+                mock.patch.object(PathSolution, "sample",
+                                  self.timed("sample", PathSolution.sample)),
+                mock.patch.object(cli, "_block_rows", self.timed("format", cli._block_rows)),
+                mock.patch.object(cli, "_format_blocks", self.child_work(cli._format_blocks))]
 
-
-def split(solution, rhos, cpus):
-    """cli._slices where cpus processes may share rhos, whatever the fork
-    threshold."""
-    with mock.patch.object(cli, "_fork_cpus", lambda: cpus), \
-            mock.patch.object(cli, "_SLICE_MIN_CELLS", 1):
-        blocks, shares = cli._slices(solution, rhos)
-    assert len(shares) == max(cpus, 1)
-    return blocks, shares
-
-
-def sampled_bytes(spec, solution, rhos, scratch, cpus):
-    """path.csv's rows at rhos as `penpath solve` writes them where cpus
-    processes may share them."""
-    blocks, shares = split(solution, rhos, cpus)
-    with ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=scratch)) for _ in shares]
-        written = cli._sampled_points(spec, solution, blocks, shares, parts)
-        out = io.BytesIO()
-        cli._join_parts(out, parts, shares, written)
-    return out.getvalue()
+    def within(self, kind, start, end):
+        return sum(b - a for k, a, b in self.spans if k == kind and start <= a and b <= end)
 
 
-def share_rows(spec, solution, rhos, scratch, k):
-    """Process k's share of rhos, of two processes', sampled here alone."""
-    blocks, shares = split(solution, rhos, 2)
-    with tempfile.TemporaryFile(dir=scratch) as part:
-        for index in shares[k]:
-            part.write(cli._block_rows(spec, solution, blocks[index])[1])
-            part.flush()
+def run_table(spec, scratch, timeline, fork_cells):
+    """path.csv's rows as `penpath solve` makes them, with the child forked
+    once fork_cells cells wait (never where it is None), and the run's times."""
+    patches = [mock.patch.object(cli, "_fork_cpus", lambda: 0 if fork_cells is None else 2),
+               mock.patch.object(cli, "_FORK_MIN_CELLS", fork_cells), *timeline.install()]
+    for patch in patches:
+        patch.start()
+    try:
+        timeline.spans = []
+        faults0, t0 = minor_faults(), time.perf_counter()
+        with ExitStack() as stack:
+            table = cli._Table(spec, spec.options, scratch, stack)
+            solution = cli._checked_path(spec, spec.options, table.add)
+            faults1, t1 = minor_faults(), time.perf_counter()
+            written = table.finish(solution)
+            out = io.BytesIO()
+            cli._join_parts(out, table.parts, table.owners, written)
+            t2 = time.perf_counter()
+        faults2 = minor_faults()
+    finally:
+        for patch in patches:
+            patch.stop()
+    ms = 1e3
+    times = {
+        "solve": ms * (t1 - t0),
+        "add": ms * timeline.within("add", t0, t1),
+        "add sampling": ms * timeline.within("sample", t0, t1),
+        "tail": ms * (t2 - t1),
+        "tail sampling": ms * timeline.within("sample", t1, t2),
+        "tail formatting": ms * timeline.within("format", t1, t2),
+        "blocks here": table.owners.count(0),
+        "solve minflt": faults1 - faults0,
+        "tail minflt": faults2 - faults1,
+    }
+    if len(table.parts) > 1:
+        start, end, busy, blocks, last, faults = map(float, timeline.path.read_text().split())
+        timeline.path.unlink()
+        times.update({
+            "child life": ms * (end - start), "child busy": ms * busy,
+            "child idle": ms * (end - start - busy), "child blocks": int(blocks),
+            "child minflt": int(faults), "child last block - tail end": ms * (last - t2),
+        })
+    return out.getvalue(), solution, times
 
 
-def compare_shared(spec, solution, rhos, scratch, repeat, clock):
-    """Serial against two processes on rhos, each process's own time, and
-    each process's share timed alone."""
-    serial = sampled_bytes(spec, solution, rhos, scratch, 0)
-    assert sampled_bytes(spec, solution, rhos, scratch, 2) == serial
-    with clock.install():
-        own = {"this": [], "child": []}
+def medians(runs):
+    return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
 
-        def shared():
-            clock.take()  # the other calls'
-            sampled_bytes(spec, solution, rhos, scratch, 2)
-            seconds = clock.take()
-            own["this"].append(seconds.pop(os.getpid()))
-            [child] = seconds.values()
-            own["child"].append(child)
 
-        serial_s, shared_s, first_s, second_s = timed(
-            repeat, lambda: sampled_bytes(spec, solution, rhos, scratch, 0), shared,
-            lambda: share_rows(spec, solution, rhos, scratch, 0),
-            lambda: share_rows(spec, solution, rhos, scratch, 1))
-    ms = lambda seconds: 1e3 * statistics.median(seconds)
-    return (f"{rhos.size} rows ({rhos.size * (solution.p + 5)} cells): serial "
-            f"{ms(serial_s):.1f} ms, two processes {ms(shared_s):.1f} ms (own rows: this "
-            f"process {ms(own['this']):.1f} ms, the child {ms(own['child']):.1f} ms; "
-            f"each alone {ms(first_s):.1f} and {ms(second_s):.1f} ms)")
+def show(times, keys):
+    return ", ".join(f"{key} {times[key]:.1f}" if isinstance(times[key], float)
+                     else f"{key} {times[key]}" for key in keys if key in times)
+
+
+def compare(spec, scratch, repeat, fork_cells):
+    """Serial and streamed runs of one table, alternating: (serial bytes,
+    solution, serial medians, streamed medians)."""
+    timeline = Timeline(scratch)
+    serial, solution, _ = run_table(spec, scratch, timeline, None)
+    runs = {None: [], fork_cells: []}
+    for _ in range(repeat):
+        for cells in runs:
+            data, _, times = run_table(spec, scratch, timeline, cells)
+            assert data == serial, "streamed bytes differ from serial ones"
+            runs[cells].append(times)
+    return serial, solution, medians(runs[None]), medians(runs[fork_cells])
+
+
+SERIAL_KEYS = ("solve", "tail", "tail sampling", "tail formatting", "solve minflt",
+               "tail minflt")
+STREAMED_KEYS = ("solve", "add", "add sampling", "tail", "tail sampling", "tail formatting",
+                 "blocks here", "solve minflt", "tail minflt")
+CHILD_KEYS = ("child life", "child busy", "child idle", "child blocks", "child minflt",
+              "child last block - tail end")
 
 
 def main(argv=None):
@@ -189,37 +219,43 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--workloads", nargs="+", default=["lasso_ls", "fused_fsa", "logistic_cv"])
-    parser.add_argument("--fork-rows", type=int, nargs="*", default=[])
+    parser.add_argument("--per", type=int, nargs="*", default=[])
+    parser.add_argument("--fork-cells", type=int, default=1)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as scratch:
-        clock = ProcessClock(scratch)
         for name in args.workloads:
             for seed in args.seeds:
                 for index in range(args.jobs):
-                    job = make_job(WORKLOADS[name], "full", seed, index, Path(scratch) / f"{name}-{seed}")
+                    job = make_job(WORKLOADS[name], "full", seed, index,
+                                   Path(scratch) / f"{name}-{seed}")
                     spec = parse_problem_spec(str(job.spec))
-                    solution = cli._checked_path(spec, spec.options)
+                    serial, solution, quiet, streamed = compare(spec, scratch, args.repeat,
+                                                                args.fork_cells)
                     rhos = solution.rho_grid(spec.samples_per_segment)
                     if solution.direction == "backward":
                         rhos = rhos[::-1]
                     expected, betas = reference_bytes(spec, solution, rhos)
-                    assert sampled_bytes(spec, solution, rhos, scratch, 0) == expected, \
-                        (name, seed, index)
-                    [seconds] = timed(args.repeat,
-                                      lambda: sampled_bytes(spec, solution, rhos, scratch, 0))
+                    assert serial == expected, (name, seed, index)
                     distinct, repeat = shares(betas)
-                    print(f"{name} seed {seed} job {index}: {rhos.size} rows, {betas.size} "
-                          f"coefficient cells, serial {1e3 * min(seconds):.1f} ms, "
-                          f"distinct share {distinct:.3f}, repeat share {repeat:.3f}", flush=True)
-                    if args.fork_rows:
-                        print("    whole grid, " + compare_shared(
-                            spec, solution, rhos, scratch, args.repeat, clock), flush=True)
-                    for rows in args.fork_rows:
-                        spread = rhos[np.linspace(0, rhos.size - 1, rows).round().astype(int)]
-                        print("    " + compare_shared(spec, solution, spread, scratch, args.repeat,
-                                                      clock), flush=True)
-    print("bytes equal the per-cell reference on every table")
+                    print(f"{name} seed {seed} job {index}: {rhos.size} rows of "
+                          f"{solution.p + 5} cells, distinct share {distinct:.3f}, "
+                          f"repeat share {repeat:.3f}", flush=True)
+                    print(f"    serial: {show(quiet, SERIAL_KEYS)}", flush=True)
+                    print(f"    streamed: {show(streamed, STREAMED_KEYS)}", flush=True)
+                    print(f"        {show(streamed, CHILD_KEYS)}", flush=True)
+                    for per in args.per:
+                        smaller = dataclasses.replace(spec, samples_per_segment=per)
+                        _, _, quiet, streamed = compare(smaller, scratch, args.repeat,
+                                                        args.fork_cells)
+                        cells = solution.rho_grid(per).size * (solution.p + 5)
+                        print(f"    {per} samples a segment ({cells} cells): serial "
+                              f"{quiet['solve'] + quiet['tail']:.1f} ms, streamed "
+                              f"{streamed['solve'] + streamed['tail']:.1f} ms "
+                              f"({'forked' if 'child life' in streamed else 'not forked'})",
+                              flush=True)
+    print("serial bytes equal the per-cell reference and streamed bytes the serial ones "
+          "on every table")
 
 
 if __name__ == "__main__":

@@ -508,10 +508,10 @@ SOLVE_CASES = {
 SOLVE_OUTPUTS = ("path.csv", "kinks.jsonl", "report.txt")
 
 
-def fork_small_tables(monkeypatch, cpus, max_slices=2):
-    # sample even these small tables in forked slices, one per (faked) CPU
-    monkeypatch.setattr(cli, "_SLICE_MIN_CELLS", 1)
-    monkeypatch.setattr(cli, "_MAX_SLICES", max_slices)
+def fork_small_tables(monkeypatch, cpus, cells=1):
+    # fork the formatter child of even these small tables as soon as `cells`
+    # cells wait to be formatted, on `cpus` (faked) usable CPUs
+    monkeypatch.setattr(cli, "_FORK_MIN_CELLS", cells)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -519,55 +519,17 @@ def fork_small_tables(monkeypatch, cpus, max_slices=2):
 def test_solve_forked_and_serial_outputs_are_byte_identical(tmp_path, monkeypatch, case):
     make_spec, flags = SOLVE_CASES[case]
     spec = make_spec(tmp_path)
-    fork_small_tables(monkeypatch, cpus=3, max_slices=3)  # two children, joined in order
+    fork_small_tables(monkeypatch, cpus=3)  # one child, on three CPUs too
     forks = count_forks(monkeypatch)
     written = {}
-    for threads in ("1", "2"):  # forked slices, then one serial pass
+    for threads in ("1", "2"):  # a forked formatter, then one serial pass
         set_blas_threads(monkeypatch, threads)
         out = tmp_path / f"threads{threads}"
         assert main(["solve", spec, "--out", str(out), *flags]) == 0
         written[threads] = [(out / name).read_bytes() for name in SOLVE_OUTPUTS]
-        assert len(forks) == 2  # the first slice is this process's own
+        assert len(forks) == 1
     assert written["1"] == written["2"]
     assert_no_child_left()
-
-
-def deal(monkeypatch, cpus, block_rows):
-    # share grids of any size among up to three processes, in blocks of block_rows
-    monkeypatch.setattr(cli, "_fork_cpus", lambda: cpus)
-    monkeypatch.setattr(cli, "_SLICE_MIN_CELLS", 1)
-    monkeypatch.setattr(cli, "_MAX_SLICES", 3)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
-
-
-# (grid rows, usable CPUs, _BLOCK_ROWS) -> processes and the blocks' row counts
-SPLITS = {
-    "one_process": ((100, 0, 32), 1, [32, 32, 32, 4]),
-    "two_processes_short_last_block": ((100, 2, 32), 2, [32, 32, 32, 4]),
-    "three_processes": ((100, 3, 32), 3, [32, 32, 32, 4]),
-    "whole_blocks": ((96, 2, 32), 2, [32, 32, 32]),
-    "fewer_blocks_than_processes": ((40, 3, 32), 3, [13, 13, 13, 1]),
-    "one_block_for_three": ((25, 3, 32), 3, [8, 8, 8, 1]),
-    "fewer_rows_than_processes": ((2, 3, 32), 2, [1, 1]),
-    "one_row": ((1, 2, 32), 1, [1]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SPLITS))
-def test_slices_deal_every_block_to_exactly_one_process(monkeypatch, case):
-    (rows, cpus, block_rows), processes, sizes = SPLITS[case]
-    deal(monkeypatch, cpus, block_rows)
-    grid = np.arange(rows, dtype=float)
-    solution = type("Solution", (), {"p": 3})()
-    blocks, shares = cli._slices(solution, grid)
-    assert [block.size for block in blocks] == sizes
-    assert np.array_equal(np.concatenate(blocks), grid)
-    assert len(shares) == processes and all(len(share) > 0 for share in shares)
-    assert sorted(index for share in shares for index in share) == list(range(len(blocks)))
-    # round-robin: process k takes blocks k, k + n, k + 2n, ...
-    assert [list(share) for share in shares] == [
-        list(range(k, len(blocks), processes)) for k in range(processes)
-    ]
 
 
 @pytest.mark.parametrize("cpus, block_rows", [(0, 32), (2, 7), (3, 7), (3, 64)],
@@ -577,27 +539,27 @@ def test_shared_rows_merge_in_grid_order(tmp_path, monkeypatch, cpus, block_rows
     spec = parse_problem_spec(regression_spec(tmp_path))
     solution = cli._checked_path(spec, spec.options)
     grid = solution.rho_grid(spec.samples_per_segment)  # 61 rows
-    with tempfile.TemporaryFile(dir=tmp_path) as part:
-        part.write(cli._block_rows(spec, solution, grid)[1])
-        part.seek(0)
-        serial = part.read()
-    deal(monkeypatch, cpus, block_rows)
+    whole = io.BytesIO()
+    cli._block_rows(spec, whole, grid, *solution.sample(grid))
+    serial = whole.getvalue()
+    monkeypatch.setattr(cli, "_fork_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 1)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     forks = count_forks(monkeypatch)
-    blocks, shares = cli._slices(solution, grid)
-    assert len(shares) == max(cpus, 1)
     joined = io.BytesIO()
     with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=tmp_path)) for _ in shares]
-        written = cli._sampled_points(spec, solution, blocks, shares, parts)
-        cli._join_parts(joined, parts, shares, written)
+        table = cli._Table(spec, spec.options, tmp_path, stack)
+        written = table.finish(cli._checked_path(spec, spec.options, table.add))
+        cli._join_parts(joined, table.parts, table.owners, written)
     assert joined.getvalue() == serial
-    assert len(forks) == len(shares) - 1
+    assert len(forks) == len(table.parts) - 1 == (cpus > 1)
     assert_no_child_left()
+    # the child formats blocks from the first one it is handed on
+    assert (1 in table.owners) == (cpus > 1)
     assert [rho for rows, _ in written for rho, _, _ in rows] == grid.tolist()
     lines = serial.splitlines(keepends=True)
-    starts = np.cumsum([0] + [block.size for block in blocks])
     assert [size for _, size in written] == [
-        len(b"".join(lines[start:stop])) for start, stop in zip(starts, starts[1:])
+        len(b"".join(lines[start:start + block_rows])) for start in range(0, grid.size, block_rows)
     ]
 
 
@@ -616,7 +578,187 @@ def test_solve_forks_only_under_one_blas_thread_and_above_the_cell_threshold(tmp
     assert len(forks) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     assert main(["solve", spec, "--out", str(tmp_path / "capped")]) == 0
-    assert len(forks) == 2  # still two slices on four CPUs
+    assert len(forks) == 2  # one child on four CPUs too
+
+
+@pytest.mark.parametrize("case", ["succeeds", "solver_fails", "formatting_fails"])
+def test_a_streamed_solve_leaves_no_process_behind(tmp_path, monkeypatch, capsys, case):
+    # the formatter child is forked at the first segment, before the solver
+    # fails at its fifth kink or the formatting of the second block fails
+    target = (np.random.default_rng(8).normal(size=12) * 2).tolist()
+    spec = write_spec(tmp_path, {
+        "dimension": 12,
+        "loss": {"kind": "quadratic", "target": target},
+        "constraints": [{"builder": "fused_lasso"}],
+        "options": {"max_kinks": 4} if case == "solver_fails" else {},
+    })
+    real_csv_block = cli._csv_block
+
+    def csv_block(table):
+        if table[0, 0] > 0.0:  # every block after the first
+            raise PenPathError("formatting failed")
+        return real_csv_block(table)
+
+    if case == "formatting_fails":
+        monkeypatch.setattr(cli, "_csv_block", csv_block)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    fork_small_tables(monkeypatch, cpus=2)
+    set_blas_threads(monkeypatch, "1")
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["solve", spec, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+    if case == "succeeds":
+        assert code == 0 and err == ""
+        assert sorted(p.name for p in out.iterdir()) == sorted(SOLVE_OUTPUTS)
+    else:
+        assert code == 2
+        assert err.startswith("solver error: path exceeded max_kinks=4" if case == "solver_fails"
+                              else "solver error: formatting failed\n")
+        assert not out.exists()
+    # the unlinked parts leave nothing beside --out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["spec.json"] + (["out"] if code == 0 else []))
+
+
+def test_solve_refuses_a_streamed_grid_that_is_not_rho_grid(tmp_path, monkeypatch, capsys):
+    real_grid = penpath.path.PathSolution.rho_grid
+    monkeypatch.setattr(penpath.path.PathSolution, "rho_grid",
+                        lambda self, per: real_grid(self, per)[1:])
+    out = tmp_path / "out"
+    assert main(["solve", regression_spec(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: the rows sampled during the solve are not the path's sample grid\n")
+    assert not out.exists()
+
+
+def point_segment_lasso_spec(directory):
+    # the lasso of tests/test_sampling.py's
+    # test_lookup_on_forward_lasso_with_point_segments: its path opens with a
+    # run of zero-length segments at rho = 0
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(10, 6))
+    a[:, 1] += 2.0 * a[:, 0]
+    a[:, 2] -= 1.5 * a[:, 0]
+    h = a.T @ a
+    return write_spec(directory, {
+        "dimension": 6,
+        "loss": {"kind": "quadratic", "matrix": h.tolist(),
+                 "linear": (h @ np.array([3.0, 0.0, 0.0, -1.0, 0.0, 0.5])).tolist()},
+        "constraints": [{"builder": "lasso"}],
+    })
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# the golden solve specs (a backward path and an ODE-engine logistic path
+# among them) and the point-segment lasso
+STREAMED_SPECS = {
+    **{case: (lambda directory, case=case: str(GOLDEN / case / "spec.json"))
+       for case in ("fused_backward", "fused_nullspace", "lasso_direct", "logistic_solve",
+                    "shape_direct", "trend_nullspace")},
+    "point_segments": point_segment_lasso_spec,
+}
+
+
+@pytest.fixture(scope="module")
+def serial_solves(tmp_path_factory):
+    """Each STREAMED_SPECS case's spec path, rows and outputs, solved
+    without a fork."""
+    solved = {}
+
+    def solve(case):
+        if case not in solved:
+            directory = tmp_path_factory.mktemp(case)
+            spec = STREAMED_SPECS[case](directory)
+            with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+                patch.setattr(cli, "_fork_cpus", lambda: 0)
+                warnings.simplefilter("ignore")
+                assert main(["solve", spec, "--out", str(directory / "out")]) == 0
+            written = [(directory / "out" / name).read_bytes() for name in SOLVE_OUTPUTS]
+            solved[case] = spec, written[0].count(b"\n") - 1, written
+        return solved[case]
+
+    return solve
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 32])
+@pytest.mark.parametrize("after", [1, 2, 5])
+@pytest.mark.parametrize("case", sorted(STREAMED_SPECS))
+def test_streamed_solve_writes_the_serial_bytes(tmp_path, monkeypatch, serial_solves, case,
+                                                after, block_rows):
+    # the child is forked once `after` blocks' cells wait to be formatted
+    spec, rows, serial = serial_solves(case)
+    p = json.loads(Path(spec).read_text())["dimension"]
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    fork_small_tables(monkeypatch, cpus=2, cells=after * block_rows * (p + 5))
+    set_blas_threads(monkeypatch, "1")
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["solve", spec, "--out", str(out)]) == 0
+    assert [(out / name).read_bytes() for name in SOLVE_OUTPUTS] == serial
+    assert len(forks) == (rows >= after * block_rows)
+    assert_no_child_left()
+
+
+# Patches penpath, then runs the CLI on its arguments and prints how many
+# processes it forked: every segment the solver records issues one warning
+# from one location, and every row sampled another, its own.
+REPEATED_SOLVER_WARNING = """
+import os, sys, warnings
+import penpath.path
+from penpath import cli
+
+record, lookup = penpath.path._PathRunner._record_segment, penpath.path.PathSolution._segment_for
+
+
+def record_segment(self, *args):
+    warnings.warn("segment recorded", UserWarning)
+    return record(self, *args)
+
+
+def segment_for(self, rho):
+    warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
+    return lookup(self, rho)
+
+
+penpath.path._PathRunner._record_segment = record_segment
+penpath.path.PathSolution._segment_for = segment_for
+cli._FORK_MIN_CELLS, cli._BLOCK_ROWS = 1, 4
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+code = cli.main(sys.argv[1:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+def test_streamed_solve_shows_a_repeated_solver_warning_once(tmp_path):
+    # Blocks are sampled between the segments that warn; the warning is
+    # still shown once, as the solver shows it without a fork, and the rows'
+    # warnings follow it in row order.
+    spec = regression_spec(tmp_path)
+    runs = {}
+    for threads in ("1", "2"):  # a forked formatter, then one serial pass
+        out = tmp_path / f"threads{threads}"
+        runs[threads] = subprocess.run(
+            [sys.executable, "-c", REPEATED_SOLVER_WARNING, "solve", spec, "--out", str(out)],
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert runs[threads].returncode == 0, runs[threads].stderr
+    assert [runs[threads].stdout for threads in ("1", "2")] == ["1\n", "0\n"]
+    assert runs["1"].stderr == runs["2"].stderr
+    rhos = read_table(tmp_path / "threads1" / "path.csv")[1][:, 0]
+    shown = [line.split("UserWarning: ")[1] for line in runs["1"].stderr.splitlines()]
+    assert shown == ["segment recorded"] + [f"row at rho={rho!r}" for rho in rhos.tolist()]
 
 
 def test_solve_writes_its_parts_beside_out(tmp_path, monkeypatch):
@@ -646,7 +788,7 @@ def test_solve_forked_run_shows_a_repeated_warning_as_often_as_a_serial_run(
     fork_small_tables(monkeypatch, cpus=2)
     forks = count_forks(monkeypatch)
     shown = {}
-    for threads in ("1", "2"):  # forked slices, then one serial pass
+    for threads in ("1", "2"):  # a forked formatter, then one serial pass
         set_blas_threads(monkeypatch, threads)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # once per location, as outside tests
@@ -660,7 +802,7 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     spec = regression_spec(tmp_path, n=30, p=6)
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
-    bound = rhos[int(0.9 * rhos.size)]  # in the second of two slices
+    bound = rhos[int(0.9 * rhos.size)]  # late in the grid
     real_lookup = penpath.path.PathSolution._segment_for
 
     def lookup(self, rho):
@@ -676,7 +818,7 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     forks = count_forks(monkeypatch)
     capsys.readouterr()
     seen = {}
-    for threads in ("1", "2"):  # forked slices, then one serial pass
+    for threads in ("1", "2"):  # a forked formatter, then one serial pass
         set_blas_threads(monkeypatch, threads)
         out = tmp_path / f"threads{threads}"
         with warnings.catch_warnings(record=True) as caught:
@@ -725,7 +867,7 @@ def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before
     monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
     monkeypatch.setattr(cli, "_csv_block", csv_block)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
-    fork_small_tables(monkeypatch, cpus=cpus, max_slices=3)
+    fork_small_tables(monkeypatch, cpus=cpus)
     forks = count_forks(monkeypatch)
     capsys.readouterr()
     seen = {}
@@ -735,7 +877,7 @@ def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before
             warnings.simplefilter("always")
             assert main(["solve", spec, "--out", str(tmp_path / f"threads{threads}")]) == 2
         seen[threads] = (capsys.readouterr().err, [str(w.message) for w in caught])
-    assert len(forks) == cpus - 1
+    assert len(forks) == 1  # one formatter child, whatever the CPUs
     assert_no_child_left()
     first = int(np.argmax(rhos > bound))
     # each row sampled before the failure warned once, in row order: where

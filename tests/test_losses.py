@@ -1,8 +1,12 @@
 """Derivative stacks of all loss families against finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import penpath.losses.ggm as ggm_module
+from penpath.constraints import equalities
 from penpath.errors import DivergenceError, DomainError
 from penpath.losses import (
     GaussianGraphicalLoss,
@@ -14,6 +18,7 @@ from penpath.losses import (
     VARIANCES,
     unconstrained_minimum,
 )
+from penpath.path import run_path
 
 
 def fd_gradient(model, x):
@@ -346,6 +351,59 @@ def test_ggm_hessian_equals_the_loop(p):
         b = rng.standard_normal((p, p))
         x = model.from_matrix(b @ b.T / p + np.eye(p))
         assert model.hessian(x).tobytes() == ggm_loop_hessian(model, x).tobytes()
+
+
+def test_ggm_factors_omega_once_per_point(monkeypatch):
+    # The ODE engine asks for the gradient and then the Hessian columns at
+    # one point: one Cholesky factorization of Omega serves both, and the
+    # path is bitwise that of a loss that factors Omega on every call.
+    rng = np.random.default_rng(3)
+    draws = rng.standard_normal((40, 4))
+    model = GaussianGraphicalLoss(draws.T @ draws / 40)
+    cs = equalities(np.eye(model.dim)[model.offdiagonal_coordinates()])  # offdiagonal_lasso
+    points, factored = [], []
+    real_factor = ggm_module.cho_factor
+
+    def factor(*args, **kwargs):
+        factored.append(1)
+        return real_factor(*args, **kwargs)
+
+    def asking(method):
+        def call(self, x, *args):
+            points.append(np.asarray(x, dtype=float).tobytes())
+            return method(self, x, *args)
+        return call
+
+    monkeypatch.setattr(ggm_module, "cho_factor", factor)
+    for name in ("gradient", "hessian", "hessian_columns"):
+        method = getattr(GaussianGraphicalLoss, name)
+        monkeypatch.setattr(GaussianGraphicalLoss, name, asking(method))
+    real_value = GaussianGraphicalLoss.value
+    values = []
+    monkeypatch.setattr(GaussianGraphicalLoss, "value",
+                        lambda self, x: values.append(1) or real_value(self, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cached = run_path(model, cs)
+    assert len(cached.kinks) >= 3
+    # value factors Omega for its own log-determinant
+    inverses = len(factored) - len(values)
+    changes = sum(1 for before, after in zip([None] + points, points) if after != before)
+    assert inverses == changes < len(points)
+
+    real_inverse = GaussianGraphicalLoss._inverse
+
+    def uncached(self, x):
+        self._last = (None, None)
+        return real_inverse(self, x)
+
+    monkeypatch.setattr(GaussianGraphicalLoss, "_inverse", uncached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = run_path(GaussianGraphicalLoss(draws.T @ draws / 40), cs)
+    assert [vars(k) for k in fresh.kinks] == [vars(k) for k in cached.kinks]
+    for a, b in zip(fresh.segments, cached.segments, strict=True):
+        assert a.rho_end == b.rho_end and a.beta_end.tobytes() == b.beta_end.tobytes()
 
 
 def parity_models():
