@@ -21,10 +21,10 @@ Where BLAS runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
 forked children: `crossval` solves the fold paths in at most one per CPU
 while this process solves the full-data path, and `solve`, once enough of
 path.csv's rows wait, forks one child to format them (_Table) while this
-process solves the path and samples the blocks of rows it hands over.
-Otherwise all the work runs one step after another here.  Blocks and forked
-folds each keep their result or error and the warnings they issued (_each,
-or _caught while the solver runs); a child returns them through a pipe.
+process solves the path, sampling each segment's rows as it is recorded.
+Otherwise all the work runs one step after another here.  Formatted blocks
+and forked folds each keep their result or error and the warnings they
+issued (_each); a child returns them through a pipe.
 They are reported in block or fold order (_in_order), each warning shown as
 often as a serial run shows it, so the warnings, the error and the files
 written are those of a serial run.  The `penpath` console script
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import PenPathError, SpecError, UnsupportedLoss
 from .oracles import glasso_coordinate, pava, quadrature_j, solve_fixed_rho
-from .path import MODES, PathSolution, _lookup_pad, information_criteria, run_path
+from .path import MODES, degrees_of_freedom, information_criteria, run_path
 from .problemspec import parse_problem_spec
 
 log = logging.getLogger("penpath")
@@ -129,19 +129,19 @@ def _path_csv_header(p):
     return "rho," + ",".join(f"beta_{i + 1}" for i in range(p)) + ",df,negloglik,aic,bic\n"
 
 
-def _block_rows(spec, part, block, betas, dfs):
-    """Write path.csv's rows (rho, beta, df, negloglik, aic, bic) at the rhos
-    of block, sampled as betas and dfs, to part: their (rho, aic, bic) and size."""
-    values = spec.model.values(betas)
+def _block_rows(spec, part, rows):
+    """Write path.csv's rows (rho, beta, df, negloglik, aic, bic) to part from
+    rows, sampled as (rho, df, beta) each: their (rho, aic, bic) and size."""
     # df counts coordinates, and "%.17g" writes a whole float as "%d" writes
     # the int.
-    df = np.array(dfs, dtype=float)
+    rhos, df, betas = rows[:, 0], rows[:, 1], np.ascontiguousarray(rows[:, 2:])
+    values = spec.model.values(betas)
     aic, bic = information_criteria(-values, df, spec.n_observations)
-    table = np.column_stack([block, betas, df, values, aic, bic])
+    table = np.column_stack([rhos, betas, df, values, aic, bic])
     data = "".join(_csv_block(table)).encode()
     part.write(data)
     part.flush()
-    return list(zip(block.tolist(), aic.tolist(), bic.tolist())), len(data)
+    return list(zip(rhos.tolist(), aic.tolist(), bic.tolist())), len(data)
 
 
 def _kinks_jsonl(solution):
@@ -233,58 +233,64 @@ _CREDIT = 2
 
 
 class _Table:
-    """path.csv's rows, made while the path is solved.
+    """path.csv's rows, sampled while the path is solved.
 
     add(segment), run_path's on_segment, extends the grid by the segment's
-    points (rho_grid's, in path order) and releases all but those within the
-    lookup pad of its end, which the next segment might serve.  Once enough
-    released rows wait (_FORK_MIN_CELLS) where forking pays, one child is
-    forked (_format_blocks), and while it has a free slot the next block of
-    released rows is sampled here, over the segments recorded so far, and
-    handed over.  finish(solution) formats here each block the child has no
-    room for and returns each block's rows' (rho, aic, bic) and byte count;
-    block k's bytes wait in parts[owners[k]], unlinked files made in near.
+    sample points in path order and samples each new row but the segment's
+    end from the segment itself (its betas_at, and the df of its set).  A
+    kink's rho is served by the last segment that starts there, so the end
+    row waits for the next segment, or for finish(solution) when it is the
+    path's end.  Once enough sampled rows wait (_FORK_MIN_CELLS) where
+    forking pays, one child is forked (_format_blocks), and while it has a
+    free slot the next block of sampled rows is handed over.  finish formats
+    here each block the child has no room for and returns each block's
+    rows' (rho, aic, bic) and byte count; block k's bytes wait in
+    parts[owners[k]], unlinked files made in near.
     """
 
     def __init__(self, spec, options, near, stack):
         self.spec, self.near, self.stack = spec, near, stack
         self.forward = options.direction == "forward"
-        self.solution = PathSolution([], [], None, options.mode, options.direction, [],
-                                     spec.model, spec.constraints, options)
-        self.rhos, self.released, self.finished = [], 0, False
-        self.owners, self.outcomes, self.sampled = [], {}, {}
+        # the grid, and the sampled rows not yet cut into blocks: (rho, df, beta) each
+        self.rhos, self.waiting, self.sampled, self.finished = [], [], 0, False
+        self.owners, self.outcomes = [], {}
         self.forks, self.child, self.handed = _fork_cpus() > 1, None, 0
         self.parts = [stack.enter_context(tempfile.TemporaryFile(dir=near))]
 
     def add(self, segment):
-        self.solution.segments.append(segment)
-        lo, hi = sorted((segment.rho_start, segment.rho_end))
-        points = [lo] if segment.rho_span == 0.0 else np.linspace(
-            lo, hi, self.spec.samples_per_segment + 1).tolist()
+        points = segment.sample_points(self.spec.samples_per_segment).tolist()
         for rho in points if self.forward else reversed(points):
             if not self.rhos or rho != self.rhos[-1]:
                 self.rhos.append(rho)
-        held, end = len(self.rhos), segment.rho_end
-        while held > self.released and abs(self.rhos[held - 1] - end) <= _lookup_pad(end):
-            held -= 1
-        self.released = held
+        self._sample(segment, len(self.rhos) - 1)
         self._share()
 
     def finish(self, solution):
         grid = solution.rho_grid(self.spec.samples_per_segment)
         if not np.array_equal(grid if self.forward else grid[::-1], self.rhos):
             raise PenPathError("the rows sampled during the solve are not the path's sample grid")
-        self.solution, self.released, self.finished = solution, len(self.rhos), True
+        self._sample(solution.segments[-1], len(self.rhos))
+        self.finished = True
         self._share()
         if self.child is not None:
             self.child.send(b"")  # closes its requests: it formats what it holds and ends
-            self._take(self.child.result())
+            self.outcomes.update(self.child.result())
         with warnings.catch_warnings():  # once-per-location registries start empty
             return _in_order(self.outcomes, range(-(-len(self.rhos) // _BLOCK_ROWS)),
-                             lambda index: f"sampling block {index + 1} of path.csv")
+                             lambda index: f"formatting block {index + 1} of path.csv")
+
+    def _sample(self, segment, end):
+        # the grid's rows from the first one not yet sampled up to end
+        rhos = np.array(self.rhos[self.sampled:end])
+        rows = np.empty((rhos.size, self.spec.dimension + 2))
+        rows[:, 0] = rhos
+        rows[:, 1] = degrees_of_freedom(segment.config, self.spec.dimension)
+        rows[:, 2:] = segment.betas_at(rhos, self.forward)
+        self.waiting.append(rows)
+        self.sampled = end
 
     def _share(self):
-        waiting = self.released - len(self.owners) * _BLOCK_ROWS
+        waiting = self.sampled - len(self.owners) * _BLOCK_ROWS
         if self.forks and waiting * (self.spec.dimension + 5) >= _FORK_MIN_CELLS:
             self._fork()
         while waiting > 0 and (self.finished or waiting >= _BLOCK_ROWS):
@@ -294,7 +300,7 @@ class _Table:
                 self._format_here()
             else:
                 break
-            waiting = self.released - len(self.owners) * _BLOCK_ROWS
+            waiting = self.sampled - len(self.owners) * _BLOCK_ROWS
 
     def _fork(self):
         # the blocks the child has formatted, then each slot's rows (rho, df, beta)
@@ -308,49 +314,25 @@ class _Table:
         self.parts.append(part)
 
     def _next_block(self, owner):
-        index = len(self.owners)
+        # one copy of the rows waiting, then each block a view of it
+        rows = np.concatenate(self.waiting) if len(self.waiting) > 1 else self.waiting[0]
+        self.waiting = [rows[_BLOCK_ROWS:]]
         self.owners.append(owner)
-        return index, np.array(self.rhos[index * _BLOCK_ROWS:(index + 1) * _BLOCK_ROWS])
+        return len(self.owners) - 1, rows[:_BLOCK_ROWS]
 
     def _hand(self):
-        index, rhos = self._next_block(1)
-        caught, sampled = _caught(partial(self.solution.sample, rhos))
-        if isinstance(sampled, Exception):
-            return self._take({index: (caught, sampled)})
-        self.sampled[index], slot = caught, self.handed % _CREDIT
-        self.slots[slot, :rhos.size] = np.column_stack([rhos, sampled[1], sampled[0]])
+        index, rows = self._next_block(1)
+        slot = self.handed % _CREDIT
+        self.slots[slot, :len(rows)] = rows
         self.handed += 1
         try:
-            os.write(self.child.request_w, pickle.dumps((index, slot, rhos.size)))
+            os.write(self.child.request_w, pickle.dumps((index, slot, len(rows))))
         except BrokenPipeError:  # the child ended; its blocks have no outcome
             self.child = None
 
     def _format_here(self):
-        index, rhos = self._next_block(0)
-        self._take(_each([index], lambda _: _block_rows(
-            self.spec, self.parts[0], rhos, *self.solution.sample(rhos))))
-
-    def _take(self, outcomes):
-        for index, (caught, result) in outcomes.items():
-            self.outcomes[index] = (self.sampled.pop(index, []) + caught, result)
-
-
-def _caught(task):
-    """task()'s warnings and result or exception, as _each keeps them, but
-    without catch_warnings, which would make the solver running around this
-    call show its warnings again: a warning it has shown from the same place
-    is not caught again."""
-    issued = []
-    show = warnings.showwarning
-    warnings.showwarning = lambda message, category, filename, lineno, *_: issued.append(
-        (message, category, filename, lineno))
-    try:
-        result = task()
-    except Exception as exc:  # raised by _in_order, in block order
-        result = exc
-    finally:
-        warnings.showwarning = show
-    return issued, result
+        index, rows = self._next_block(0)
+        self.outcomes.update(_each([index], lambda _: _block_rows(self.spec, self.parts[0], rows)))
 
 
 def _format_blocks(spec, part, done, slots, receive):
@@ -361,9 +343,8 @@ def _format_blocks(spec, part, done, slots, receive):
     try:
         while True:
             index, slot, size = receive()
-            rows = slots[slot, :size]
-            rhos, dfs, betas = rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2:].copy()
-            outcomes.update(_each([index], lambda _: _block_rows(spec, part, rhos, betas, dfs)))
+            rows = slots[slot, :size].copy()
+            outcomes.update(_each([index], lambda _: _block_rows(spec, part, rows)))
             done[0] += 1
     except EOFError:
         return outcomes

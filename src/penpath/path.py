@@ -84,7 +84,7 @@ active), the snap and the closed-form events.
 import math
 import numbers
 import warnings as _pywarnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -508,6 +508,12 @@ class PathSegment:
     def rho_span(self):
         return abs(self.rho_end - self.rho_start)
 
+    def sample_points(self, per_segment):
+        """The segment's sample rhos, ascending: its one rho if it has zero
+        length, else per_segment + 1 evenly spaced from end to end."""
+        lo, hi = sorted((self.rho_start, self.rho_end))
+        return np.array([lo]) if self.rho_span == 0.0 else np.linspace(lo, hi, per_segment + 1)
+
     def contains(self, rho):
         lo, hi = sorted((self.rho_start, self.rho_end))
         pad = _lookup_pad(rho)
@@ -572,22 +578,21 @@ class PathSolution:
         return self.segments[-1].beta_end.copy()
 
     def _segment_for(self, rho):
-        # The first segment whose padded range holds rho.  rho_end is monotone
-        # in traversal order, so that is the first segment whose padded end is
-        # not short of rho (forward) or not above it (backward), and bisection
-        # finds it; the keys repeat contains()'s arithmetic.
-        pad = _lookup_pad(rho)
+        # A segment serves its own points, and a kink's rho the last segment
+        # that starts there: after a cluster of zero-length segments, the one
+        # after the cluster, which starts from the state the path continues
+        # from.  That is the last segment that starts at or before rho in
+        # path order (a rho before the path's start counting as the start),
+        # if it holds rho; starts are monotone, so bisection finds it.
+        sign = 1.0 if self.direction == "forward" else -1.0
         segments = self.segments
-        if self.direction == "forward":
-            i = bisect_left(segments, rho, key=lambda seg: seg.rho_end + pad)
-        else:
-            i = bisect_left(segments, -rho, key=lambda seg: -(seg.rho_end - pad))
-        if i < len(segments) and segments[i].contains(rho):
-            return segments[i]
+        first, last = segments[0], segments[-1]
+        key = max(sign * rho, sign * first.rho_start)
+        segment = segments[bisect_right(segments, key, key=lambda seg: sign * seg.rho_start) - 1]
+        if segment.contains(rho):
+            return segment
         # Past the far end the solution is a fixed point of the dynamics
         # whenever the boundary configuration is terminal.
-        last = self.segments[-1]
-        first = self.segments[0]
         if self.direction == "forward":
             if self.status == "terminated" and rho >= last.rho_end:
                 return last
@@ -601,9 +606,10 @@ class PathSolution:
 
     def sample(self, rhos):
         """beta_at and df_at at each of rhos, bitwise, as an (n, p) array
-        and a list of n ints.  Each rho costs one segment lookup, and the
-        betas of consecutive rhos on one exact-engine segment are one
-        broadcast of its line."""
+        and a list of n ints, for rhos on any grid (crossval's is the
+        full-data path's).  Each rho is served by the segment _segment_for
+        finds, as `penpath solve` serves its own grid, and the betas of
+        consecutive rhos on one segment are one betas_at call."""
         rhos = np.asarray(rhos, dtype=float)
         betas = np.empty((rhos.size, self.p))
         dfs = []
@@ -627,19 +633,23 @@ class PathSolution:
 
     def coefficients_at(self, rho):
         # Beyond a fixed end beta is frozen, but the coefficients still decay
-        # with rho, by the segment's own formula.
-        return self._segment_for(rho)._coefficients(rho, self.beta_at(rho))
+        # with rho, by the segment's own formula.  At a kink's rho they are
+        # the ones its event located, at the end of the first segment that
+        # holds rho: the segment that starts there holds a newly active row's
+        # coefficient only to the path's stationarity error over rho, and on
+        # the ODE engine the forward start's Newton residual makes that
+        # about 1e-7 at rho ~ 0.1, beyond in_range's default.
+        sign = 1.0 if self.direction == "forward" else -1.0
+        segments = self.segments
+        i = bisect_left(segments, sign * rho - _lookup_pad(rho), key=lambda seg: sign * seg.rho_end)
+        segment = segments[i] if i < len(segments) and segments[i].contains(rho) else (
+            self._segment_for(rho))
+        beta = segment.betas_at(np.array([rho], dtype=float), sign > 0.0)[0]
+        return segment._coefficients(rho, beta)
 
     def rho_grid(self, per_segment=20):
-        """Ascending sample grid: segment endpoints plus interior points."""
-        points = []
-        for seg in self.segments:
-            lo, hi = sorted((seg.rho_start, seg.rho_end))
-            if seg.rho_span == 0.0:
-                points.append(lo)
-            else:
-                points.extend(np.linspace(lo, hi, per_segment + 1))
-        return np.unique(np.asarray(points, dtype=float))
+        """Ascending sample grid: every segment's sample_points."""
+        return np.unique(np.concatenate([seg.sample_points(per_segment) for seg in self.segments]))
 
 
 # ---------------------------------------------------------------------------

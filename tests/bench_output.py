@@ -17,20 +17,23 @@ For jobs 0 .. jobs-1 of each seed of each benchmark workload
 --fork-cells cells wait, 1 by default, in place of `cli._FORK_MIN_CELLS`),
 --repeat alternating runs each, and the script prints their medians, in ms:
 
-    serial    solve, then the tail (finish and join) and the sampling and
-              formatting in it
+    serial    solve, the part of it spent in on_segment and the sampling
+              (`PathSegment.betas_at`) in that, then the tail (finish and
+              join) and the sampling and formatting in it
     streamed  this process: the solve, the part of it spent in on_segment
-              (`_Table.add`: the grid, sampling the blocks handed over, the
+              (`_Table.add`: the grid, sampling each segment's rows, the
               fork and the pipes) and the sampling in that; the tail, the
-              sampling and formatting in it and the blocks formatted here;
-              minor page faults (ru_minflt) during the solve and the tail
+              sampling (the path's last row) and formatting in it and the
+              blocks formatted here; minor page faults (ru_minflt) during
+              the solve and the tail
               the child: its work's time from start to end, busy
               formatting blocks and idle waiting for them, the blocks it
               formatted, its minor page faults, and when its last block
               ended against the end of this process's tail
 
 It asserts that the serial bytes equal a reference formatted cell by cell
-("%.17g" for each float, "%d" for df) from `PathSolution.sample`, and that
+("%.17g" for each float, "%d" for df) from `PathSolution.sample`, which
+serves each rho by the rule `_Table.add` samples by, and that
 the streamed bytes equal the serial ones.  It also prints each table's
 distinct share (distinct coefficient values, by bits, per coefficient cell)
 and repeat share (coefficient cells whose bits equal their left or upper
@@ -62,7 +65,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, make_job  # noqa: E402
 
 from penpath import cli  # noqa: E402
-from penpath.path import PathSolution, information_criteria  # noqa: E402
+from penpath.path import PathSegment, information_criteria  # noqa: E402
 from penpath.problemspec import parse_problem_spec  # noqa: E402
 
 
@@ -96,7 +99,7 @@ def minor_faults():
 
 class Timeline:
     """Times the calls that make path.csv's rows while installed: in this
-    process, on_segment (`_Table.add`), sampling (`PathSolution.sample`)
+    process, on_segment (`_Table.add`), sampling (`PathSegment.betas_at`)
     and formatting (`cli._block_rows`); in the formatter child, its
     formatting, its life and its minor page faults, which it writes to a
     file as its work (`cli._format_blocks`) returns."""
@@ -128,8 +131,8 @@ class Timeline:
 
     def install(self):
         return [mock.patch.object(cli._Table, "add", self.timed("add", cli._Table.add)),
-                mock.patch.object(PathSolution, "sample",
-                                  self.timed("sample", PathSolution.sample)),
+                mock.patch.object(PathSegment, "betas_at",
+                                  self.timed("sample", PathSegment.betas_at)),
                 mock.patch.object(cli, "_block_rows", self.timed("format", cli._block_rows)),
                 mock.patch.object(cli, "_format_blocks", self.child_work(cli._format_blocks))]
 
@@ -205,8 +208,8 @@ def compare(spec, scratch, repeat, fork_cells):
     return serial, solution, medians(runs[None]), medians(runs[fork_cells])
 
 
-SERIAL_KEYS = ("solve", "tail", "tail sampling", "tail formatting", "solve minflt",
-               "tail minflt")
+SERIAL_KEYS = ("solve", "add", "add sampling", "tail", "tail sampling", "tail formatting",
+               "solve minflt", "tail minflt")
 STREAMED_KEYS = ("solve", "add", "add sampling", "tail", "tail sampling", "tail formatting",
                  "blocks here", "solve minflt", "tail minflt")
 CHILD_KEYS = ("child life", "child busy", "child idle", "child blocks", "child minflt",

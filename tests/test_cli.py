@@ -463,17 +463,21 @@ def test_path_table_df_agrees_with_kink_log(tmp_path):
         active += (event["to_set"] in zero_sets) - (event["from_set"] in zero_sets)
         assert event["df_after"] == p - active
 
-    kink_rhos = np.array([event["rho"] for event in events])
+    at_kinks = 0
     for row in body:
         rho, df = row[0], int(row[p + 1])
-        if np.min(np.abs(kink_rhos - rho)) < 1e-9:
-            continue  # at a kink either side's df is acceptable
+        # a row at a kink shows the set after it: after the last kink at its rho
+        kinks_at = [e for e in events if e["rho"] == rho]
+        if kinks_at:
+            at_kinks += 1
+            assert df == kinks_at[-1]["df_after"]
         implied = sum(
             (e["to_set"] in zero_sets) - (e["from_set"] in zero_sets)
             for e in events
-            if e["rho"] < rho
+            if e["rho"] <= rho
         )
         assert df == p - implied
+    assert at_kinks == len({e["rho"] for e in events})
 
 
 def fused_target_spec(directory, direction):
@@ -539,8 +543,9 @@ def test_shared_rows_merge_in_grid_order(tmp_path, monkeypatch, cpus, block_rows
     spec = parse_problem_spec(regression_spec(tmp_path))
     solution = cli._checked_path(spec, spec.options)
     grid = solution.rho_grid(spec.samples_per_segment)  # 61 rows
+    betas, dfs = solution.sample(grid)
     whole = io.BytesIO()
-    cli._block_rows(spec, whole, grid, *solution.sample(grid))
+    cli._block_rows(spec, whole, np.column_stack([grid, dfs, betas]))
     serial = whole.getvalue()
     monkeypatch.setattr(cli, "_fork_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 1)
@@ -707,6 +712,33 @@ def test_streamed_solve_writes_the_serial_bytes(tmp_path, monkeypatch, serial_so
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("case", sorted(STREAMED_SPECS))
+def test_a_kink_row_is_the_state_the_path_continues_from(serial_solves, case):
+    # A kink's row comes from the last segment that starts at its rho (after
+    # a cluster, the one after it): its snapped beta_start, bit for bit, and
+    # the df of its set, which is the last kink's df_after there.
+    spec_path, _, (path_csv, _, _) = serial_solves(case)
+    spec = parse_problem_spec(spec_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solution = cli._checked_path(spec, spec.options)
+    rows = {}
+    for line in path_csv.decode().splitlines()[1:]:
+        cells = line.split(",")
+        rows[float(cells[0])] = cells
+    p = spec.dimension
+    kink_rhos = sorted({kink.rho for kink in solution.kinks})
+    assert kink_rhos
+    for rho in kink_rhos:
+        owner = [seg for seg in solution.segments if seg.rho_start == rho][-1]
+        beta = np.array([float(cell) for cell in rows[rho][1:p + 1]])
+        assert beta.tobytes() == owner.beta_start.tobytes(), rho
+        df = [kink.df_after for kink in solution.kinks if kink.rho == rho][-1]
+        assert int(rows[rho][p + 1]) == df == penpath.path.degrees_of_freedom(owner.config, p)
+        assert solution.beta_at(rho).tobytes() == owner.beta_start.tobytes()
+        assert solution.config_at(rho) is owner.config
+
+
 # Patches penpath, then runs the CLI on its arguments and prints how many
 # processes it forked: every segment the solver records issues one warning
 # from one location, and every row sampled another, its own.
@@ -715,7 +747,7 @@ import os, sys, warnings
 import penpath.path
 from penpath import cli
 
-record, lookup = penpath.path._PathRunner._record_segment, penpath.path.PathSolution._segment_for
+record, sample = penpath.path._PathRunner._record_segment, penpath.path.PathSegment.betas_at
 
 
 def record_segment(self, *args):
@@ -723,13 +755,14 @@ def record_segment(self, *args):
     return record(self, *args)
 
 
-def segment_for(self, rho):
-    warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
-    return lookup(self, rho)
+def betas_at(self, rhos, forward):
+    for rho in rhos.tolist():
+        warnings.warn(f"row at rho={rho!r}", UserWarning)
+    return sample(self, rhos, forward)
 
 
 penpath.path._PathRunner._record_segment = record_segment
-penpath.path.PathSolution._segment_for = segment_for
+penpath.path.PathSegment.betas_at = betas_at
 cli._FORK_MIN_CELLS, cli._BLOCK_ROWS = 1, 4
 os.sched_getaffinity = lambda pid: {0, 1}
 forks, fork = [], os.fork
@@ -741,9 +774,9 @@ sys.exit(code)
 
 
 def test_streamed_solve_shows_a_repeated_solver_warning_once(tmp_path):
-    # Blocks are sampled between the segments that warn; the warning is
-    # still shown once, as the solver shows it without a fork, and the rows'
-    # warnings follow it in row order.
+    # Each segment's rows are sampled as it is recorded, between the
+    # segments that warn; the warning is still shown once, as the solver
+    # shows it without a fork, and the rows' warnings follow it in row order.
     spec = regression_spec(tmp_path)
     runs = {}
     for threads in ("1", "2"):  # a forked formatter, then one serial pass
@@ -774,17 +807,18 @@ def test_solve_forked_run_shows_a_repeated_warning_as_often_as_a_serial_run(
     tmp_path, monkeypatch, where
 ):
     spec = regression_spec(tmp_path, n=30, p=6)
-    real_lookup = penpath.path.PathSolution._segment_for
+    real_betas_at = penpath.path.PathSegment.betas_at
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     middle = np.median(read_table(tmp_path / "ok" / "path.csv")[1][:, 0])  # rows ascend in rho
 
-    def lookup(self, rho):
-        # the one segment lookup of each sampled row
-        if where == "every_row" or rho > middle:
-            warnings.warn("repeated at one location", UserWarning)
-        return real_lookup(self, rho)
+    def betas_at(self, rhos, forward):
+        # once for each sampled row
+        for rho in rhos.tolist():
+            if where == "every_row" or rho > middle:
+                warnings.warn("repeated at one location", UserWarning)
+        return real_betas_at(self, rhos, forward)
 
-    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
+    monkeypatch.setattr(penpath.path.PathSegment, "betas_at", betas_at)
     fork_small_tables(monkeypatch, cpus=2)
     forks = count_forks(monkeypatch)
     shown = {}
@@ -803,17 +837,17 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
     bound = rhos[int(0.9 * rhos.size)]  # late in the grid
-    real_lookup = penpath.path.PathSolution._segment_for
+    real_betas_at = penpath.path.PathSegment.betas_at
 
-    def lookup(self, rho):
-        # every row warns in its segment lookup, and the rows beyond the
-        # bound fail
-        if rho > bound:
-            raise PenPathError(f"sampling failed beyond rho={bound:g}")
-        warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
-        return real_lookup(self, rho)
+    def betas_at(self, rhos, forward):
+        # every row warns as it is sampled, and the rows beyond the bound fail
+        for rho in rhos.tolist():
+            if rho > bound:
+                raise PenPathError(f"sampling failed beyond rho={bound:g}")
+            warnings.warn(f"row at rho={rho!r}", UserWarning)
+        return real_betas_at(self, rhos, forward)
 
-    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
+    monkeypatch.setattr(penpath.path.PathSegment, "betas_at", betas_at)
     fork_small_tables(monkeypatch, cpus=2)
     forks = count_forks(monkeypatch)
     capsys.readouterr()
@@ -842,21 +876,21 @@ def test_solve_slice_failure_matches_serial_run(tmp_path, monkeypatch, capsys):
 def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before_it(
     tmp_path, monkeypatch, capsys, cpus, block_rows, failing, where
 ):
-    # rows from a point inside the grid on fail, whichever process samples
-    # them: in their segment lookup, or once their whole block is sampled,
-    # when it is formatted
+    # rows from a point inside the grid on fail: as they are sampled during
+    # the solve, or when their block is formatted, whichever process formats it
     spec = regression_spec(tmp_path)
     assert main(["solve", spec, "--out", str(tmp_path / "ok")]) == 0
     rhos = read_table(tmp_path / "ok" / "path.csv")[1][:, 0]
     bound = rhos[int(failing * rhos.size)]
-    real_lookup = penpath.path.PathSolution._segment_for
+    real_betas_at = penpath.path.PathSegment.betas_at
     real_csv_block = cli._csv_block
 
-    def lookup(self, rho):
-        if where == "lookup" and rho > bound:
-            raise PenPathError(f"failed at rho={float(rho)!r}")
-        warnings.warn(f"row at rho={float(rho)!r}", UserWarning)
-        return real_lookup(self, rho)
+    def betas_at(self, rhos, forward):
+        for rho in rhos.tolist():
+            if where == "lookup" and rho > bound:
+                raise PenPathError(f"failed at rho={rho!r}")
+            warnings.warn(f"row at rho={rho!r}", UserWarning)
+        return real_betas_at(self, rhos, forward)
 
     def csv_block(table):
         beyond = table[table[:, 0] > bound, 0]
@@ -864,7 +898,7 @@ def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before
             raise PenPathError(f"failed at rho={float(beyond[0])!r}")
         return real_csv_block(table)
 
-    monkeypatch.setattr(penpath.path.PathSolution, "_segment_for", lookup)
+    monkeypatch.setattr(penpath.path.PathSegment, "betas_at", betas_at)
     monkeypatch.setattr(cli, "_csv_block", csv_block)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     fork_small_tables(monkeypatch, cpus=cpus)
@@ -877,12 +911,14 @@ def test_shared_failure_raises_the_first_failing_block_after_the_warnings_before
             warnings.simplefilter("always")
             assert main(["solve", spec, "--out", str(tmp_path / f"threads{threads}")]) == 2
         seen[threads] = (capsys.readouterr().err, [str(w.message) for w in caught])
-    assert len(forks) == 1  # one formatter child, whatever the CPUs
     assert_no_child_left()
     first = int(np.argmax(rhos > bound))
+    # one formatter child, whatever the CPUs, once rows wait: after the first
+    # segment's 20 rows are sampled
+    assert len(forks) == (where == "formatting" or first >= 20)
     # each row sampled before the failure warned once, in row order: where
-    # formatting fails, every row of the failing block was sampled
-    sampled = first if where == "lookup" else (first // block_rows + 1) * block_rows
+    # formatting fails, every row was sampled during the solve
+    sampled = first if where == "lookup" else rhos.size
     assert seen["2"] == (f"solver error: failed at rho={float(rhos[first])!r}\n",
                          [f"row at rho={rho!r}" for rho in rhos[:sampled].tolist()])
     assert seen["1"] == seen["2"]

@@ -37,10 +37,17 @@ GOLDEN = Path(__file__).parent / "golden"
 # -- reference implementations -----------------------------------------------
 
 def scan_segment(solution, rho):
-    """PathSolution._segment_for as a linear scan."""
+    """PathSolution._segment_for as a linear scan: the last segment that
+    starts at or before rho in path order (a rho before the path's start
+    counting as the start), if it holds rho."""
+    sign = 1.0 if solution.direction == "forward" else -1.0
+    start = max(sign * rho, sign * solution.segments[0].rho_start)
+    owner = None
     for seg in solution.segments:
-        if seg.contains(rho):
-            return seg
+        if sign * seg.rho_start <= start:
+            owner = seg
+    if owner.contains(rho):
+        return owner
     last = solution.segments[-1]
     first = solution.segments[0]
     if solution.direction == "forward":
@@ -165,6 +172,10 @@ def test_lookup_on_forward_lasso_with_point_segments():
     outside = assert_lookup_matches_scan(sol, extra=(1.5 * end, 10.0 * end, -1.0))
     assert outside > 0
     assert sol._segment_for(10.0 * end) is sol.segments[-1]
+    # rho = 0 is served by the segment after the cluster, from its start
+    after = next(seg for seg in sol.segments if seg.rho_span > 0.0)
+    assert sol._segment_for(0.0) is after
+    assert sol.beta_at(0.0).tobytes() == after.beta_start.tobytes()
     with pytest.raises(ValueError, match="outside"):
         sol.beta_at(-1.0)
 
