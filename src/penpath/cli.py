@@ -314,11 +314,19 @@ class _Table:
         self.parts.append(part)
 
     def _next_block(self, owner):
-        # one copy of the rows waiting, then each block a view of it
-        rows = np.concatenate(self.waiting) if len(self.waiting) > 1 else self.waiting[0]
-        self.waiting = [rows[_BLOCK_ROWS:]]
+        # the block's rows cut from the front waiting arrays, the rest left in place
+        parts, size = [], 0
+        while size < _BLOCK_ROWS and self.waiting:
+            rows = self.waiting[0]
+            part = rows[:_BLOCK_ROWS - size]
+            if len(part) == len(rows):
+                del self.waiting[0]
+            else:
+                self.waiting[0] = rows[len(part):]
+            parts.append(part)
+            size += len(part)
         self.owners.append(owner)
-        return len(self.owners) - 1, rows[:_BLOCK_ROWS]
+        return len(self.owners) - 1, np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def _hand(self):
         index, rows = self._next_block(1)

@@ -56,3 +56,9 @@ class LossModel(abc.ABC):
         if x.shape != (self.dim,):
             raise ValueError(f"expected parameter of shape ({self.dim},), got {x.shape}")
         return x
+
+    def _as_params(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected parameters of shape (n, {self.dim}), got {xs.shape}")
+        return xs

@@ -124,6 +124,12 @@ class GlmLoss(LossModel):
         eta = self.design @ self._as_param(x)
         return float(np.sum(self.family.psi(eta) - self.response * eta) / self.scale)
 
+    def values(self, xs):
+        # One stacked product and one psi for all rows; each row's sum comes
+        # out bitwise value's (tests/test_sampling.py checks it).
+        eta = np.matmul(self.design, self._as_params(xs)[:, :, None])[:, :, 0]
+        return np.sum(self.family.psi(eta) - self.response * eta, axis=1) / self.scale
+
     def gradient(self, x):
         eta = self.design @ self._as_param(x)
         return self.design.T @ (self.family.mean(eta) - self.response) / self.scale

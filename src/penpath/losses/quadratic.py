@@ -42,9 +42,7 @@ class QuadraticLoss(LossModel):
     def values(self, xs):
         # One stacked product per term, in value's order; each row's sums
         # come out bitwise value's (tests/test_sampling.py checks it).
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"expected parameters of shape (n, {self.dim}), got {xs.shape}")
+        xs = self._as_params(xs)
         quadratic = ((0.5 * xs)[:, None, :] @ self.a_mat) @ xs[:, :, None]
         return quadratic[:, 0, 0] - (xs[:, None, :] @ self.b)[:, 0] + self.c
 

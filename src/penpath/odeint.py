@@ -122,7 +122,9 @@ class IntegrationResult:
 
     status is "reached_t_max" or "event"; on an event, t_end / y_end are
     the earliest crossing and event_rows holds the ascending indices of the
-    events that fire there (the simultaneous cluster).
+    events that fire there (the simultaneous cluster).  last_step is the
+    size of the last accepted step, whole even where an event cuts it
+    short, and a first_step for the next integration.
     """
 
     steps: list
@@ -130,6 +132,7 @@ class IntegrationResult:
     t_end: float
     y_end: np.ndarray
     event_rows: Optional[np.ndarray] = None
+    last_step: Optional[float] = None
 
     def interpolate(self, t):
         """Evaluate the trajectory at time t inside the integrated range."""
@@ -172,15 +175,17 @@ class DormandPrince:
     """Adaptive Dormand-Prince 5(4) steps of y' = fun(t, y) from t0 up to
     t_bound > t0.
 
-    fun must return a float array.  It is called twice to start (the
-    initial derivative and the initial step's probe) and six times per
-    attempted step, the last at the step's end.  A step is accepted when
-    the RMS of its error estimate over atol + rtol max(|y|, |y_new|) is
-    below one.  t, y and h_abs (the next step's size) are the stepper's
+    fun must return a float array.  It is called once to start (the
+    initial derivative) and six times per attempted step, the last at the
+    step's end.  Without a first_step, the start also calls it once more
+    to choose the first step (_initial_step); a first_step is taken as
+    given, and step() clips it to max_step and t_bound.  A step is accepted
+    when the RMS of its error estimate over atol + rtol max(|y|, |y_new|)
+    is below one.  t, y and h_abs (the next step's size) are the stepper's
     state after the last accepted step.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol):
+    def __init__(self, fun, t0, y0, t_bound, max_step, rtol, atol, first_step=None):
         if max_step <= 0:
             raise ValueError("max_step must be positive")
         if atol < 0:
@@ -195,7 +200,7 @@ class DormandPrince:
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.max_step, self.rtol, self.atol = max_step, rtol, atol
         self.f = fun(t0, y0)
-        self.h_abs = self._initial_step()
+        self.h_abs = self._initial_step() if first_step is None else first_step
         self.K = np.empty((_E.size, y0.size))
 
     def _initial_step(self):
@@ -396,6 +401,7 @@ def integrate(
     abs_tol=DEFAULT_ABS_TOL,
     event_tol=DEFAULT_EVENT_TOL,
     max_step=None,
+    first_step=None,
 ):
     """Integrate y' = rhs(t, y) from t0 to t_max or the first event crossing.
 
@@ -409,6 +415,9 @@ def integrate(
         crossing located on that step's dense output.
     max_step : maximum step size; defaults to (t_max - t0) / 10 so no single
         step spans a large fraction of the interval.
+    first_step : the first step's size, such as the last_step of the
+        integration this one continues; by default the stepper chooses it
+        with one extra rhs call.
 
     Raises StepSizeUnderflow when the adaptive step falls below the
     representable minimum before reaching t_max, NonFiniteDerivative when an
@@ -437,7 +446,7 @@ def integrate(
             raise NonFiniteDerivative(f"NaN event value at t={t}")
         return g
 
-    stepper = DormandPrince(checked_rhs, t0, y0, t_max, max_step, rel_tol, abs_tol)
+    stepper = DormandPrince(checked_rhs, t0, y0, t_max, max_step, rel_tol, abs_tol, first_step)
     if events is not None:
         g_prev = checked_events(t0, y0)
         rule = FiringRule(g_prev, event_tol, t0)
@@ -452,6 +461,7 @@ def integrate(
         dense = stepper.step()
         t_new = stepper.t
         result.t_end, result.y_end = t_new, stepper.y.copy()
+        result.last_step = t_new - t_old
         steps.append(StepResult(t_old, t_new, dense))
         if events is None:
             continue

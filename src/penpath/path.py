@@ -23,10 +23,11 @@ losses, the normal GLM) dbeta/drho = -P u is constant between kinks, so
 beta is linear in rho and the active coefficients are affine in 1/rho: the
 exact engine finds every event in closed form from the table's start
 values and slopes, with no integration step.  Every other loss follows the
-ODE engine, which integrates the segment with adaptive Runge-Kutta steps.
-It reads the table as one event vector with a beta_bound guard appended,
-evaluated once per step end, and odeint locates only the earliest crossing,
-evaluating only the rows that fired.  Both engines fire an event under
+ODE engine, which integrates the segment with adaptive Runge-Kutta steps,
+starting from the size of the step the path's previous integration last
+took.  It reads the table as one event vector with a beta_bound guard
+appended, evaluated once per step end, and odeint locates only the earliest
+crossing, evaluating only the rows that fired.  Both engines fire an event under
 odeint's FiringRule.
 
 Two interchangeable formulations of the segment's KKT system, both in
@@ -952,6 +953,9 @@ class _PathRunner:
         self.warnings = []
         self._squeeze = 0
         self._squeeze_cap = 4 * (cs.n_eq + cs.n_ineq) + 8
+        # The ODE engine's last step size, the next integration's first:
+        # only a path's first integration probes for one.
+        self.step = None
         self.on_segment = on_segment or (lambda segment: None)
 
     # -- setup ------------------------------------------------------------
@@ -1229,8 +1233,10 @@ class _PathRunner:
                 abs_tol=opts.abs_tol,
                 event_tol=opts.event_tol,
                 max_step=opts.max_step,
+                first_step=self.step,
             )
             ctx.results.append(result)
+            self.step = result.last_step
             if result.status == "event" or t_hi >= t_max:
                 return result
             t, y = result.t_end, result.y_end

@@ -19,6 +19,7 @@ import penpath.path
 from penpath import cli
 from penpath.cli import main
 from penpath.errors import PenPathError
+from penpath.losses import LogConcaveLoss
 from penpath.oracles import glasso_coordinate
 from penpath.problemspec import parse_problem_spec
 
@@ -354,9 +355,17 @@ def test_solve_solver_failure_exits_2_with_no_outputs(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_solve_non_finite_hessian_exits_2_with_no_outputs(tmp_path, capsys):
+def test_solve_non_finite_hessian_exits_2_with_no_outputs(tmp_path, capsys, monkeypatch):
     # this concave-density fit reaches a point where the loss's Hessian
-    # overflows: a solver failure, not a malformed spec
+    # overflows (from its 41st block on): a solver failure, not a malformed spec
+    columns, count = LogConcaveLoss.hessian_columns, [0]
+
+    def overflowing(self, x, cols):
+        count[0] += 1
+        block = columns(self, x, cols)
+        return block if count[0] <= 40 else np.full_like(block, np.inf)
+
+    monkeypatch.setattr(LogConcaveLoss, "hessian_columns", overflowing)
     draws = np.random.default_rng(0).gumbel(0.0, 1.0, size=50)
     support = np.unique(draws)
     spec = write_spec(

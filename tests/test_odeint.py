@@ -72,6 +72,18 @@ def test_linear_event_location():
     assert abs(res.y_end[0]) < 1e-9
 
 
+def test_last_step_is_the_whole_step_an_event_cuts_short():
+    # The last step's size goes on to the next integration as its first, so
+    # it is the accepted step's, not the part of it before the event.
+    events = rows_of(lambda t, y: y[0] - 0.3)
+    res = integrate(lambda t, y: -y, 0.0, 5.0, [1.0], events=events)
+    step = res.steps[-1]
+    assert res.status == "event" and res.t_end == step.t_end
+    assert res.last_step == step.interpolant.h > res.t_end - step.t_start
+    whole = integrate(lambda t, y: -y, 0.0, 5.0, [1.0])
+    assert whole.last_step == whole.steps[-1].t_end - whole.steps[-1].t_start
+
+
 def test_rising_row_never_fires():
     # y rising through zero: an event fires only when its g falls.
     events = rows_of(lambda t, y: y[0])

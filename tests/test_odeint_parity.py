@@ -14,17 +14,17 @@ from scipy.integrate import RK45
 from scipy.optimize import brentq as scipy_brentq
 
 from penpath.errors import EventLocationFailed, StepSizeUnderflow
-from penpath.odeint import DormandPrince, brentq
+from penpath.odeint import DormandPrince, brentq, integrate
 
 # Interpolant probes per step, as fractions of the step.
 FRACTIONS = (0.0, 0.1, 1 / 3, 0.5, 0.77, 1.0)
 
 
-def scipy_trace(fun, t0, t_bound, y0, rtol, atol, max_step):
+def scipy_trace(fun, t0, t_bound, y0, rtol, atol, max_step, first_step=None):
     """(t, y, h_abs, dense values) after the start and each accepted step,
     ("failed", t) on a step-size underflow, and the rhs call count."""
     stepper = RK45(fun, t0, np.asarray(y0, dtype=float), t_bound,
-                   rtol=rtol, atol=atol, max_step=max_step)
+                   rtol=rtol, atol=atol, max_step=max_step, first_step=first_step)
     trace = [(stepper.t, stepper.y.copy(), stepper.h_abs, [])]
     while stepper.status == "running":
         stepper.step()
@@ -135,6 +135,33 @@ def test_tiny_rel_tol_is_raised_to_100_eps_with_a_warning():
 def test_step_size_underflow_at_the_same_point():
     trace, _ = compare(lambda t, y: [1.0 / (1.0 - t)], 0.0, 2.0, [0.0], max_step=0.2)
     assert trace[-1][0] == "failed" and 0.99 < trace[-1][1] < 1.0
+
+
+@pytest.mark.parametrize("first_step", [1e-7, 0.01, 0.3, 2.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_integrate_from_a_given_first_step(seed, first_step):
+    # integrate from a first_step, as a path's later chunks and segments
+    # start: no probe, and every step, interpolant value and rhs call is
+    # RK45(first_step=...)'s; a first_step above max_step is clipped by the
+    # step, as RK45 clips it.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(3, 3))
+    t0, t_bound = float(rng.uniform(-1.0, 1.0)), 4.0
+    max_step = float(rng.uniform(0.2, 1.0))
+    fun = lambda t, y: m @ y + np.sin(3.0 * t)
+    y0 = rng.normal(size=3)
+    expected, nfev = scipy_trace(fun, t0, t_bound, y0, 1e-8, 1e-10, max_step, first_step)
+    calls = []
+    result = integrate(lambda t, y: calls.append(t) or fun(t, y), t0, t_bound, y0,
+                       max_step=max_step, first_step=first_step)
+    assert len(calls) == nfev
+    assert [step.t_end for step in result.steps] == [entry[0] for entry in expected[1:]]
+    for step, (_, _, _, probes) in zip(result.steps, expected[1:]):
+        t_old, t = step.t_start, step.t_end
+        assert all(np.array_equal(step.interpolant(t_old + q * (t - t_old)), probe)
+                   for q, probe in zip(FRACTIONS, probes))
+    assert np.array_equal(result.y_end, expected[-1][1])
+    assert result.last_step == expected[-1][0] - expected[-2][0]
 
 
 # ---------------------------------------------------------------------------

@@ -373,9 +373,18 @@ def test_divergence_guard_fires():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["direct", "nullspace"])
-def test_non_finite_hessian_raises_typed_error(mode):
+def test_non_finite_hessian_raises_typed_error(mode, monkeypatch):
     # A concave-density fit whose iterate reaches a point where the loss's
-    # Hessian overflows to NaN: the error must be a PenPathError.
+    # Hessian overflows (from its 41st block on): the error must be a
+    # PenPathError.
+    columns, count = LogConcaveLoss.hessian_columns, [0]
+
+    def overflowing(self, x, cols):
+        count[0] += 1
+        block = columns(self, x, cols)
+        return block if count[0] <= 40 else np.full_like(block, np.inf)
+
+    monkeypatch.setattr(LogConcaveLoss, "hessian_columns", overflowing)
     draws = np.random.default_rng(0).gumbel(0.0, 1.0, size=50)
     model = LogConcaveLoss.from_samples(draws)
     cs = shape(model.dim, kind="concave", grid=model.support)
@@ -532,6 +541,36 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
     assert sol.mode == "direct" and sol.status == "terminated" and len(sol.kinks) >= 5
     assert 0 < calls["hessian"] <= calls["rhs"] + calls["brentq"]
     assert calls["outside_rhs"] <= len(sol.segments) + calls["brentq"]
+
+
+@pytest.mark.parametrize("mode", ["direct", "nullspace"])
+def test_only_a_paths_first_integration_probes_for_its_first_step(monkeypatch, mode):
+    # An integration calls rhs once at its start and six times per attempted
+    # step.  A path's first integration also probes for its first step, one
+    # call more; every later one, in the next chunk or segment, starts from
+    # the size of the step the one before it last took.
+    model = logistic_lasso_model()
+    integrate = penpath.path.integrate
+    calls, first_steps, last_steps = [], [], []
+
+    def counted(rhs, *args, **kwargs):
+        calls.append(0)
+
+        def counted_rhs(t, beta):
+            calls[-1] += 1
+            return rhs(t, beta)
+
+        first_steps.append(kwargs.get("first_step"))
+        result = integrate(counted_rhs, *args, **kwargs)
+        last_steps.append(getattr(result, "last_step", None))
+        return result
+
+    monkeypatch.setattr(penpath.path, "integrate", counted)
+    sol = run_path(model, lasso(5), mode=mode)
+    # more integrations than kinks: some segment spans two chunks
+    assert sol.status == "terminated" and len(calls) > len(sol.kinks) >= 5
+    assert [c % 6 for c in calls] == [2] + [1] * (len(calls) - 1)
+    assert first_steps == [None] + last_steps[:-1]
 
 
 def test_segments_evaluate_only_the_free_columns(monkeypatch):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from penpath import cli
 from penpath.constraints import fused_lasso, lasso
 from penpath.errors import SimultaneousEventWarning
-from penpath.losses import GlmLoss, QuadraticLoss
+from penpath.losses import GlmLoss, LogConcaveLoss, QuadraticLoss
 from penpath.odeint import integrate
 from penpath.path import (
     SetConfiguration,
@@ -468,10 +468,38 @@ def test_quadratic_values_are_value_bitwise_on_random_tables(p):
             model.values(xs[:, :-1] if p > 1 else xs[0])
 
 
+@pytest.mark.parametrize("case", ["logistic_solve", "logistic_crossval"])
+def test_glm_values_are_value_bitwise_on_the_sampled_path(case):
+    spec = parse_problem_spec(str(GOLDEN / case / "spec.json"))
+    solution = run_path(spec.model, spec.constraints, spec.options)
+    betas = solution.sample(solution.rho_grid(spec.samples_per_segment))[0]
+    assert_values_are_value_row_by_row(spec.model, betas)
+    assert_values_are_value_row_by_row(spec.model, betas[::7])  # strided rows
+
+
+@pytest.mark.parametrize("family", ["normal", "logistic", "poisson"])
+@pytest.mark.parametrize("p", [1, 2, 40, 150])
+def test_glm_values_are_value_bitwise_on_random_tables(family, p):
+    rng = np.random.default_rng(p)
+    n = 2 * p + 5
+    design = rng.normal(size=(n, p))
+    response = {"normal": rng.normal(size=n),
+                "logistic": (rng.random(n) < 0.5).astype(float),
+                "poisson": rng.poisson(2.0, size=n).astype(float)}[family]
+    model = GlmLoss(design, response, family, scale=1.0 if family == "logistic" else 1.7)
+    xs = rng.normal(size=(300, p)) / math.sqrt(p)
+    xs[::3, ::2] = 0.0
+    assert_values_are_value_row_by_row(model, xs)
+    assert_values_are_value_row_by_row(model, xs[::7])
+    assert model.values(xs[:0]).shape == (0,)
+    with pytest.raises(ValueError, match="expected parameters of shape"):
+        model.values(xs[:, :-1] if p > 1 else xs[0])
+
+
 def test_default_values_call_value_on_each_row():
-    model = GlmLoss(np.eye(3), np.array([1.0, 0.0, 1.0]), "logistic")
-    xs = np.random.default_rng(2).normal(size=(5, 3))
-    assert "values" not in GlmLoss.__dict__
+    model = LogConcaveLoss.from_samples(np.random.default_rng(2).gumbel(size=6))
+    xs = np.random.default_rng(2).normal(size=(5, model.dim))
+    assert "values" not in LogConcaveLoss.__dict__
     assert_values_are_value_row_by_row(model, xs)
 
 
