@@ -44,7 +44,12 @@ class LossModel(abc.ABC):
 
     def hessian_columns(self, x, cols):
         """H[:, cols], the Hessian's columns at the coordinates cols (an
-        integer array, in any order): a (dim, len(cols)) array."""
+        integer array, in any order): a (dim, len(cols)) array.
+
+        The path solver asks for the same cols at every point of a segment
+        (its free coordinates), so a loss may keep what depends on cols
+        alone for the next call with equal cols, as the design losses keep
+        their transposed block X[:, cols].T (losses/glm.py)."""
         return self.hessian(x)[:, cols]
 
     def newton_start(self):

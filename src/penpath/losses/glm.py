@@ -48,11 +48,6 @@ def _checked_scale(scale):
     return scale
 
 
-def _weighted_columns(design, w, cols):
-    """X^T diag(w) X[:, cols], the columns cols of X^T diag(w) X."""
-    return design.T @ (w[:, None] * design[:, cols])
-
-
 def _logistic_dmean(mu):
     """The logistic mean's derivative, from the mean mu = expit(eta)."""
     return mu * (1.0 - mu)
@@ -88,7 +83,46 @@ FAMILIES = {
 }
 
 
-class GlmLoss(LossModel):
+class _DesignLoss(LossModel):
+    """A loss of the linear predictor eta = X x, X the (n, p) design, whose
+    Hessian is X^T diag(w) X for the weights w = _hessian_weights(eta).
+
+    The design is read as constant once the loss is built.
+    """
+
+    def __init__(self, design, response):
+        self.design = np.asarray(design, dtype=float)
+        self.response = np.asarray(response, dtype=float).ravel()
+        if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
+            raise ValueError("design and response shapes are inconsistent")
+        self._block = (None, None)  # the last cols, by their bytes, and X[:, cols].T
+
+    @property
+    def dim(self):
+        return self.design.shape[1]
+
+    def hessian(self, x):
+        w = self._hessian_weights(self.design @ self._as_param(x))
+        return (self.design * w[:, None]).T @ self.design
+
+    def hessian_columns(self, x, cols):
+        """H[:, cols] = X^T diag(w) X[:, cols], formed as X^T (B * w).T
+        from the transposed block B = X[:, cols].T.
+
+        The path solver asks for the same free columns cols at every point
+        of a segment, so the loss keeps B for the last cols it was given (at
+        most n x p doubles) and gathers it again only when cols change.
+        This gives the bits of X^T (w[:, None] * X[:, cols]) (tests/
+        test_losses.py checks it)."""
+        w = self._hessian_weights(self.design @ self._as_param(x))
+        cols = np.asarray(cols, dtype=np.intp)
+        key = (cols.shape, cols.tobytes())
+        if key != self._block[0]:
+            self._block = (key, np.ascontiguousarray(self.design[:, cols].T))
+        return self.design.T @ (self._block[1] * w).T
+
+
+class GlmLoss(_DesignLoss):
     """Canonical-link GLM negative log-likelihood (up to constants in y).
 
     Parameters
@@ -100,10 +134,7 @@ class GlmLoss(LossModel):
     """
 
     def __init__(self, design, response, family="logistic", scale=1.0):
-        self.design = np.asarray(design, dtype=float)
-        self.response = np.asarray(response, dtype=float).ravel()
-        if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
-            raise ValueError("design and response shapes are inconsistent")
+        super().__init__(design, response)
         if isinstance(family, str):
             if family not in FAMILIES:
                 raise ValueError(
@@ -115,10 +146,6 @@ class GlmLoss(LossModel):
         self.scale = _checked_scale(scale)
         # psi'' is constant only for the built-in normal family
         self.constant_hessian = self.family is FAMILIES["normal"]
-
-    @property
-    def dim(self):
-        return self.design.shape[1]
 
     def value(self, x):
         eta = self.design @ self._as_param(x)
@@ -134,17 +161,11 @@ class GlmLoss(LossModel):
         eta = self.design @ self._as_param(x)
         return self.design.T @ (self.family.mean(eta) - self.response) / self.scale
 
-    def hessian(self, x):
-        eta = self.design @ self._as_param(x)
-        w = self.family.dmean(eta) / self.scale
-        return (self.design * w[:, None]).T @ self.design
-
-    def hessian_columns(self, x, cols):
-        eta = self.design @ self._as_param(x)
-        return _weighted_columns(self.design, self.family.dmean(eta) / self.scale, cols)
+    def _hessian_weights(self, eta):
+        return self.family.dmean(eta) / self.scale
 
 
-class QuasiLoss(LossModel):
+class QuasiLoss(_DesignLoss):
     """Negative quasi-likelihood with user mean and variance functions.
 
     mean_fn is a tuple (mu, dmu, d2mu) of vectorized functions of the linear
@@ -152,17 +173,10 @@ class QuasiLoss(LossModel):
     """
 
     def __init__(self, design, response, mean_fn, variance_fn, scale=1.0):
-        self.design = np.asarray(design, dtype=float)
-        self.response = np.asarray(response, dtype=float).ravel()
-        if self.design.ndim != 2 or self.design.shape[0] != self.response.shape[0]:
-            raise ValueError("design and response shapes are inconsistent")
+        super().__init__(design, response)
         self.mu, self.dmu, self.d2mu = mean_fn
         self.var, self.dvar = variance_fn
         self.scale = _checked_scale(scale)
-
-    @property
-    def dim(self):
-        return self.design.shape[1]
 
     def value(self, x):
         # -Q_i = -int_{y_i}^{mu_i} (y_i - t) / (scale V(t)) dt, by quadrature.
@@ -198,14 +212,8 @@ class QuasiLoss(LossModel):
         eta = self.design @ self._as_param(x)
         return self.design.T @ self._weights(eta, 1) / self.scale
 
-    def hessian(self, x):
-        eta = self.design @ self._as_param(x)
-        w = self._weights(eta, 2) / self.scale
-        return (self.design * w[:, None]).T @ self.design
-
-    def hessian_columns(self, x, cols):
-        eta = self.design @ self._as_param(x)
-        return _weighted_columns(self.design, self._weights(eta, 2) / self.scale, cols)
+    def _hessian_weights(self, eta):
+        return self._weights(eta, 2) / self.scale
 
 
 # Named links and variance functions for spec-file construction.

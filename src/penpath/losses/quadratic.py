@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..sweeplin import check_symmetric
+from ..sweeplin import check_symmetric, diagonal_of
 from .base import LossModel
 
 
@@ -15,6 +15,7 @@ class QuadraticLoss(LossModel):
         if self.b.shape[0] != self.a_mat.shape[0]:
             raise ValueError("linear term does not match quadratic form dimension")
         self.c = float(c)
+        self._diagonal = diagonal_of(self.a_mat)  # A's diagonal when A is diagonal, else None
 
     @classmethod
     def from_target(cls, target):
@@ -41,9 +42,16 @@ class QuadraticLoss(LossModel):
 
     def values(self, xs):
         # One stacked product per term, in value's order; each row's sums
-        # come out bitwise value's (tests/test_sampling.py checks it).
+        # come out bitwise value's (tests/test_sampling.py checks it).  A
+        # diagonal A scales (0.5 * x) elementwise instead: the products with
+        # A's zeros only add zeros to value's sums, which with finite x
+        # leaves their bits.
         xs = self._as_params(xs)
-        quadratic = ((0.5 * xs)[:, None, :] @ self.a_mat) @ xs[:, :, None]
+        if self._diagonal is not None and np.isfinite(xs).all():
+            half_xa = (0.5 * xs)[:, None, :] * self._diagonal
+        else:
+            half_xa = (0.5 * xs)[:, None, :] @ self.a_mat
+        quadratic = half_xa @ xs[:, :, None]
         return quadratic[:, 0, 0] - (xs[:, None, :] @ self.b)[:, 0] + self.c
 
     def gradient(self, x):

@@ -79,7 +79,12 @@ and offsets gathered from the stacked ones), the elimination (its runs as
 index slices, and the two legs of each run along which the eliminated
 rows' multipliers are summed), the formulation's factor of Z^T H Z when
 something is eliminated (a QR or a Schur factor too when general rows are
-active), the snap and the closed-form events.
+active), the snap and the closed-form events.  The ODE engine asks for the
+Hessian's columns at one free set F for the whole segment, so a loss of a
+design X (GlmLoss, QuasiLoss) gathers its block X[:, F] once per segment,
+not once per stage; and the event vector gathers the residual rows, signs
+and offsets of a set of entries once for each set it is given in a row,
+which is once per step end and once per located event.
 """
 
 import math
@@ -105,6 +110,7 @@ from .sweeplin import (
     Elimination,
     KKTFactor,
     NullspaceFactor,
+    diagonal_of,
     hessian_factor,
     null_basis,
     require_finite_hessian,
@@ -614,7 +620,20 @@ class PathSolution:
         rhos = np.asarray(rhos, dtype=float)
         betas = np.empty((rhos.size, self.p))
         dfs = []
-        segments = [self._segment_for(rho) for rho in rhos]
+        # _segment_for's bisection for all rhos at once, and its contains
+        # test as arrays; only a rho its segment does not hold goes through
+        # _segment_for itself (past a terminated end, above a backward
+        # start, or off the path).
+        sign = 1.0 if self.direction == "forward" else -1.0
+        starts = np.array([seg.rho_start for seg in self.segments])
+        ends = np.array([seg.rho_end for seg in self.segments])
+        index = np.searchsorted(sign * starts, np.maximum(sign * rhos, sign * starts[0]), "right") - 1
+        pad = _lookup_pad(rhos)
+        inside = ((np.minimum(starts, ends)[index] - pad <= rhos)
+                  & (rhos <= np.maximum(starts, ends)[index] + pad))
+        segments = [self.segments[k] for k in index]
+        for k in np.flatnonzero(~inside):
+            segments[k] = self._segment_for(rhos[k])
         i = 0
         while i < rhos.size:
             seg = segments[i]
@@ -739,16 +758,25 @@ class _EventTable:
         """The ODE engine's event vector g(t, beta, rows): the table's
         entries, then the guard beta_bound - max |beta| as entry `size`.
         Only the entries `rows` (ascending, all by default) are computed, so
-        residual events alone cost no coefficient evaluation."""
+        residual events alone cost no coefficient evaluation.  g keeps what
+        it gathered for the last `rows` object it was given (the residual
+        rows, signs and offsets, and the coefficient positions): odeint
+        passes one array for every evaluation of a fired set, and none at a
+        step end."""
         n_res, size = self.n_res, self.size
+        last = [None, None]  # the last rows object, and its gathered parts
 
         def g(t, beta, rows=np.arange(size + 1)):
-            i, j = np.searchsorted(rows, (n_res, size))
-            res, coef = rows[:i], rows[i:j] - n_res
-            parts = [self.res_sign[res] * (self.res_rows[res] @ beta - self.res_offsets[res])]
+            if rows is not last[0]:
+                i, j = np.searchsorted(rows, (n_res, size))
+                res = rows[:i]
+                last[:] = rows, (self.res_sign[res], self.res_rows[res], self.res_offsets[res],
+                                 rows[i:j] - n_res, j < rows.size)
+            sign, res_rows, offsets, coef, guard = last[1]
+            parts = [sign * (res_rows @ beta - offsets)]
             if coef.size:
                 parts.append(self.coefficient_values(ctx.coefficients(t, beta))[coef])
-            if j < rows.size:
+            if guard:
                 parts.append([beta_bound - np.abs(beta).max()])
             return np.concatenate(parts)
 
@@ -974,9 +1002,7 @@ class _PathRunner:
             self.beta, self.rho = unconstrained_minimum(self.model), 0.0
         if self.exact:
             self.hessian = self.model.hessian(self.beta)
-            diagonal = np.diagonal(self.hessian)
-            if np.count_nonzero(self.hessian) == np.count_nonzero(diagonal):
-                self.h_diagonal = diagonal
+            self.h_diagonal = diagonal_of(self.hessian)
             # Direct mode factors H once per path; a singular H switches modes.
             if self.mode == "direct":
                 try:

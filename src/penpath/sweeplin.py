@@ -54,6 +54,13 @@ def check_symmetric(a, rtol=SYMMETRY_RTOL, name="matrix"):
     return a
 
 
+def diagonal_of(mat):
+    """The diagonal of the square matrix mat when every entry off it is
+    zero, else None."""
+    diagonal = np.diagonal(mat)
+    return diagonal if np.count_nonzero(mat) == np.count_nonzero(diagonal) else None
+
+
 def _require_finite(vec):
     if not np.isfinite(vec).all():
         raise NonFiniteDerivative("gradient has non-finite entries at the current point")
@@ -97,8 +104,8 @@ def _factor_hessian(mat, singular_error, message):
     `singular_error`.
     """
     require_finite_hessian(mat)
-    diagonal = mat if mat.ndim == 1 else np.diagonal(mat)
-    if mat.ndim == 1 or np.count_nonzero(mat) == np.count_nonzero(diagonal):
+    diagonal = mat if mat.ndim == 1 else diagonal_of(mat)
+    if diagonal is not None:
         # The factor that cho_factor computes, without its O(n^3) work.
         if (diagonal > 0.0).all():
             return _DiagonalFactor(np.sqrt(diagonal))

@@ -14,7 +14,8 @@ sets of paths with run_path:
 
 Each path gives one JSON line: its name, its status or the error it raised,
 its wall time, its work (integrations, accepted steps, rhs calls and
-Hessian blocks, the hessian_columns calls), its kinks (rho, row kind, row,
+Hessian blocks, the hessian_columns calls), the wall time spent inside
+hessian_columns and inside event location (odeint._first_crossing), its kinks (rho, row kind, row,
 from and to set) and, for a path that returns, its betas at 50 points of
 [rho_start, R], R being rho_end rounded down to three digits so that both
 versions sample the same points, its terminal feasibility (the largest
@@ -28,8 +29,9 @@ two sets.
 
 --compare prints, for each path in both files, whether its status and its
 kink sequence (rows, kinds and sets) are equal, the largest relative change
-in kink rho and in a grid beta, and its work in A and in B; then the totals
-of each set.  Where the files hold reference runs, it adds each file's
+in kink rho and in a grid beta, its work and its times (whole path,
+hessian_columns, event location) in A and in B; then the totals of each
+set.  Where the files hold reference runs, it adds each file's
 error against A's reference (B's where A has none): the largest relative
 change in kink rho and in a grid beta over the paths whose runs return
 with the same kink sequence as the reference.
@@ -53,6 +55,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 GRID_POINTS = 50
 REFERENCE_REL_TOL = 1e-13
 COUNTS = ("integrations", "steps", "rhs_calls", "hessian_blocks")
+TIMES = ("hessian_s", "locate_s")  # inside hessian_columns, inside odeint._first_crossing
 FAMILIES = ("logistic_cv", "logconcave")
 
 
@@ -90,16 +93,28 @@ def logconcave_paths():
 
 
 class _Counted:
-    """Counts the work of the run_path calls made inside it."""
+    """Counts the work of the run_path calls made inside it, and times
+    hessian_columns and event location."""
 
     def __init__(self, model):
+        import penpath.odeint
         import penpath.path
 
-        self.module, self.model = penpath.path, model
-        self.counts = dict.fromkeys(COUNTS, 0)
+        self.module, self.odeint, self.model = penpath.path, penpath.odeint, model
+        self.counts = dict.fromkeys(COUNTS, 0) | dict.fromkeys(TIMES, 0.0)
 
     def __enter__(self):
         integrate, columns, counts = self.module.integrate, self.model.hessian_columns, self.counts
+        first_crossing = self.odeint._first_crossing
+
+        def timed(name, function):
+            def call(*args):
+                start = time.perf_counter()
+                try:
+                    return function(*args)
+                finally:
+                    counts[name] += time.perf_counter() - start
+            return call
 
         def counted_rhs(rhs):
             def rhs_(t, y):
@@ -113,17 +128,21 @@ class _Counted:
             counts["steps"] += len(result.steps)
             return result
 
+        timed_columns = timed("hessian_s", columns)
+
         def columns_(x, cols):
             counts["hessian_blocks"] += 1
-            return columns(x, cols)
+            return timed_columns(x, cols)
 
-        self.integrate = integrate
+        self.integrate, self.first_crossing = integrate, first_crossing
         self.module.integrate = integrate_
+        self.odeint._first_crossing = timed("locate_s", first_crossing)
         self.model.hessian_columns = columns_
         return self
 
     def __exit__(self, *exc):
         self.module.integrate = self.integrate
+        self.odeint._first_crossing = self.first_crossing
         del self.model.hessian_columns
 
 
@@ -203,6 +222,17 @@ def _load(path):
         return {r["name"]: r for r in map(json.loads, handle)}
 
 
+def _seconds(record, name):
+    """A record's time, or "-" where a file written before it was recorded
+    lacks it."""
+    return f"{record[name]:.3f}" if name in record else "-"
+
+
+def _total(records, name):
+    """The records' summed time, or "-" where some record lacks it."""
+    return f"{sum(r[name] for r in records):.3f}" if all(name in r for r in records) else "-"
+
+
 def _largest(values):
     values = [v for v in values if v is not None]
     return f"{max(values):.3g}" if values else "-"
@@ -219,10 +249,11 @@ def compare(a, b):
             same, rho, beta = gaps(ra, rb)
             rows.append((ra, rb, same, rho, beta))
             work = " ".join(f"{ra[c]}->{rb[c]}" for c in ("steps", "rhs_calls", "hessian_blocks"))
+            times = " ".join(f"{_seconds(ra, c)}->{_seconds(rb, c)}" for c in ("seconds", *TIMES))
             print(f"{name}: status {'same' if ra['status'] == rb['status'] else 'CHANGED'}, "
                   f"kinks {'-' if same is None else 'same' if same else 'DIFFER'}, kink rho {_largest([rho])}, "
                   f"beta {_largest([beta])}; steps, rhs, Hessian blocks {work}; "
-                  f"{ra['seconds']:.3f}->{rb['seconds']:.3f} s")
+                  f"path, hessian_columns, location s {times}")
             if ra["status"] != rb["status"]:
                 print(f"    {ra['status'][:70]} -> {rb['status'][:70]}")
         print(f"== {family}: {len(rows)} paths in both")
@@ -231,6 +262,8 @@ def compare(a, b):
               f"kink rho {_largest(r[3] for r in rows)} relative, grid beta {_largest(r[4] for r in rows)}")
         for count in ("integrations", *COUNTS[1:]):
             print(f"   {count}: {sum(ra[count] for ra, *_ in rows)} -> {sum(rb[count] for _, rb, *_ in rows)}")
+        for name in ("seconds", *TIMES):
+            print(f"   {name}: {_total([r[0] for r in rows], name)} -> {_total([r[1] for r in rows], name)}")
         for label, side in (("A", 0), ("B", 1)):
             records = [r[side] for r in rows]
             returned = [r for r in records if "kinks" in r]

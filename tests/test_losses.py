@@ -453,3 +453,72 @@ def test_hessian_columns_match_the_hessian(name):
             assert np.abs(ours - reference).max(initial=0.0) <= 1e-14 * np.abs(h).max()
         else:
             assert ours.tobytes() == reference.tobytes()
+
+
+DESIGN_MODELS = ["normal", "logistic", "poisson", "quasi"]
+
+
+def weighted_columns(model, x, cols):
+    """X^T diag(w) X[:, cols], the Hessian's columns as a design loss formed
+    them before it kept the block X[:, cols].T."""
+    eta = model.design @ x
+    if isinstance(model, QuasiLoss):
+        w = model._weights(eta, 2) / model.scale
+    else:
+        w = model.family.dmean(eta) / model.scale
+    return model.design.T @ (w[:, None] * model.design[:, cols])
+
+
+def column_sets(q, rng):
+    return [np.arange(q), np.array([0, 2, q - 1]), np.array([q - 1, 1, 3, 0]),
+            np.array([], dtype=int), rng.permutation(q), np.sort(rng.permutation(q)[:q // 2])]
+
+
+@pytest.mark.parametrize("name", DESIGN_MODELS)
+def test_design_hessian_columns_are_the_weighted_columns_bitwise(name):
+    model, x = parity_models()[name]
+    rng = np.random.default_rng(4)
+    q = model.dim
+    for cols in column_sets(q, rng) * 2:  # each set after another, then again
+        ours = model.hessian_columns(x, cols)
+        assert ours.shape == (q, cols.size)
+        assert ours.tobytes() == weighted_columns(model, x, cols).tobytes()
+    # a wider design, as the benchmark's (n = 300, p = 40), at several points
+    design = rng.normal(size=(300, 40))
+    wide = GlmLoss(design, (rng.random(300) < 0.5).astype(float), family="logistic")
+    for _ in range(3):
+        x = 0.2 * rng.normal(size=40)
+        for cols in column_sets(40, rng):
+            assert wide.hessian_columns(x, cols).tobytes() == weighted_columns(wide, x, cols).tobytes()
+
+
+@pytest.mark.parametrize("name", DESIGN_MODELS)
+def test_design_hessian_columns_keep_the_block_of_the_last_columns(name):
+    model, x = parity_models()[name]
+    cols = np.array([4, 0, 2])
+    first = model.hessian_columns(x, cols)
+    block = model._block[1]
+    # the same columns at another point, and in another array, reuse it
+    assert model.hessian_columns(0.5 * x, cols.copy()).tobytes() == (
+        weighted_columns(model, 0.5 * x, cols).tobytes())
+    assert model._block[1] is block
+    # columns changed in place are new columns
+    cols[1] = 1
+    assert model.hessian_columns(x, cols).tobytes() == weighted_columns(model, x, cols).tobytes()
+    assert model._block[1] is not block
+    cols[1] = 0
+    assert model.hessian_columns(x, cols).tobytes() == first.tobytes()
+
+
+def test_each_fold_loss_keeps_its_own_block():
+    # split_loss builds a new loss per fold: each keeps the block of its own
+    # rows, whatever another fold's loss was last asked for.
+    rng = np.random.default_rng(8)
+    design = rng.normal(size=(60, 7))
+    response = (rng.random(60) < 0.5).astype(float)
+    folds = [GlmLoss(design[rows], response[rows], family="logistic")
+             for rows in (np.arange(30), np.arange(30, 60), np.arange(60))]
+    x, cols = 0.3 * rng.normal(size=7), np.array([1, 3, 6])
+    for model in folds + folds[::-1]:
+        assert model.hessian_columns(x, cols).tobytes() == weighted_columns(model, x, cols).tobytes()
+    assert len({id(model._block[1]) for model in folds}) == 3

@@ -13,6 +13,7 @@ from penpath.errors import NonFiniteDerivative, NotStrictlyConvex, PathDivergenc
 from penpath.losses import GlmLoss, LogConcaveLoss, QuadraticLoss
 from penpath.path import (
     MODES,
+    _EventTable,
     _SegmentContext,
     ActiveCoefficients,
     PathOptions,
@@ -541,6 +542,35 @@ def test_direct_mode_factors_once_per_point(monkeypatch):
     assert sol.mode == "direct" and sol.status == "terminated" and len(sol.kinks) >= 5
     assert 0 < calls["hessian"] <= calls["rhs"] + calls["brentq"]
     assert calls["outside_rhs"] <= len(sol.segments) + calls["brentq"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_event_vector_gives_fresh_bits_for_alternating_row_subsets(mode):
+    # The event vector keeps what it gathered for the last rows it was given;
+    # switching between subsets, and back, gives the bits of a vector that
+    # evaluates each subset for the first time.
+    sol = run_path(logistic_lasso_model(), lasso(5), mode=mode)
+    seg = next(seg for seg in sol.segments
+               if 0 < seg.config.n_active < 5 and isinstance(seg._eval, _SegmentContext)
+               and seg._eval.results)
+    ctx = seg._eval
+    table = _EventTable(ctx.sets)
+    assert 0 < table.n_res < table.size
+    g = table.vector(ctx, 1e8)
+    everything = np.arange(table.size + 1)
+    subsets = [everything[:table.n_res], everything[table.n_res:], everything[1:-1:2],
+               everything[-1:], everything[[0, -1]], everything[:0], everything]
+    times = np.linspace(seg.rho_start, seg.rho_end, 4)
+    for t in times:
+        beta = ctx.interpolate(t)
+        for rows in subsets + subsets[::-1] + [None, subsets[0], None]:
+            fresh = table.vector(ctx, 1e8)
+            if rows is None:
+                ours, expected = g(t, beta), fresh(t, beta)
+            else:
+                ours, expected = g(t, beta, rows), fresh(t, beta, rows.copy())
+            assert ours.tobytes() == expected.tobytes()
+            assert ours.size == (table.size + 1 if rows is None else rows.size)
 
 
 @pytest.mark.parametrize("mode", ["direct", "nullspace"])

@@ -156,14 +156,9 @@ def assert_lookup_matches_scan(solution, extra=()):
 
 
 def test_lookup_on_forward_lasso_with_point_segments():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(10, 6))
-    a[:, 1] += 2.0 * a[:, 0]
-    a[:, 2] -= 1.5 * a[:, 0]
-    h = a.T @ a
     # exact zeros in the unconstrained minimum start beyond their coefficient
     # boundaries, so the path opens with a run of zero-length segments at 0
-    sol = quiet_path(QuadraticLoss(h, h @ np.array([3.0, 0.0, 0.0, -1.0, 0.0, 0.5])), lasso(6))
+    sol = quiet_path(*point_segment_lasso())
     assert sol.status == "terminated"
     points = [seg for seg in sol.segments if seg.rho_span == 0.0]
     assert sum(seg.rho_start == 0.0 for seg in points) >= 2
@@ -281,6 +276,55 @@ def test_lookup_on_ode_logistic_path():
     assert any(isinstance(seg._eval, _SegmentContext) and seg._eval.results for seg in sol.segments)
     end = sol.rho_end
     assert assert_lookup_matches_scan(sol, extra=(2.0 * end, -1.0)) > 0
+
+
+SAMPLED_PATHS = {
+    "forward_point_segments": lambda: quiet_path(*point_segment_lasso()),
+    "backward": lambda: quiet_path(QuadraticLoss.from_target([3.0, -1.0, 2.0, 0.5, 1.0, -2.0]),
+                                   fused_lasso(6), direction="backward"),
+    "rho_max": lambda: quiet_path(QuadraticLoss.from_target([2.0, -1.0, 0.5]), lasso(3),
+                                  rho_max=1.5),
+    "ode_logistic": logistic_path,
+}
+
+
+def point_segment_lasso():
+    """The lasso of test_lookup_on_forward_lasso_with_point_segments."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(10, 6))
+    a[:, 1] += 2.0 * a[:, 0]
+    a[:, 2] -= 1.5 * a[:, 0]
+    h = a.T @ a
+    return QuadraticLoss(h, h @ np.array([3.0, 0.0, 0.0, -1.0, 0.0, 0.5])), lasso(6)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_PATHS))
+def test_sample_is_the_per_rho_lookup_bitwise_on_foreign_grids(name):
+    # sample finds every rho's segment in one pass; each rho's beta and df
+    # are those of the segment the linear scan finds, looked up alone.
+    sol = SAMPLED_PATHS[name]()
+    forward = sol.direction == "forward"
+    lo, hi = sorted((sol.segments[0].rho_start, sol.rho_end))
+    foreign = np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo) + 1.0, 801)
+    probes = np.array(probe_rhos(sol) + foreign.tolist())
+    served, outside = [], []
+    for rho in probes:
+        try:
+            served.append((rho, scan_segment(sol, rho)))
+        except ValueError:
+            outside.append(rho)
+    assert served and outside
+    rhos = np.array([rho for rho, _ in served])
+    for grid in (rhos, np.sort(rhos), np.sort(rhos)[::-1], rhos[:1], rhos[:0]):
+        betas, dfs = sol.sample(grid)
+        assert betas.shape == (grid.size, sol.p) and len(dfs) == grid.size
+        for rho, beta, df in zip(grid, betas, dfs):
+            seg = scan_segment(sol, rho)
+            assert beta.tobytes() == seg.betas_at(np.array([rho]), forward)[0].tobytes(), rho
+            assert df == sol.df_at(rho)
+    for rho in outside:
+        with pytest.raises(ValueError, match="outside the computed path"):
+            sol.sample(np.append(rhos[:5], rho))
 
 
 # -- dense-trace lookup ------------------------------------------------------
@@ -457,12 +501,25 @@ def test_quadratic_values_are_value_bitwise_on_the_sampled_path(case):
 def test_quadratic_values_are_value_bitwise_on_random_tables(p):
     rng = np.random.default_rng(p)
     design = rng.normal(size=(2 * p, p))
+    diagonal = rng.uniform(0.5, 2.0, size=p)
+    diagonal[1::3] = 0.0
     models = [QuadraticLoss.from_least_squares(design, rng.normal(size=2 * p)),
-              QuadraticLoss.from_target(rng.normal(size=p))]
+              QuadraticLoss.from_target(rng.normal(size=p)),
+              QuadraticLoss.from_target(np.zeros(p)),
+              QuadraticLoss(np.diag(diagonal), rng.normal(size=p), -1.5)]
     xs = rng.normal(size=(1500, p))
     xs[::3, ::2] = 0.0
+    xs[1::5, 1::3] = -0.0
+    xs[::7] = 0.0  # all-zero rows, of either sign
+    xs[3::14] = -0.0
+    xs[5::11] *= 1e-310  # products that underflow to zero
+    unbounded = xs[:40].copy()
+    unbounded[3, 0], unbounded[5, -1], unbounded[7, 0] = np.inf, -np.inf, np.nan
     for model in models:
         assert_values_are_value_row_by_row(model, xs)
+        assert_values_are_value_row_by_row(model, xs[::7])
+        with np.errstate(invalid="ignore"):
+            assert_values_are_value_row_by_row(model, unbounded)
         assert model.values(xs[:0]).shape == (0,)
         with pytest.raises(ValueError, match="expected parameters of shape"):
             model.values(xs[:, :-1] if p > 1 else xs[0])
